@@ -201,7 +201,8 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     for a time-independent generator, at a fraction of the cost).
 
     Raises ValueError when dt violates the matrix-scale stability bound and
-    AccuracyError when the trace drifts by more than 1e-6.
+    AccuracyError when the trace drifts by more than 1e-6 or the state departs
+    from Hermiticity (max |rho - rho^+| over the samples) by more than 1e-6.
     """
     hu_static = build_extended_hamiltonian(params, 0.0).data
     hu_drive = extended_drive_operator(params).data
@@ -260,6 +261,8 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
         herm_drift = max(herm_drift, float(np.max(np.abs(rho - rho.conj().T))))
     if trace_drift > 1e-6:
         raise AccuracyError(f"trace drifted by {trace_drift:.3e} (> 1e-6); reduce dt")
+    if herm_drift > 1e-6:
+        raise AccuracyError(f"Hermiticity drifted by {herm_drift:.3e} (> 1e-6)")
     return PropagationResult(times=np.asarray(times), states=states,
                              max_trace_drift=float(trace_drift),
                              max_hermiticity_drift=herm_drift)

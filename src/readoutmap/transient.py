@@ -4,10 +4,13 @@ The second-order correlations A_ll/A_rr and the third-order cross correlations
 B_lr/C_lr are indefinite (particular-solution) integrals of the resonator
 response against dressed-detuning phase kernels. Each one reduces to scalar
 auxiliary states u obeying du/dt = mu*u + f(t) with complex mu = +-i*w, where
-w is a dressed detuning in rad/ns:
+w is a dressed detuning in rad/ns. Each is integrated by classic RK4, evaluated
+as its one-step recurrence by one banded solve (`response._rk4_linear`, shared
+with the resonator response). |Re(mu)| is half the resonator linewidth and its
+sign sets the direction, so kappa_c must be positive:
 
   * Re(mu) < 0 (decaying kernel): the particular solution is the causal one;
-    integrate forward by RK4 from u(0) = 0. The pulse starts from eta(0) = 0,
+    integrate forward from u(0) = 0. The pulse starts from eta(0) = 0,
     so the homogeneous admixture is negligible and decays anyway.
   * Re(mu) > 0 (growing kernel): forward integration is exponentially unstable
     (homogeneous growth at kappa/2); the particular solution is future-
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RAD_PER_MHZ_NS, SystemParams, detuning_l, detuning_r
-from .response import ResonatorTrajectory
+from .response import ResonatorTrajectory, _rk4_linear
 
 
 @dataclass(frozen=True)
@@ -65,42 +68,13 @@ def _midpoints(f: np.ndarray, fdot: np.ndarray, dt: float) -> np.ndarray:
     return 0.5 * (f[:-1] + f[1:]) + dt * (fdot[:-1] - fdot[1:]) / 8.0
 
 
-def _integrate_forward(f: np.ndarray, fdot: np.ndarray, mu: complex, dt: float) -> np.ndarray:
-    fm = _midpoints(f, fdot, dt)
-    u = np.empty(f.size, dtype=complex)
-    u[0] = 0.0
-    z = 0.0 + 0.0j
-    for k in range(f.size - 1):
-        k1 = mu * z + f[k]
-        k2 = mu * (z + 0.5 * dt * k1) + fm[k]
-        k3 = mu * (z + 0.5 * dt * k2) + fm[k]
-        k4 = mu * (z + dt * k3) + f[k + 1]
-        z = z + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u[k + 1] = z
-    return u
-
-
-def _integrate_backward(f: np.ndarray, fdot: np.ndarray, mu: complex, dt: float) -> np.ndarray:
-    fm = _midpoints(f, fdot, dt)
-    u = np.empty(f.size, dtype=complex)
-    z = -f[-1] / mu - fdot[-1] / mu**2  # slowly-varying particular estimate
-    u[-1] = z
-    h = -dt
-    for k in range(f.size - 2, -1, -1):
-        k1 = mu * z + f[k + 1]
-        k2 = mu * (z + 0.5 * h * k1) + fm[k]
-        k3 = mu * (z + 0.5 * h * k2) + fm[k]
-        k4 = mu * (z + h * k3) + f[k]
-        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u[k] = z
-    return u
-
-
 def _particular(f: np.ndarray, fdot: np.ndarray, mu: complex, dt: float) -> np.ndarray:
     """Particular solution of du/dt = mu u + f on the grid (direction by Re mu)."""
+    fm = _midpoints(f, fdot, dt)
     if mu.real < 0.0:
-        return _integrate_forward(f, fdot, mu, dt)
-    return _integrate_backward(f, fdot, mu, dt)
+        return _rk4_linear(mu, f, fm, dt, 0.0)
+    z_end = -f[-1] / mu - fdot[-1] / mu**2  # slowly-varying particular estimate
+    return _rk4_linear(mu, f[::-1], fm[::-1], -dt, z_end)[::-1]
 
 
 def correlations_timedomain(traj: ResonatorTrajectory, params: SystemParams,
@@ -108,8 +82,11 @@ def correlations_timedomain(traj: ResonatorTrajectory, params: SystemParams,
     """Correlation functions for the requested (n_al, n_ar) level pairs.
 
     The trajectory must be on a uniform grid with eta(0) = 0 (every series is
-    then exactly zero at t = 0).
+    then exactly zero at t = 0). Raises ValueError for kappa_c = 0: with no
+    resonator decay neither integration direction damps the homogeneous error.
     """
+    if params.kappa_c <= 0:
+        raise ValueError("correlations_timedomain requires kappa_c > 0")
     pairs = [(int(m), int(n)) for m, n in levels]
     t = traj.times
     dt = traj.dt

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from readoutmap.liouville import (CollapseTerm, VectorizedState, basis_index,
+from readoutmap import liouville
+from readoutmap.liouville import (AccuracyError, CollapseTerm, VectorizedState, basis_index,
                                   build_extended_hamiltonian, build_superoperator, destroy,
                                   kerr_hamiltonian, propagate, qubit_coherence,
                                   single_copy_operators, trace_functional, vectorize,
@@ -133,6 +134,23 @@ def test_propagate_time_dependent_pulse_preserves_structure():
     assert res.max_trace_drift < 1e-8
     assert res.max_hermiticity_drift < 1e-8
     assert abs(res.states[-1].trace() - 1.0) < 1e-8
+
+
+def test_propagate_hermiticity_gate(monkeypatch):
+    p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
+    coherence = basis_index(p, 1, 0, 0, 0)  # |1_a 0_c><0_a 0_c|: off-diagonal, trace-free
+
+    def skewed(params, omega_c_value):
+        hu = build_extended_hamiltonian(params, omega_c_value).data.copy()
+        hu[coherence, coherence] += 0.01j  # grows rho_10 but not rho_01
+        return liouville.ExtendedOperator(data=hu, dim=hu.shape[0])
+
+    monkeypatch.setattr(liouville, "build_extended_hamiltonian", skewed)
+    plus = np.zeros(8, dtype=complex)
+    plus[0] = plus[4] = 1.0 / np.sqrt(2.0)
+    st = VectorizedState(vec=vectorize(np.outer(plus, plus.conj())), dims=(2, 4))
+    with pytest.raises(AccuracyError, match="Hermiticity"):
+        propagate(st, p, PulseSpec("constant", 0.0), 100.0, 0.05)
 
 
 def test_propagate_step_bound():

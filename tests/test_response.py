@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from readoutmap.model import PulseSpec, SystemParams
-from readoutmap.response import max_stable_dt, solve_eta, steady_state, write_trajectory_csv
+from readoutmap.response import (_rk4_linear, max_stable_dt, solve_eta, steady_state,
+                                 write_trajectory_csv)
 
 P = SystemParams(delta_ad=0.0, delta_cd=-5.0, alpha_a=0.0, chi_ac=-1.0, kappa_c=1.0,
                  n_a=2, n_c=14)
@@ -13,6 +16,49 @@ def step_response(params, omega_c, t_ns):
     eta_ss, _ = steady_state(params, omega_c)
     beta = (2j * np.pi * params.delta_cd + np.pi * params.kappa_c) * 1e-3
     return eta_ss * (1.0 - np.exp(-beta * np.asarray(t_ns)))
+
+
+def rk4_reference(mu, f, fm, h, z0):
+    """Classic RK4 for du/dt = mu*u + f, one step at a time (independent oracle):
+    f at the grid points, fm at the interval midpoints, signed step h."""
+    u = np.empty(len(f), dtype=complex)
+    z = complex(z0)
+    u[0] = z
+    for k in range(len(f) - 1):
+        k1 = mu * z + f[k]
+        k2 = mu * (z + 0.5 * h * k1) + fm[k]
+        k3 = mu * (z + 0.5 * h * k2) + fm[k]
+        k4 = mu * (z + h * k3) + f[k + 1]
+        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u[k + 1] = z
+    return u
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 2000),
+       h=st.floats(1e-3, 10.0),
+       h_sign=st.sampled_from([1.0, -1.0]),
+       a_abs=st.floats(0.0, 0.05),          # |h*mu| within the max_stable_dt bound
+       a_phase=st.floats(0.0, 2.0 * np.pi),  # any sign of Re(h*mu), hence of Re(mu)
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1, h=0.1, h_sign=1.0, a_abs=0.05, a_phase=0.0, seed=0)
+@example(n=2000, h=0.1, h_sign=-1.0, a_abs=0.05, a_phase=3.0, seed=1)
+def test_rk4_linear_matches_stepwise_reference(n, h, h_sign, a_abs, a_phase, seed):
+    rng = np.random.default_rng(seed)
+    h = h_sign * h
+    mu = a_abs * np.exp(1j * a_phase) / h
+    f = rng.normal(size=n) + 1j * rng.normal(size=n)
+    fm = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+    z0 = complex(rng.normal(), rng.normal())
+    ref = rk4_reference(mu, f, fm, h, z0)
+    got = _rk4_linear(mu, f, fm, h, z0)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_one_point_grid():
+    traj = solve_eta(P, PulseSpec("constant", 7.0), t_end=0.0, dt=0.1)
+    assert traj.eta.tolist() == [0.0]
 
 
 def test_steady_state_values():

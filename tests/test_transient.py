@@ -180,6 +180,13 @@ def test_grid_mismatch_is_rejected(step_drive_run):
         correlations_timedomain(shifted, params, [(1, 0)])
 
 
+def test_zero_linewidth_is_rejected():
+    p = SystemParams(0.0, -5.0, 0.0, -1.0, 0.0, 2, 2)
+    traj = solve_eta(p, PulseSpec("constant", 1.0), 100.0, 0.5)
+    with pytest.raises(ValueError, match="kappa_c"):
+        correlations_timedomain(traj, p, [(1, 0)])
+
+
 def test_transient_csv(tmp_path, step_drive_run):
     params, pulse, traj, corr = step_drive_run
     gen = effective_generator_timedep(corr, traj, params, [(1, 0)])
