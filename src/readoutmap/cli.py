@@ -18,16 +18,15 @@ header row.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import effective, liouville, response, spectra, transient
 from .model import (PulseSpec, SystemParams, level_detuning, params_from_dict, pulse_from_dict,
-                    sg_envelope, validity_margin)
+                    sg_envelope, validity_margin, write_csv)
 
 _TOP_KEYS = {"delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz",
              "n_a", "n_c", "pulse", "out",
@@ -89,9 +88,10 @@ def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> 
     omega = config.pulse.omega_c
     rows = []
     for d in grid:
-        pd = SystemParams(p.delta_ad, float(d), p.alpha_a, p.chi_ac, p.kappa_c, p.n_a, p.n_c)
-        n_ground = (omega / 2.0) ** 2 / (d**2 + (p.kappa_c / 2.0) ** 2)
-        n_excited = (omega / 2.0) ** 2 / ((d + 2.0 * p.chi_ac) ** 2 + (p.kappa_c / 2.0) ** 2)
+        pd = replace(p, delta_cd=float(d))
+        n_ground = response.steady_state(pd, omega)[1]
+        n_excited = response.steady_state(replace(pd, delta_cd=pd.delta_cd + 2.0 * p.chi_ac),
+                                          omega)[1]
         pair = effective.rates(pd, n_ground)
         rows.append((d, pair.dephasing, pair.stark, n_ground, n_excited))
     effective.write_rates_sweep_csv(out, rows, header=header)
@@ -163,25 +163,12 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
     traj = response.solve_eta(p, pulse, t_end, dt_eta)
     idx = np.rint(np.asarray(result.times) / traj.dt).astype(int)
     photon = traj.photon[idx]
-    rho_t = effective.effective_map_apply(_qubit_block(rho0, p), p, photon,
+    rho_t = effective.effective_map_apply(liouville.qubit_block(state0), p, photon,
                                           np.asarray(result.times))
-    rows = []
-    for i, t in enumerate(result.times):
-        full = liouville.qubit_coherence(result.states[i])
-        rows.append((t, abs(full), abs(rho_t[i][1, 0]), photon[i]))
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(["t_ns", "abs_rho10_full", "abs_rho10_eff", "photon"])
-        for row in rows:
-            w.writerow([f"{x:.12g}" for x in row])
-
-
-def _qubit_block(rho0: np.ndarray, params: SystemParams) -> np.ndarray:
-    """Resonator-traced initial qubit density matrix."""
-    n_a, n_c = params.n_a, params.n_c
-    rho = rho0.reshape(n_a, n_c, n_a, n_c)
-    return np.trace(rho, axis1=1, axis2=3)
+    full = [abs(liouville.qubit_coherence(s)) for s in result.states]
+    eff = [abs(rho[1, 0]) for rho in rho_t]
+    write_csv(out, {"t_ns": result.times, "abs_rho10_full": full, "abs_rho10_eff": eff,
+                    "photon": photon}, header=header)
 
 
 def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int) -> None:
@@ -190,20 +177,16 @@ def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int
     grid = _linspace(sec, "delta_cd_start_mhz", "delta_cd_stop_mhz", 100)
     p = config.params
     omega = config.pulse.omega_c
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(["delta_cd_mhz", "gamma_phi_mhz", "gamma_phi_gambetta_mhz",
-                        "gamma_phi_gambetta_shifted_mhz"])
-        for d in grid:
-            pd = SystemParams(p.delta_ad, float(d), p.alpha_a, p.chi_ac, p.kappa_c, p.n_a, p.n_c)
-            n_ground = (omega / 2.0) ** 2 / (d**2 + (p.kappa_c / 2.0) ** 2)
-            ours = effective.rates(pd, n_ground).dephasing
-            theirs = effective.gambetta_rates(pd, omega)
-            shifted = effective.gambetta_rates(
-                SystemParams(p.delta_ad, float(d) + p.chi_ac, p.alpha_a, p.chi_ac,
-                             p.kappa_c, p.n_a, p.n_c), omega)
-            w.writerow([f"{x:.12g}" for x in (d, ours, theirs, shifted)])
+
+    def point(d):
+        pd = replace(p, delta_cd=float(d))
+        ours = effective.rates(pd, response.steady_state(pd, omega)[1]).dephasing
+        shifted = replace(pd, delta_cd=pd.delta_cd + p.chi_ac)
+        return ours, effective.gambetta_rates(pd, omega), effective.gambetta_rates(shifted, omega)
+
+    ours, theirs, shifted = zip(*[point(d) for d in grid])
+    write_csv(out, {"delta_cd_mhz": grid, "gamma_phi_mhz": ours, "gamma_phi_gambetta_mhz": theirs,
+                    "gamma_phi_gambetta_shifted_mhz": shifted}, header=header)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +261,8 @@ def _run_validation(config: RunConfig) -> dict:
     worst = 0.0
     for d in np.linspace(-12.0, 8.0, 100):
         pd = SystemParams(0.0, float(d), 0.0, -2.0, 1.0, 2, 2)
-        pd_shift = SystemParams(0.0, float(d) - 2.0, 0.0, -2.0, 1.0, 2, 2)
-        n_ground = (10.0 / 2.0) ** 2 / (d**2 + 0.25)
-        ours = effective.rates(pd, n_ground).dephasing
-        theirs = effective.gambetta_rates(pd_shift, 10.0)
+        ours = effective.rates(pd, response.steady_state(pd, 10.0)[1]).dephasing
+        theirs = effective.gambetta_rates(replace(pd, delta_cd=pd.delta_cd + pd.chi_ac), 10.0)
         worst = max(worst, abs(theirs / ours - 1.0))
     record("gambetta_shift_identity", worst < 1e-12, f"max relative diff {worst:.3e}")
 

@@ -9,13 +9,12 @@ and collapse operator), channel application, and a Choi positivity check.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, detuning_l, detuning_r
+from .model import SystemParams, detuning_l, detuning_r, write_csv
 
 
 @dataclass(frozen=True)
@@ -189,11 +188,9 @@ def effective_map_apply(rho0: np.ndarray, params: SystemParams, photon_series,
 def dephasing_choi(spectrum: np.ndarray, t_us: float) -> np.ndarray:
     """Choi matrix of the element-wise map rho_mn -> exp(-2 pi i E_mn t) rho_mn."""
     d = spectrum.shape[0]
-    phi = np.exp(-2j * np.pi * spectrum * t_us)
+    k = np.arange(d) * (d + 1)  # index of |m>|m> in the d^2 basis
     choi = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        for n in range(d):
-            choi[m * d + m, n * d + n] = phi[m, n]
+    choi[k[:, None], k] = np.exp(-2j * np.pi * spectrum * t_us)
     return choi
 
 
@@ -210,23 +207,15 @@ def choi_cptp_check(params: SystemParams, photon: float, t_us: float,
 
 def write_rates_sweep_csv(path, rows, header: bool = True) -> None:
     """Columns: delta_cd_mhz, gamma_phi_mhz, stark_mhz, n_ground, n_excited."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(["delta_cd_mhz", "gamma_phi_mhz", "stark_mhz", "n_ground", "n_excited"])
-        for row in rows:
-            w.writerow([f"{x:.12g}" for x in row])
+    names = ("delta_cd_mhz", "gamma_phi_mhz", "stark_mhz", "n_ground", "n_excited")
+    table = np.reshape(np.asarray(rows, dtype=float), (len(rows), len(names)))
+    write_csv(path, dict(zip(names, table.T)), header=header)
 
 
 def write_spectrum_grid_csv(path, params: SystemParams, levels: int, photon: float,
                             header: bool = True) -> None:
     """Columns: n_al, n_ar, re_E, im_E over the level grid."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(["n_al", "n_ar", "re_E", "im_E"])
-        for m in range(levels):
-            for n in range(levels):
-                e = effective_spectrum(params, m, n, photon).value
-                # + 0.0 folds signed zeros on the diagonal
-                w.writerow([m, n, f"{e.real + 0.0:.12g}", f"{e.imag + 0.0:.12g}"])
+    e = spectrum_matrix(params, levels, photon).ravel()
+    n_al, n_ar = np.indices((levels, levels)).reshape(2, -1)
+    write_csv(path, {"n_al": n_al, "n_ar": n_ar, "re_E": e.real, "im_E": e.imag},
+              header=header)

@@ -14,14 +14,13 @@ exact eigenvectors of the static generator are available densely.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .effective import effective_spectrum
 from .liouville import build_extended_hamiltonian, destroy
-from .model import SystemParams, detuning_l, detuning_r
+from .model import SystemParams, detuning_l, detuning_r, write_csv
 from .response import steady_state
 from .spectra import TrackingLostError, eigendecompose
 
@@ -176,10 +175,5 @@ def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int]
 
 def write_fidelity_csv(path, rows, header: bool = True) -> None:
     """Columns: omega_c_mhz, order, infidelity, residual_norm."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(["omega_c_mhz", "order", "infidelity", "residual_norm"])
-        for r in rows:
-            w.writerow([f"{r['omega_c_mhz']:.12g}", r["order"],
-                        f"{r['infidelity']:.12g}", f"{r['residual_norm']:.12g}"])
+    names = ("omega_c_mhz", "order", "infidelity", "residual_norm")
+    write_csv(path, {name: [r[name] for r in rows] for name in names}, header=header)

@@ -13,13 +13,11 @@ Hu is kept in cyclic MHz; propagation multiplies by -2*pi*i and time in us.
 
 The doubled basis is ordered row-major as |n_al, n_cl, n_ar, n_cr> with the
 resonator index fastest within each copy, i.e.
-index = ((n_al*n_c + n_cl)*n_a + n_ar)*n_c + n_cr. Matrix dumps and CSV output
-follow this ordering bit-for-bit.
+index = ((n_al*n_c + n_cl)*n_a + n_ar)*n_c + n_cr (see basis_index).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -268,21 +266,13 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
                              max_hermiticity_drift=herm_drift)
 
 
+def qubit_block(state: VectorizedState) -> np.ndarray:
+    """Resonator-traced qubit density matrix Tr_c rho, shape (n_a, n_a)."""
+    n_a, n_c = state.dims
+    rho = state.to_density_matrix().reshape(n_a, n_c, n_a, n_c)
+    return np.trace(rho, axis1=1, axis2=3)
+
+
 def qubit_coherence(state: VectorizedState, m: int = 1, n: int = 0) -> complex:
     """Matrix element <m_a| Tr_c rho |n_a> (resonator traced out)."""
-    n_a, n_c = state.dims
-    rho = state.to_density_matrix()
-    return complex(sum(rho[m * n_c + j, n * n_c + j] for j in range(n_c)))
-
-
-def write_matrix_csv(path, op: ExtendedOperator, header: bool = True) -> None:
-    """Nonzero entries as (row, col, re, im), row-major doubled-basis order."""
-    data = op.data
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(["row", "col", "re", "im"])
-        rows, cols = np.nonzero(data)
-        for r, c in zip(rows, cols):
-            z = data[r, c]
-            w.writerow([int(r), int(c), f"{z.real:.12g}", f"{z.imag:.12g}"])
+    return complex(qubit_block(state)[m, n])

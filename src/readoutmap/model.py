@@ -6,10 +6,15 @@ frequency in MHz, i.e. the omega/2pi value. Times are in ns. Whenever a phase
 or decay exponent is formed, the frequency is multiplied by 2*pi and the time
 by 1e-3 (ns -> us), so that 1 MHz * 1 us = one full cycle. The constant
 RAD_PER_MHZ_NS below is that conversion factor.
+
+Every CSV the package writes goes through write_csv, which owns the output
+format: 12 significant digits, signed zeros printed as 0, and the default csv
+dialect (\r\n line ends).
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -222,3 +227,17 @@ def pulse_from_dict(cfg: dict) -> PulseSpec:
         tau_r=float(cfg.get("tau_r_ns", 0.0)),
         sigma_r=float(cfg.get("sigma_r_ns", 0.0)),
     )
+
+
+def write_csv(path, columns: dict, header: bool = True) -> None:
+    """Write equal-length 1-D columns, keyed by their header names, one row per index.
+
+    Each value is printed as f"{x + 0.0:.12g}": 12 significant digits, with
+    the + 0.0 folding signed zeros (integers print as before).
+    """
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        if header:
+            w.writerow(list(columns))
+        for row in zip(*columns.values(), strict=True):
+            w.writerow([f"{x + 0.0:.12g}" for x in row])

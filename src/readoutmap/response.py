@@ -16,7 +16,6 @@ the adiabatic derivative expansion noise-free.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,12 +129,3 @@ def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -
     return ResonatorTrajectory(times=times, eta=eta, eta_d1=eta_d1, eta_d2=eta_d2,
                                eta_d3=eta_d3, pulse=pulse)
 
-
-def write_trajectory_csv(path, traj: ResonatorTrajectory, header: bool = True) -> None:
-    """Columns: t_ns, re_eta, im_eta, photon_number."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(["t_ns", "re_eta", "im_eta", "photon_number"])
-        for t, z in zip(traj.times, traj.eta):
-            w.writerow([f"{t:.12g}", f"{z.real:.12g}", f"{z.imag:.12g}", f"{abs(z) ** 2:.12g}"])

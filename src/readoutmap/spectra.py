@@ -10,7 +10,6 @@ measurement-induced dephasing rate.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .liouville import AccuracyError, ExtendedOperator, basis_index, build_extended_hamiltonian
-from .model import SystemParams
+from .model import SystemParams, write_csv
 from .response import steady_state
 
 
@@ -123,16 +122,7 @@ def write_track_csv(path, track: CoherenceTrack, params: SystemParams, header: b
     """Columns: omega_c_mhz, n_c_photons, re_E_mhz, im_E_mhz, stark_mhz,
     gamma_phi_mhz, overlap (plus any extra columns appended in order)."""
     stark, gamma = extract_rates(track, params)
-    names = ["omega_c_mhz", "n_c_photons", "re_E_mhz", "im_E_mhz",
-             "stark_mhz", "gamma_phi_mhz", "overlap"]
-    extra = extra_cols or {}
-    names += list(extra)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(names)
-        for i in range(track.omega_c.size):
-            row = [track.omega_c[i], track.photons[i], track.eigenvalues[i].real,
-                   track.eigenvalues[i].imag, stark[i], gamma[i], track.overlaps[i]]
-            row += [extra[name][i] for name in extra]
-            w.writerow([f"{x + 0.0:.12g}" for x in row])  # + 0.0 folds signed zeros
+    columns = {"omega_c_mhz": track.omega_c, "n_c_photons": track.photons,
+               "re_E_mhz": track.eigenvalues.real, "im_E_mhz": track.eigenvalues.imag,
+               "stark_mhz": stark, "gamma_phi_mhz": gamma, "overlap": track.overlaps}
+    write_csv(path, {**columns, **(extra_cols or {})}, header=header)

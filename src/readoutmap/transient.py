@@ -34,12 +34,11 @@ the assembled generator E(t) lands in MHz.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RAD_PER_MHZ_NS, SystemParams, detuning_l, detuning_r
+from .model import RAD_PER_MHZ_NS, SystemParams, detuning_l, detuning_r, write_csv
 from .response import ResonatorTrajectory, _rk4_linear
 
 
@@ -227,18 +226,10 @@ def write_transient_csv(path, traj: ResonatorTrajectory, corr: CorrelationSet,
                         header: bool = True) -> None:
     """Columns: t_ns, photon, re/im of A_ll, A_rr, B, C and of E for one pair."""
     pair = (int(pair[0]), int(pair[1]))
-    cols = ["t_ns", "photon",
-            "re_a_ll", "im_a_ll", "re_a_rr", "im_a_rr",
-            "re_b_lr", "im_b_lr", "re_c_lr", "im_c_lr", "re_e", "im_e"]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if header:
-            w.writerow(cols)
-        a_ll, a_rr = corr.a_ll[pair], corr.a_rr[pair]
-        b, c = corr.b_lr[pair], corr.c_lr[pair]
-        e = gen.values[pair]
-        phot = traj.photon
-        for i, t in enumerate(traj.times):
-            row = [t, phot[i], a_ll[i].real, a_ll[i].imag, a_rr[i].real, a_rr[i].imag,
-                   b[i].real, b[i].imag, c[i].real, c[i].imag, e[i].real, e[i].imag]
-            w.writerow([f"{x:.12g}" for x in row])
+    a_ll, a_rr = corr.a_ll[pair], corr.a_rr[pair]
+    b, c, e = corr.b_lr[pair], corr.c_lr[pair], gen.values[pair]
+    write_csv(path, {"t_ns": traj.times, "photon": traj.photon,
+                     "re_a_ll": a_ll.real, "im_a_ll": a_ll.imag,
+                     "re_a_rr": a_rr.real, "im_a_rr": a_rr.imag,
+                     "re_b_lr": b.real, "im_b_lr": b.imag, "re_c_lr": c.real, "im_c_lr": c.imag,
+                     "re_e": e.real, "im_e": e.imag}, header=header)

@@ -171,3 +171,44 @@ def test_load_config_roundtrip(tmp_path):
     rc = load_config(cfg)
     assert rc.params.delta_cd == -5.0
     assert rc.pulse.kind == "constant"
+
+
+@pytest.mark.parametrize("chi, start, stop, points", [
+    (-0.1, -2.0, 2.0, 5),  # through delta_cd = 0: the ground-state resonance
+    (-1.0, 1.0, 3.0, 3),   # through delta_cd = -2 chi: the excited-state resonance
+])
+def test_rates_sweep_through_an_undamped_resonance_is_an_error(tmp_path, capsys,
+                                                              chi, start, stop, points):
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE, "chi_ac_mhz": chi, "kappa_c_mhz": 0.0,
+        "rates_sweep": {"delta_cd_start_mhz": start, "delta_cd_stop_mhz": stop,
+                        "points": points}})
+    rc = main(["rates-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+FORMAT_SECTIONS = {
+    "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 41},
+    "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0, 2.0]},
+    # the transient's first row holds exact zeros, one of them signed
+    "transient": {"dt_ns": 0.5, "t_end_ns": 200.0},
+    "spectrum_grid": {"photon": 10.0, "levels": 2},
+    "propagate": {"dt_ns": 0.05, "t_end_ns": 200.0, "sample_every": 400},
+    "compare_gambetta": {"delta_cd_start_mhz": -12.0, "delta_cd_stop_mhz": 8.0, "points": 20},
+}
+
+
+@pytest.mark.parametrize("command", ["rates-sweep", "benchmark-eig", "transient",
+                                     "spectrum-grid", "propagate", "compare-gambetta"])
+def test_csv_format_contract(tmp_path, command):
+    cfg = write_config(tmp_path, "c.json", {**BASE, **FORMAT_SECTIONS})
+    full, bare = tmp_path / "full.csv", tmp_path / "bare.csv"
+    assert main([command, "--config", cfg, "--out", str(full)]) == 0
+    assert main([command, "--config", cfg, "--out", str(bare), "--no-header"]) == 0
+    text = full.read_bytes().decode()
+    assert text.endswith("\r\n")
+    lines = text.split("\r\n")[:-1]
+    assert not any("\r" in ln or "\n" in ln for ln in lines)
+    assert "-0" not in [field for ln in lines for field in ln.split(",")]
+    assert bare.read_bytes().decode() == "".join(ln + "\r\n" for ln in lines[1:])

@@ -167,6 +167,17 @@ def test_choi_positivity_and_mutant():
         choi_cptp_check(GRID10, 10.0, -1.0)
 
 
+def test_choi_matches_elementwise_loop():
+    spec = spectrum_matrix(GRID10, 3, 10.0)
+    d = spec.shape[0]
+    phi = np.exp(-2j * np.pi * spec * 0.1)
+    ref = np.zeros((d * d, d * d), dtype=complex)
+    for m in range(d):
+        for n in range(d):
+            ref[m * d + m, n * d + n] = phi[m, n]
+    assert np.array_equal(dephasing_choi(spec, 0.1), ref)
+
+
 def test_dephasing_peak_structure():
     # overlapping dressed resonances: single peak midway between them
     omega = 10.0

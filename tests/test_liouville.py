@@ -4,9 +4,8 @@ import pytest
 from readoutmap import liouville
 from readoutmap.liouville import (AccuracyError, CollapseTerm, VectorizedState, basis_index,
                                   build_extended_hamiltonian, build_superoperator, destroy,
-                                  kerr_hamiltonian, propagate, qubit_coherence,
-                                  single_copy_operators, trace_functional, vectorize,
-                                  write_matrix_csv)
+                                  kerr_hamiltonian, propagate, qubit_block, qubit_coherence,
+                                  single_copy_operators, trace_functional, vectorize)
 from readoutmap.model import PulseSpec, SystemParams
 
 SMALL = SystemParams(delta_ad=-20.0, delta_cd=-5.0, alpha_a=-3.3, chi_ac=-1.0,
@@ -169,14 +168,12 @@ def test_qubit_coherence_partial_trace():
     assert qubit_coherence(st) == pytest.approx(0.3 + 0.2j)
 
 
-def test_matrix_csv_dump(tmp_path):
-    hu = build_extended_hamiltonian(SystemParams(0, -5, 0, -1, 1, 2, 2), 0.0)
-    out = tmp_path / "hu.csv"
-    write_matrix_csv(out, hu)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "row,col,re,im"
-    assert len(lines) - 1 == int(np.count_nonzero(hu.data))
-    # deterministic across reruns
-    first = out.read_text()
-    write_matrix_csv(out, hu)
-    assert out.read_text() == first
+def test_qubit_block_matches_summed_trace():
+    n_a, n_c = 3, 5
+    rng = np.random.default_rng(7)
+    rho = rng.standard_normal((n_a * n_c,) * 2) + 1j * rng.standard_normal((n_a * n_c,) * 2)
+    block = qubit_block(VectorizedState(vec=vectorize(rho), dims=(n_a, n_c)))
+    ref = [[sum(rho[m * n_c + j, n * n_c + j] for j in range(n_c)) for n in range(n_a)]
+           for m in range(n_a)]
+    assert np.allclose(block, ref, rtol=0.0, atol=1e-14)
+

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from readoutmap.model import (PulseSpec, SystemParams, envelope_derivatives, level_detuning,
-                              params_from_dict, pulse_from_dict, sg_envelope, validity_margin)
+                              params_from_dict, pulse_from_dict, sg_envelope, validity_margin,
+                              write_csv)
 
 SG = PulseSpec("square-gaussian", omega_c=50.0, tau_p=1000.0, tau_r=100.0, sigma_r=50.0)
 
@@ -125,3 +126,13 @@ def test_config_dict_parsing():
     assert pulse.tau_r == 100.0
     with pytest.raises(ValueError, match="shape"):
         pulse_from_dict({"kind": "constant", "omega_c_mhz": 1, "shape": "x"})
+
+
+def test_write_csv_format(tmp_path):
+    out = tmp_path / "t.csv"
+    write_csv(out, {"k": [0, 1, 2], "x": np.array([-0.0, 1.0 / 3.0, -2.5e-20])})
+    assert out.read_bytes() == b"k,x\r\n0,0\r\n1,0.333333333333\r\n2,-2.5e-20\r\n"
+    write_csv(out, {"k": [0, 1, 2], "x": np.array([-0.0, 1.0 / 3.0, -2.5e-20])}, header=False)
+    assert out.read_bytes().startswith(b"0,0\r\n")
+    with pytest.raises(ValueError):
+        write_csv(out, {"k": [0, 1], "x": [0.0]})

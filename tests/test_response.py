@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readoutmap.model import PulseSpec, SystemParams
-from readoutmap.response import (_rk4_linear, max_stable_dt, solve_eta, steady_state,
-                                 write_trajectory_csv)
+from readoutmap.response import _rk4_linear, max_stable_dt, solve_eta, steady_state
 
 P = SystemParams(delta_ad=0.0, delta_cd=-5.0, alpha_a=0.0, chi_ac=-1.0, kappa_c=1.0,
                  n_a=2, n_c=14)
@@ -132,13 +131,3 @@ def test_rk4_order_of_convergence():
     change2 = np.max(np.abs(sols[2][::2] - sols[1]))
     assert change2 < change1 / 15.0
 
-
-def test_trajectory_csv(tmp_path):
-    traj = solve_eta(P, PulseSpec("constant", 7.0), t_end=10.0, dt=0.5)
-    out = tmp_path / "traj.csv"
-    write_trajectory_csv(out, traj)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t_ns,re_eta,im_eta,photon_number"
-    assert len(lines) == traj.times.size + 1
-    write_trajectory_csv(out, traj, header=False)
-    assert len(out.read_text().splitlines()) == traj.times.size
