@@ -82,16 +82,19 @@ def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> 
     sec = _section(config, "rates_sweep",
                    {"delta_cd_start_mhz", "delta_cd_stop_mhz", "points"})
     grid = _linspace(sec, "delta_cd_start_mhz", "delta_cd_stop_mhz", 401)
-    if grid.size == 0:
-        raise ValueError("empty sweep range")
     p = config.params
     omega = config.pulse.omega_c
     rows = []
     for d in grid:
         pd = replace(p, delta_cd=float(d))
-        n_ground = response.steady_state(pd, omega)[1]
-        n_excited = response.steady_state(replace(pd, delta_cd=pd.delta_cd + 2.0 * p.chi_ac),
-                                          omega)[1]
+        try:
+            n_ground = response.steady_state(pd, omega)[1]
+            n_excited = response.steady_state(replace(pd, delta_cd=pd.delta_cd + 2.0 * p.chi_ac),
+                                              omega)[1]
+        except ValueError:
+            level = "ground" if pd.delta_cd == 0.0 else "excited"
+            raise ValueError(f"sweep point delta_cd = {d + 0.0:g} MHz is on the undamped "
+                             f"{level}-state resonance (kappa_c = 0): no steady state") from None
         pair = effective.rates(pd, n_ground)
         rows.append((d, pair.dephasing, pair.stark, n_ground, n_excited))
     effective.write_rates_sweep_csv(out, rows, header=header)
@@ -111,11 +114,10 @@ def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -
         print(f"warning: perturbative validity margin {margin:.3f} >= 1 at the strongest drive",
               file=sys.stderr)
     track = spectra.track_coherence(p, grid, n_workers=threads)
-    gamma_pert = np.array([effective.rates(p, n).dephasing for n in track.photons])
-    stark_pert = np.array([effective.rates(p, n).stark for n in track.photons])
+    pert = [effective.rates(p, n) for n in track.photons]
     spectra.write_track_csv(out, track, p, header=header,
-                            extra_cols={"gamma_phi_pert_mhz": gamma_pert,
-                                        "stark_pert_mhz": stark_pert})
+                            extra_cols={"gamma_phi_pert_mhz": [r.dephasing for r in pert],
+                                        "stark_pert_mhz": [r.stark for r in pert]})
 
 
 def cmd_transient(config: RunConfig, out: str, header: bool, threads: int) -> None:

@@ -9,7 +9,9 @@ amplitudes are written analytically in the truncated Fock basis (never via
 matrix exponentials) to avoid truncation-induced norm loss.
 
 Validation is done at a steady-state snapshot under constant drive, where the
-exact eigenvectors of the static generator are available densely.
+exact eigenvectors of the static generator are available densely. Hu conserves
+n_al and n_ar, so the exact partner of a (n_al, n_ar) ansatz lives in that one
+qubit sector, and only its n_c^2 x n_c^2 block is diagonalized.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .effective import effective_spectrum
-from .liouville import build_extended_hamiltonian, destroy
+from .liouville import build_extended_hamiltonian, destroy, sector_indices
 from .model import SystemParams, detuning_l, detuning_r, write_csv
 from .response import steady_state
 from .spectra import TrackingLostError, eigendecompose
@@ -107,17 +109,25 @@ def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
                       omega_c: float) -> np.ndarray:
     """Exact eigenvector of the static generator matched to the ansatz.
 
+    Only the (state.n_al, state.n_ar) qubit sector of Hu is diagonalized: Hu
+    conserves both qubit labels, so the ansatz and its exact partner have no
+    weight outside that block. The block eigenvector is returned embedded in
+    the full doubled space (zeros elsewhere).
+
     Selected by maximal overlap with the perturbative vector; in the validity
     regime the branch is isolated, so this is the same selection rule as
     overlap continuation from zero drive. Raises TrackingLostError when the
     best overlap drops to 0.5."""
-    es = eigendecompose(build_extended_hamiltonian(params, omega_c))
-    ov = np.abs(state.vector.conj() @ es.eigenvectors)
+    idx = sector_indices(params, state.n_al, state.n_ar)
+    es = eigendecompose(build_extended_hamiltonian(params, omega_c).data[np.ix_(idx, idx)])
+    ov = np.abs(state.vector[idx].conj() @ es.eigenvectors)
     j = int(np.argmax(ov))
     if ov[j] <= 0.5:
         raise TrackingLostError(
             f"overlap {ov[j]:.3f} <= 0.5 at omega_c = {omega_c} MHz; ansatz too far from exact")
-    return es.eigenvectors[:, j]
+    exact = np.zeros_like(state.vector)
+    exact[idx] = es.eigenvectors[:, j]
+    return exact
 
 
 def eigenstate_fidelity(state: PerturbativeEigenstate, params: SystemParams,

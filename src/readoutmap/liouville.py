@@ -13,7 +13,8 @@ Hu is kept in cyclic MHz; propagation multiplies by -2*pi*i and time in us.
 
 The doubled basis is ordered row-major as |n_al, n_cl, n_ar, n_cr> with the
 resonator index fastest within each copy, i.e.
-index = ((n_al*n_c + n_cl)*n_a + n_ar)*n_c + n_cr (see basis_index).
+index = ((n_al*n_c + n_cl)*n_a + n_ar)*n_c + n_cr (see basis_index). Hu
+conserves n_al and n_ar; sector_indices picks out one qubit sector.
 """
 
 from __future__ import annotations
@@ -81,6 +82,14 @@ def basis_index(params: SystemParams, n_al: int, n_cl: int, n_ar: int, n_cr: int
     """Row-major index of |n_al, n_cl, n_ar, n_cr> in the doubled basis."""
     n_a, n_c = params.n_a, params.n_c
     return ((n_al * n_c + n_cl) * n_a + n_ar) * n_c + n_cr
+
+
+def sector_indices(params: SystemParams, n_al: int, n_ar: int) -> np.ndarray:
+    """Doubled-basis indices of qubit sector (n_al, n_ar), ordered (n_cl, n_cr)
+    row-major. Hu conserves both qubit labels, so
+    hu[np.ix_(idx, idx)] is one of its n_a^2 independent n_c^2 x n_c^2 blocks."""
+    n_cl, n_cr = np.divmod(np.arange(params.n_c ** 2), params.n_c)
+    return basis_index(params, n_al, n_cl, n_ar, n_cr)
 
 
 def single_copy_operators(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:

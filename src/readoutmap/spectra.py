@@ -1,10 +1,12 @@
 """Exact spectrum of the doubled-space generator and drive sweeps.
 
-For a constant drive the generator is time independent and its full complex
-spectrum is computed densely (LAPACK: balancing, Hessenberg reduction, shifted
-QR). The |1><0| qubit-coherence eigenvalue is followed across a drive sweep by
-eigenvector-overlap continuation; its real part renormalizes the qubit
-frequency (Stark shift) and its negative imaginary part is the
+For a constant drive the generator is time independent. Hu conserves both
+qubit labels n_al and n_ar, so it is n_a^2 independent n_c^2 x n_c^2 blocks,
+and the |1><0| qubit coherence lives entirely in the (n_al, n_ar) = (1, 0)
+block. Only that block is diagonalized, densely (LAPACK: balancing, Hessenberg
+reduction, shifted QR). Its coherence eigenvalue is followed across a drive
+sweep by eigenvector-overlap continuation; its real part renormalizes the
+qubit frequency (Stark shift) and its negative imaginary part is the
 measurement-induced dephasing rate.
 """
 
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .liouville import AccuracyError, ExtendedOperator, basis_index, build_extended_hamiltonian
+from .liouville import (AccuracyError, ExtendedOperator, basis_index, build_extended_hamiltonian,
+                        sector_indices)
 from .model import SystemParams, write_csv
 from .response import steady_state
 
@@ -73,6 +76,11 @@ def coherence_seed(params: SystemParams) -> tuple[np.ndarray, complex]:
 def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> CoherenceTrack:
     """Follow the coherence eigenvalue along the drive grid by max overlap.
 
+    Only the (1, 0) qubit sector of Hu is diagonalized: Hu conserves n_al and
+    n_ar, so the |1><0| eigenvector has no weight outside that block, and the
+    continuation cannot jump to another sector. The selected block eigenvector
+    is embedded back into the full doubled space (zeros elsewhere).
+
     The grid must start at omega_c = 0, where the eigenvector is the exact
     basis state. Each diagonalization is independent (parallel across the
     grid); the overlap selection is a sequential pass afterwards.
@@ -80,9 +88,10 @@ def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> C
     grid = np.asarray(omega_c_grid, dtype=float)
     if grid.size == 0 or grid[0] != 0.0:
         raise ValueError("omega_c grid must start at 0")
+    idx = sector_indices(params, 1, 0)
 
     def diag(omega):
-        return eigendecompose(build_extended_hamiltonian(params, omega))
+        return eigendecompose(build_extended_hamiltonian(params, omega).data[np.ix_(idx, idx)])
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -90,20 +99,20 @@ def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> C
     else:
         eigsets = [diag(w) for w in grid[1:]]
 
-    v_prev, e0 = coherence_seed(params)
+    v_seed, e0 = coherence_seed(params)
     eigenvalues = [e0]
     overlaps = [1.0]
-    vectors = [v_prev]
+    vectors = [v_seed]
     for omega, es in zip(grid[1:], eigsets):
-        ov = np.abs(v_prev.conj() @ es.eigenvectors)
+        ov = np.abs(vectors[-1][idx].conj() @ es.eigenvectors)
         j = int(np.argmax(ov))
         if ov[j] <= 0.5:
             raise TrackingLostError(
                 f"overlap {ov[j]:.3f} <= 0.5 at omega_c = {omega} MHz; refine the grid")
-        v_prev = es.eigenvectors[:, j]
         eigenvalues.append(complex(es.eigenvalues[j]))
         overlaps.append(float(ov[j]))
-        vectors.append(v_prev)
+        vectors.append(np.zeros_like(v_seed))
+        vectors[-1][idx] = es.eigenvectors[:, j]
 
     photons = np.array([steady_state(params, w)[1] for w in grid])
     return CoherenceTrack(omega_c=grid, eigenvalues=np.asarray(eigenvalues),

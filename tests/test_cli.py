@@ -185,7 +185,12 @@ def test_rates_sweep_through_an_undamped_resonance_is_an_error(tmp_path, capsys,
                         "points": points}})
     rc = main(["rates-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # the message names the swept point and the resonance it sits on
+    grid = np.linspace(start, stop, points)
+    level, d = ("ground", 0.0) if 0.0 in grid else ("excited", -2.0 * chi)
+    assert f"delta_cd = {d:g} MHz is on the undamped {level}-state resonance" in err
 
 
 FORMAT_SECTIONS = {

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readoutmap import liouville
 from readoutmap.liouville import (AccuracyError, CollapseTerm, VectorizedState, basis_index,
                                   build_extended_hamiltonian, build_superoperator, destroy,
                                   kerr_hamiltonian, propagate, qubit_block, qubit_coherence,
-                                  single_copy_operators, trace_functional, vectorize)
+                                  sector_indices, single_copy_operators, trace_functional,
+                                  vectorize)
 from readoutmap.model import PulseSpec, SystemParams
 
 SMALL = SystemParams(delta_ad=-20.0, delta_cd=-5.0, alpha_a=-3.3, chi_ac=-1.0,
@@ -41,6 +44,30 @@ def test_dimension_bookkeeping():
     hu = build_extended_hamiltonian(SMALL, 3.0)
     assert hu.dim == (SMALL.n_a * SMALL.n_c) ** 2
     assert hu.data.shape == (hu.dim, hu.dim)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_a=st.sampled_from([2, 3]), n_c=st.integers(2, 5),
+       freqs=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+       kappa=st.floats(0.0, 10.0), omega=st.floats(-20.0, 20.0))
+def test_generator_has_no_entries_between_qubit_sectors(n_a, n_c, freqs, kappa, omega):
+    p = SystemParams(*freqs, kappa_c=kappa, n_a=n_a, n_c=n_c)
+    hu = build_extended_hamiltonian(p, omega).data
+    inside = np.zeros(hu.shape, dtype=bool)
+    for n_al in range(n_a):
+        for n_ar in range(n_a):
+            idx = sector_indices(p, n_al, n_ar)
+            inside[np.ix_(idx, idx)] = True
+    # the sectors tile the doubled basis: n_a^2 disjoint sets of n_c^2 indices
+    assert np.count_nonzero(inside) == n_a**2 * n_c**4
+    assert np.all(hu[~inside] == 0.0)
+
+
+def test_sector_indices_follow_basis_order():
+    idx = sector_indices(SMALL, 1, 0)
+    n_c = SMALL.n_c
+    assert idx.tolist() == [basis_index(SMALL, 1, n_cl, 0, n_cr)
+                            for n_cl in range(n_c) for n_cr in range(n_c)]
 
 
 def test_superoperator_trivial_cases():

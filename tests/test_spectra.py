@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from readoutmap.effective import rates
-from readoutmap.liouville import basis_index, build_extended_hamiltonian
+from readoutmap.effective import effective_spectrum, rates
+from readoutmap.liouville import basis_index, build_extended_hamiltonian, sector_indices
 from readoutmap.model import SystemParams
-from readoutmap.spectra import (TrackingLostError, eigendecompose, extract_rates,
+from readoutmap.spectra import (TrackingLostError, coherence_seed, eigendecompose, extract_rates,
                                 track_coherence, write_track_csv)
-from conftest import BENCH
+from conftest import BENCH, PHOTON_TARGETS, omega_for_photon
 
 
 def closed_form_zero_drive_spectrum(p: SystemParams):
@@ -61,6 +63,66 @@ def test_spectrum_pairing_and_zero_mode():
     worst = max(float(np.min(np.abs(w - (-np.conj(e))))) for e in w)
     assert worst < 1e-8
     assert float(np.min(np.abs(w))) < 1e-8
+
+
+def test_sector_spectra_tile_the_full_spectrum():
+    p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 3, 4)
+    hu = build_extended_hamiltonian(p, 4.0).data
+    full = eigendecompose(hu).eigenvalues
+    blocks = np.concatenate([eigendecompose(hu[np.ix_(idx, idx)]).eigenvalues
+                             for idx in (sector_indices(p, m, n)
+                                         for m in range(p.n_a) for n in range(p.n_a))])
+    assert blocks.size == full.size
+    assert max(float(np.min(np.abs(full - e))) for e in blocks) <= 1e-9
+    assert max(float(np.min(np.abs(blocks - e))) for e in full) <= 1e-9
+
+
+def full_space_track(params, grid):
+    """Overlap continuation over eigensolves of the whole doubled-space
+    generator (reference for the sector-block tracking): eigenvalues and
+    unit eigenvectors along the grid."""
+    v_prev, e0 = coherence_seed(params)
+    eigenvalues, vectors = [e0], [v_prev]
+    for omega in grid[1:]:
+        es = eigendecompose(build_extended_hamiltonian(params, omega))
+        ov = np.abs(v_prev.conj() @ es.eigenvectors)
+        j = int(np.argmax(ov))
+        assert ov[j] > 0.5
+        v_prev = es.eigenvectors[:, j]
+        eigenvalues.append(es.eigenvalues[j])
+        vectors.append(v_prev)
+    return np.array(eigenvalues), vectors
+
+
+def test_sector_tracking_matches_full_space_tracking(bench_track):
+    track, _ = bench_track
+    picks = [0] + [1 + PHOTON_TARGETS.index(n) for n in (0.5, 2.3, 4.0)]
+    eigenvalues, vectors = full_space_track(BENCH, track.omega_c[picks])
+    assert np.max(np.abs(eigenvalues - track.eigenvalues[picks])) <= 1e-9
+    for i, v in zip(picks, vectors):
+        assert abs(abs(np.vdot(v, track.vectors[i])) - 1.0) <= 1e-9
+
+
+def closed_form_coherence_eigenvalue(p: SystemParams, omega: float) -> complex:
+    """|1><0| eigenvalue under constant drive in the polaron picture (Gambetta
+    et al., PRA 77, 012112 (2008)): the eigenvector is the displaced product
+    |1, alpha_1><0, alpha_0| with alpha_n = -(omega/2)/(delta_cd + 2 chi n - i kappa/2)."""
+    a1, a0 = (-(omega / 2.0) / (p.delta_cd + 2.0 * p.chi_ac * n - 0.5j * p.kappa_c)
+              for n in (1, 0))
+    return p.delta_ad + (omega / 2.0) * (a1 - np.conj(a0)) + 1j * p.kappa_c * a1 * np.conj(a0)
+
+
+def test_coherence_eigenvalue_matches_closed_form():
+    # at 24 resonator levels the Fock truncation is negligible up to 4 photons
+    # (the 2 x 14 benchmark deviates by 2.7e-3 MHz there)
+    wide = replace(BENCH, n_c=24)
+    grid = [0.0] + [omega_for_photon(wide, n) for n in (0.5, 2.0, 4.0)]
+    track = track_coherence(wide, grid, n_workers=2)
+    lam = np.array([closed_form_coherence_eigenvalue(wide, w) for w in grid])
+    pert = np.array([wide.delta_ad + effective_spectrum(wide, 1, 0, n).value
+                     for n in track.photons])
+    assert np.max(np.abs(lam - pert)) <= 1e-12
+    assert np.max(np.abs(lam - track.eigenvalues)) <= 1e-8
 
 
 def test_track_requires_zero_start():
