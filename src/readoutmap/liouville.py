@@ -189,9 +189,9 @@ class PropagationResult:
 def _rk4_step_matrix(gen: np.ndarray, dt: float) -> np.ndarray:
     """One RK4 step of d/dt psi = gen psi as a matrix: the degree-4 Taylor
     polynomial of expm(dt*gen), which is exactly what stepwise RK4 applies for
-    a time-independent linear system."""
-    m = np.eye(gen.shape[0], dtype=complex)
-    term = np.eye(gen.shape[0], dtype=complex)
+    a time-independent linear system. gen may be a stack (..., d, d)."""
+    m = np.eye(gen.shape[-1], dtype=complex)
+    term = np.eye(gen.shape[-1], dtype=complex)
     for k in range(1, 5):
         term = term @ (dt * gen) / k
         m = m + term
@@ -202,10 +202,15 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
               t_end: float, dt: float, sample_every: int | None = None) -> PropagationResult:
     """RK4 propagation of the vectorized state under Hu(t).
 
-    The drive block is rescaled with the instantaneous envelope at every
-    substep. For a constant pulse the RK4 step operator is precomputed once
-    and strided by matrix powers (identical arithmetic to the stepwise loop
-    for a time-independent generator, at a fraction of the cost).
+    Hu conserves both qubit labels, so only the qubit sectors in which state0
+    has a nonzero entry are stepped, as one stack of n_c^2 x n_c^2 blocks
+    sliced out of the full generator; the other sectors stay exactly 0. The
+    drive block is rescaled with the envelope at the three RK4 amplitudes of
+    each step. A step whose three amplitudes are equal (a constant pulse, the
+    flat top and the zero tail of a square-gaussian) is time-independent:
+    maximal runs of such steps up to the next sample are applied as one power
+    of the RK4 step matrix, which is the same polynomial the stepwise loop
+    applies. Samples are embedded back into the full doubled vector.
 
     Raises ValueError when dt violates the matrix-scale stability bound and
     AccuracyError when the trace drifts by more than 1e-6 or the state departs
@@ -225,40 +230,45 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
         sample_every = max(1, n_steps // 512)
     rate = -2.0j * np.pi * 1.0e-3  # per ns per MHz
 
+    psi0 = state0.vec.astype(complex)
+    sectors = np.array([sector_indices(params, n_al, n_ar)
+                        for n_al in range(params.n_a) for n_ar in range(params.n_a)])
+    blocks = sectors[np.any(psi0[sectors] != 0, axis=1)]
+    gen_s = rate * hu_static[blocks[:, :, None], blocks[:, None, :]]
+    gen_d = rate * hu_drive[blocks[:, :, None], blocks[:, None, :]]
+    y = psi0[blocks][:, :, None]
+
+    amp = pulse.omega_c * sg_envelope(np.arange(2 * n_steps + 1) * (dt / 2.0), pulse)
+    flat = (amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2])
+    powers = {}  # (amplitude, run length) -> power of the RK4 step matrix
+
+    def rhs(a, v):
+        return gen_s @ v + a * (gen_d @ v)
+
     times = [0.0]
     states = [VectorizedState(vec=state0.vec.copy(), dims=state0.dims)]
-    psi = state0.vec.astype(complex).copy()
-
-    if pulse.kind == "constant":
-        gen = rate * (hu_static + pulse.omega_c * hu_drive)
-        step = _rk4_step_matrix(gen, dt)
-        stride = np.linalg.matrix_power(step, sample_every)
-        done = 0
-        while done < n_steps:
-            take = min(sample_every, n_steps - done)
-            psi = (stride if take == sample_every else
-                   np.linalg.matrix_power(step, take)) @ psi
-            done += take
-            times.append(done * dt)
-            states.append(VectorizedState(vec=psi.copy(), dims=state0.dims))
-    else:
-        gen_s = rate * hu_static
-        gen_d = rate * hu_drive
-        half_grid = np.arange(2 * n_steps + 1) * (dt / 2.0)
-        amp = (pulse.omega_c * sg_envelope(half_grid, pulse)).tolist()
-
-        def rhs(a, y):
-            return gen_s @ y + a * (gen_d @ y)
-
-        for k in range(n_steps):
-            k1 = rhs(amp[2 * k], psi)
-            k2 = rhs(amp[2 * k + 1], psi + dt / 2.0 * k1)
-            k3 = rhs(amp[2 * k + 1], psi + dt / 2.0 * k2)
-            k4 = rhs(amp[2 * k + 2], psi + dt * k3)
-            psi = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-                times.append((k + 1) * dt)
-                states.append(VectorizedState(vec=psi.copy(), dims=state0.dims))
+    k = 0
+    while k < n_steps:
+        if flat[k]:
+            # run length: up to the first non-constant step or the next sample
+            n = int(np.argmin(np.append(flat[k:(k // sample_every + 1) * sample_every], False)))
+            a = float(amp[2 * k])
+            if (a, n) not in powers:
+                powers[a, n] = np.linalg.matrix_power(_rk4_step_matrix(gen_s + a * gen_d, dt), n)
+            y = powers[a, n] @ y
+        else:
+            n = 1
+            k1 = rhs(amp[2 * k], y)
+            k2 = rhs(amp[2 * k + 1], y + dt / 2.0 * k1)
+            k3 = rhs(amp[2 * k + 1], y + dt / 2.0 * k2)
+            k4 = rhs(amp[2 * k + 2], y + dt * k3)
+            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k += n
+        if k % sample_every == 0 or k == n_steps:
+            vec = np.zeros_like(psi0)
+            vec[blocks] = y[:, :, 0]
+            times.append(k * dt)
+            states.append(VectorizedState(vec=vec, dims=state0.dims))
 
     trace_drift = 0.0
     herm_drift = 0.0

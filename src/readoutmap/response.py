@@ -105,6 +105,10 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: comple
 def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> ResonatorTrajectory:
     """Integrate the resonator response on [0, t_end] ns with step dt.
 
+    kappa_c = 0 is accepted and is not an error: the resonator is undamped and
+    eta rings up without settling (at delta_cd = 0 under a constant drive it
+    grows linearly, eta = -i*pi*1e-3*omega_c*t), finite on any finite grid.
+
     Raises ValueError when dt violates the stability/accuracy bound.
     """
     dt_max = max_stable_dt(params, pulse)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readoutmap import liouville
@@ -9,7 +9,7 @@ from readoutmap.liouville import (AccuracyError, CollapseTerm, VectorizedState, 
                                   kerr_hamiltonian, propagate, qubit_block, qubit_coherence,
                                   sector_indices, single_copy_operators, trace_functional,
                                   vectorize)
-from readoutmap.model import PulseSpec, SystemParams
+from readoutmap.model import PulseSpec, SystemParams, sg_envelope
 
 SMALL = SystemParams(delta_ad=-20.0, delta_cd=-5.0, alpha_a=-3.3, chi_ac=-1.0,
                      kappa_c=1.0, n_a=2, n_c=5)
@@ -26,6 +26,50 @@ def doubled_copy_generator(h, gamma, c):
             + gamma * (c_l @ c_r
                        - 0.5 * c_l.conj().T @ c_l
                        - 0.5 * c_r.conj().T @ c_r))
+
+
+def dense_rk4_reference(state0, params, pulse, t_end, dt, sample_every):
+    """Stepwise RK4 of the whole doubled vector under Hu(t), one step at a time,
+    with the drive rescaled by the envelope at each substep (test oracle)."""
+    rate = -2.0j * np.pi * 1.0e-3
+    gen_s = rate * build_extended_hamiltonian(params, 0.0).data
+    gen_d = rate * liouville.extended_drive_operator(params).data
+    n_steps = int(round(t_end / dt))
+    half_grid = np.arange(2 * n_steps + 1) * (dt / 2.0)
+    amp = (pulse.omega_c * sg_envelope(half_grid, pulse)).tolist()
+
+    def rhs(a, y):
+        return gen_s @ y + a * (gen_d @ y)
+
+    psi = state0.vec.astype(complex).copy()
+    times, vecs = [0.0], [psi.copy()]
+    for k in range(n_steps):
+        k1 = rhs(amp[2 * k], psi)
+        k2 = rhs(amp[2 * k + 1], psi + dt / 2.0 * k1)
+        k3 = rhs(amp[2 * k + 1], psi + dt / 2.0 * k2)
+        k4 = rhs(amp[2 * k + 2], psi + dt * k3)
+        psi = psi + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
+            times.append((k + 1) * dt)
+            vecs.append(psi.copy())
+    return np.asarray(times), vecs
+
+
+def plus_state(params, resonator=0):
+    """(|0> + |1>)/sqrt(2) on the qubit times Fock state |resonator>."""
+    psi = np.zeros(params.n_a * params.n_c, dtype=complex)
+    psi[resonator] = psi[params.n_c + resonator] = 1.0 / np.sqrt(2.0)
+    return VectorizedState(vec=vectorize(np.outer(psi, psi.conj())),
+                           dims=(params.n_a, params.n_c))
+
+
+def assert_matches_dense_reference(state0, params, pulse, t_end, dt, sample_every):
+    res = propagate(state0, params, pulse, t_end, dt, sample_every=sample_every)
+    times, vecs = dense_rk4_reference(state0, params, pulse, t_end, dt, sample_every)
+    assert np.array_equal(res.times, times)
+    for st, vec in zip(res.states, vecs, strict=True):
+        assert np.max(np.abs(st.vec - vec)) <= 1e-12
+    return res
 
 
 def test_zero_drive_diagonal_entries():
@@ -177,6 +221,59 @@ def test_propagate_hermiticity_gate(monkeypatch):
     st = VectorizedState(vec=vectorize(np.outer(plus, plus.conj())), dims=(2, 4))
     with pytest.raises(AccuracyError, match="Hermiticity"):
         propagate(st, p, PulseSpec("constant", 0.0), 100.0, 0.05)
+
+
+def test_propagate_trace_gate(monkeypatch):
+    p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
+    population = basis_index(p, 0, 0, 0, 0)  # |0_a 0_c><0_a 0_c|: on the trace
+
+    def skewed(params, omega_c_value):
+        hu = build_extended_hamiltonian(params, omega_c_value).data.copy()
+        hu[population, population] += 0.01j  # grows rho_00 and with it the trace
+        return liouville.ExtendedOperator(data=hu, dim=hu.shape[0])
+
+    monkeypatch.setattr(liouville, "build_extended_hamiltonian", skewed)
+    with pytest.raises(AccuracyError, match="trace"):
+        propagate(plus_state(p), p, PulseSpec("constant", 0.0), 100.0, 0.05)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tau_p=st.floats(10.0, 40.0), ramp=st.floats(0.05, 1.0), width=st.floats(0.2, 2.0),
+       dt=st.floats(0.05, 0.25), tail=st.floats(0.0, 10.0), sample_every=st.integers(1, 60))
+# 500 steps, 7 does not divide them, and samples every 0.7 ns land inside both ramps
+@example(tau_p=40.0, ramp=0.5, width=0.5, dt=0.1, tail=10.0, sample_every=7)
+# one sample at the end only, after the zero tail
+@example(tau_p=20.0, ramp=1.0, width=1.0, dt=0.2, tail=3.0, sample_every=60)
+# no plateau, peak at the midpoint of the step [10, 10.25]: equal end amplitudes, a
+# different midpoint amplitude, so the step is not constant
+@example(tau_p=20.25, ramp=1.0, width=0.5, dt=0.25, tail=1.0, sample_every=5)
+def test_propagate_matches_dense_stepwise_reference(tau_p, ramp, width, dt, tail, sample_every):
+    p = SystemParams(-3.0, -5.0, 0.0, -1.0, 2.0, 2, 3)
+    tau_r = ramp * tau_p / 2.0
+    pulse = PulseSpec("square-gaussian", 4.0, tau_p=tau_p, tau_r=tau_r, sigma_r=width * tau_r)
+    assert_matches_dense_reference(plus_state(p, resonator=1), p, pulse, tau_p + tail, dt,
+                                   sample_every)
+
+
+def test_propagate_constant_pulse_leaves_empty_sectors_zero():
+    p = SystemParams(-3.0, -5.0, -2.0, -1.0, 2.0, 3, 3)
+    st0 = plus_state(p, resonator=1)  # qubit levels {0, 1}: 4 of the 9 sectors occupied
+    res = assert_matches_dense_reference(st0, p, PulseSpec("constant", 4.0), 60.0, 0.1, 45)
+    empty = np.concatenate([sector_indices(p, n_al, n_ar) for n_al in range(3)
+                            for n_ar in range(3) if 2 in (n_al, n_ar)])
+    assert empty.size == 5 * p.n_c ** 2
+    assert all(np.all(st.vec[empty] == 0.0) for st in res.states)
+
+
+def test_propagate_zero_state_stays_zero():
+    p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
+    zero = VectorizedState(vec=np.zeros(64, complex), dims=(2, 4))
+    pulse = PulseSpec("square-gaussian", 3.0, tau_p=20.0, tau_r=5.0, sigma_r=2.5)
+    res = propagate(zero, p, pulse, 30.0, 0.1, sample_every=40)
+    assert res.times.tolist() == pytest.approx([0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 30.0])
+    assert all(np.all(st.vec == 0.0) for st in res.states)
+    assert res.max_trace_drift == 0.0
+    assert res.max_hermiticity_drift == 0.0
 
 
 def test_propagate_step_bound():

@@ -60,6 +60,13 @@ def test_one_point_grid():
     assert traj.eta.tolist() == [0.0]
 
 
+def test_undamped_resonant_drive_rings_up_linearly():
+    p = SystemParams(0.0, 0.0, 0.0, -1.0, 0.0, 2, 4)
+    traj = solve_eta(p, PulseSpec("constant", 2.0), 500.0, 0.1)
+    drive = -1.0j * np.pi * 1.0e-3 * 2.0
+    assert np.max(np.abs(traj.eta - drive * traj.times)) <= 1e-12 * np.max(np.abs(traj.eta))
+
+
 def test_steady_state_values():
     assert steady_state(P, 0.0) == (0.0, 0.0)
     cross = SystemParams(-2050, -50, -330, -1, 5, 2, 6)
