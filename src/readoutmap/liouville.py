@@ -116,11 +116,6 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1)
 
 
-def unvectorize(vec: np.ndarray) -> np.ndarray:
-    m = int(round(np.sqrt(vec.size)))
-    return vec.reshape(m, m)
-
-
 def trace_functional(dim_single: int) -> np.ndarray:
     """Row vector w with w @ |rho> = Tr(rho)."""
     return np.eye(dim_single, dtype=complex).reshape(-1)

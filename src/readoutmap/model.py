@@ -8,8 +8,10 @@ by 1e-3 (ns -> us), so that 1 MHz * 1 us = one full cycle. The constant
 RAD_PER_MHZ_NS below is that conversion factor.
 
 Every CSV the package writes goes through write_csv, which owns the output
-format: 12 significant digits, signed zeros printed as 0, and the default csv
-dialect (\r\n line ends).
+format: each value is printed as "%.12g" % (x + 0.0), the same text as the
+f"{x + 0.0:.12g}" of earlier versions (12 significant digits, signed zeros
+printed as 0), comma-separated with \r\n line ends; the header row goes
+through the default csv dialect.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import numpy as np
 
 # angular rad/ns per cyclic MHz: phase = RAD_PER_MHZ_NS * f_mhz * t_ns
 RAD_PER_MHZ_NS = 2.0e-3 * math.pi
+
+# rows formatted per write in write_csv; bounds its memory, not its output
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -232,12 +237,23 @@ def pulse_from_dict(cfg: dict) -> PulseSpec:
 def write_csv(path, columns: dict, header: bool = True) -> None:
     """Write equal-length 1-D columns, keyed by their header names, one row per index.
 
-    Each value is printed as f"{x + 0.0:.12g}": 12 significant digits, with
-    the + 0.0 folding signed zeros (integers print as before).
+    Each value is converted to float and printed as "%.12g" % (x + 0.0), the
+    same text as f"{x + 0.0:.12g}": 12 significant digits, integers without a
+    decimal point, and the + 0.0 folding signed zeros. Rows are formatted a
+    block at a time, so memory stays flat in the row count. A complex column,
+    an empty mapping, a column that is not 1-D, or columns of different
+    lengths raise ValueError before the file is opened.
     """
+    if any(np.iscomplexobj(c) for c in columns.values()):
+        raise ValueError("write_csv takes real columns; write complex ones as .real and .imag")
+    data = [np.asarray(c, dtype=float) for c in columns.values()]
+    shapes = {name: col.shape for name, col in zip(columns, data)}
+    if len(set(shapes.values())) != 1 or data[0].ndim != 1:
+        raise ValueError(f"write_csv takes one or more 1-D columns of equal length, got {shapes}")
+    row = ",".join(["%.12g"] * len(data)) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
         if header:
-            w.writerow(list(columns))
-        for row in zip(*columns.values(), strict=True):
-            w.writerow([f"{x + 0.0:.12g}" for x in row])
+            csv.writer(fh).writerow(list(columns))
+        for start in range(0, len(data[0]), _CSV_BLOCK_ROWS):
+            block = np.column_stack([col[start:start + _CSV_BLOCK_ROWS] for col in data]) + 0.0
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))

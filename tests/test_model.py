@@ -1,6 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from readoutmap import model
 from readoutmap.model import (PulseSpec, SystemParams, envelope_derivatives, level_detuning,
                               params_from_dict, pulse_from_dict, sg_envelope, validity_margin,
                               write_csv)
@@ -136,3 +141,63 @@ def test_write_csv_format(tmp_path):
     assert out.read_bytes().startswith(b"0,0\r\n")
     with pytest.raises(ValueError):
         write_csv(out, {"k": [0, 1], "x": [0.0]})
+
+
+def rowwise_reference(path, columns: dict, header: bool = True) -> None:
+    """The row-at-a-time writer write_csv replaced; its bytes are the contract."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        if header:
+            w.writerow(list(columns))
+        for row in zip(*columns.values(), strict=True):
+            w.writerow([f"{x + 0.0:.12g}" for x in row])
+
+
+BLOCK = model._CSV_BLOCK_ROWS
+EDGE_FLOATS = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 5e-324,
+               -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 2.0**60, 1.0 / 3.0]
+
+
+def drawn_column(kind: str, n_rows: int, rng: np.random.Generator):
+    if kind == "bits":  # every exponent: subnormals, nan payloads of both signs, infinities
+        return rng.integers(0, 2**64, n_rows, dtype=np.uint64).view(np.float64)
+    if kind == "normal":
+        return (rng.standard_normal(n_rows) * 10.0 ** rng.integers(-20, 20, n_rows)).tolist()
+    return rng.integers(-2**62, 2**62, n_rows).tolist()  # Python ints, some beyond 2**53
+
+
+# random bit patterns include signalling NaNs, which raise the invalid flag in + 0.0
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kinds=st.lists(st.sampled_from(["bits", "normal", "int"]), min_size=1, max_size=12),
+       n_rows=st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1]) | st.integers(0, 3000),
+       seed=st.integers(0, 2**32 - 1),
+       edges=st.lists(st.floats(allow_subnormal=True) | st.integers(-2**70, 2**70), max_size=24),
+       header=st.booleans())
+@example(kinds=["bits", "int"], n_rows=BLOCK + 1, seed=0, edges=EDGE_FLOATS, header=True)
+@example(kinds=["normal"] * 12, n_rows=2 * BLOCK, seed=1, edges=EDGE_FLOATS, header=False)
+def test_write_csv_matches_rowwise_reference(tmp_path, kinds, n_rows, seed, edges, header):
+    rng = np.random.default_rng(seed)
+    columns = {f"c{j}": drawn_column(kind, n_rows, rng) for j, kind in enumerate(kinds)}
+    names = list(columns)
+    for j, value in enumerate(edges if n_rows else []):
+        columns[names[j % len(names)]][(j * 7919) % n_rows] = value
+    rowwise_reference(tmp_path / "ref.csv", columns, header=header)
+    write_csv(tmp_path / "out.csv", columns, header=header)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("columns, match", [
+    ({"k": [0, 1], "x": [0.0]}, r"got \{'k': \(2,\), 'x': \(1,\)\}"),
+    ({"k": [0, 1], "x": np.zeros((2, 2))}, r"'x': \(2, 2\)"),
+    ({"x": np.zeros((3, 2))}, r"got \{'x': \(3, 2\)\}"),
+    ({"x": 1.0}, r"got \{'x': \(\)\}"),
+    ({}, r"got \{\}"),
+    ({"k": [0, 1], "z": np.array([1.0, 2.0 + 1.0j])}, "real columns"),
+])
+def test_write_csv_rejects_malformed_columns(tmp_path, columns, match):
+    out = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=match):
+        write_csv(out, columns)
+    assert not out.exists()
