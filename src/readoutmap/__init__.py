@@ -13,7 +13,8 @@ from .effective import (EffectiveLindblad, EffectiveSpectrumEntry, RatePair,
 from .eigenstates import (PerturbativeEigenstate, eigenstate_fidelity, fidelity_sweep,
                           perturbative_eigenstate, residual_norm)
 from .liouville import (AccuracyError, CollapseTerm, ExtendedOperator, VectorizedState,
-                        build_extended_hamiltonian, build_superoperator, propagate)
+                        build_extended_hamiltonian, build_superoperator, propagate,
+                        sector_generator)
 from .model import (LevelDetuning, PulseSpec, SystemParams, envelope_derivatives,
                     level_detuning, sg_envelope, validity_margin)
 from .response import ResonatorTrajectory, solve_eta, steady_state
@@ -35,6 +36,6 @@ __all__ = [
     "effective_map_apply", "effective_spectrum", "eigendecompose",
     "eigenstate_fidelity", "envelope_derivatives", "extract_rates", "fidelity_sweep",
     "fourier_A", "gambetta_rates", "level_detuning", "perturbative_eigenstate",
-    "propagate", "rates", "residual_norm", "sg_envelope", "solve_eta",
-    "spectrum_matrix", "steady_state", "track_coherence", "validity_margin",
+    "propagate", "rates", "residual_norm", "sector_generator", "sg_envelope",
+    "solve_eta", "spectrum_matrix", "steady_state", "track_coherence", "validity_margin",
 ]

@@ -10,8 +10,9 @@ matrix exponentials) to avoid truncation-induced norm loss.
 
 Validation is done at a steady-state snapshot under constant drive, where the
 exact eigenvectors of the static generator are available densely. Hu conserves
-n_al and n_ar, so the exact partner of a (n_al, n_ar) ansatz lives in that one
-qubit sector, and only its n_c^2 x n_c^2 block is diagonalized.
+n_al and n_ar, so a (n_al, n_ar) ansatz and its exact partner live in that one
+qubit sector: only its n_c^2 x n_c^2 block (liouville.sector_generator) is
+built, diagonalized and used for the residual.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .effective import effective_spectrum
-from .liouville import build_extended_hamiltonian, destroy, sector_indices
+from .liouville import destroy, sector_generator, sector_indices
 from .model import SystemParams, detuning_l, detuning_r, write_csv
 from .response import steady_state
 from .spectra import TrackingLostError, eigendecompose
@@ -119,7 +120,7 @@ def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
     overlap continuation from zero drive. Raises TrackingLostError when the
     best overlap drops to 0.5."""
     idx = sector_indices(params, state.n_al, state.n_ar)
-    es = eigendecompose(build_extended_hamiltonian(params, omega_c).data[np.ix_(idx, idx)])
+    es = eigendecompose(sector_generator(params, state.n_al, state.n_ar, omega_c))
     ov = np.abs(state.vector[idx].conj() @ es.eigenvectors)
     j = int(np.argmax(ov))
     if ov[j] <= 0.5:
@@ -146,19 +147,20 @@ def eigenstate_fidelity(state: PerturbativeEigenstate, params: SystemParams,
     return float(1.0 - abs(np.vdot(state.vector, exact)) ** 2)
 
 
-def residual_norm(state: PerturbativeEigenstate, params: SystemParams,
-                  omega_c: float, hu: np.ndarray | None = None) -> float:
+def residual_norm(state: PerturbativeEigenstate, params: SystemParams, omega_c: float) -> float:
     """|Hu v - lambda v| / |v| with lambda the perturbative eigenvalue
-    delta_ad (n_al - n_ar) + anharmonic offset + E_{n_al,n_ar}(photon)."""
-    if hu is None:
-        hu = build_extended_hamiltonian(params, omega_c).data
+    delta_ad (n_al - n_ar) + anharmonic offset + E_{n_al,n_ar}(photon).
+
+    v has no weight outside its (n_al, n_ar) qubit sector, which Hu maps to
+    itself, so this is |H_b v_b - lambda v_b| / |v| on that sector's block."""
     _, photon = steady_state(params, omega_c)
     n_al, n_ar = state.n_al, state.n_ar
     lam = (params.delta_ad * (n_al - n_ar)
            + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
            + effective_spectrum(params, n_al, n_ar, photon).value)
-    v = state.vector
-    return float(np.linalg.norm(hu @ v - lam * v) / np.linalg.norm(v))
+    v = state.vector[sector_indices(params, n_al, n_ar)]
+    hb = sector_generator(params, n_al, n_ar, omega_c)
+    return float(np.linalg.norm(hb @ v - lam * v) / np.linalg.norm(state.vector))
 
 
 def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int] = (1, 0),
@@ -170,7 +172,6 @@ def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int]
     rows = []
     for omega in omega_c_values:
         eta_ss, _ = steady_state(params, omega)
-        hu = build_extended_hamiltonian(params, omega).data
         states = [perturbative_eigenstate(labels, params, eta_ss, o) for o in orders]
         exact = exact_eigenvector(states[-1], params, omega)
         for state in states:
@@ -178,7 +179,7 @@ def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int]
                 "omega_c_mhz": float(omega),
                 "order": state.order,
                 "infidelity": eigenstate_fidelity(state, params, omega, exact=exact),
-                "residual_norm": residual_norm(state, params, omega, hu=hu),
+                "residual_norm": residual_norm(state, params, omega),
             })
     return rows
 

@@ -14,7 +14,14 @@ Hu is kept in cyclic MHz; propagation multiplies by -2*pi*i and time in us.
 The doubled basis is ordered row-major as |n_al, n_cl, n_ar, n_cr> with the
 resonator index fastest within each copy, i.e.
 index = ((n_al*n_c + n_cl)*n_a + n_ar)*n_c + n_cr (see basis_index). Hu
-conserves n_al and n_ar; sector_indices picks out one qubit sector.
+conserves n_al and n_ar, so it is n_a^2 independent n_c^2 x n_c^2 blocks, one
+per qubit sector; sector_indices picks out the indices of one sector.
+
+sector_generator is the definition of Hu: it builds one sector block directly
+from n_c-dimensional resonator operators. build_extended_hamiltonian is the
+scatter of all n_a^2 blocks into the full doubled-space matrix; only the
+validation checks and the tests use it. The eigensolves, the eigenstate
+residuals and propagate work on the blocks.
 """
 
 from __future__ import annotations
@@ -121,28 +128,62 @@ def trace_functional(dim_single: int) -> np.ndarray:
     return np.eye(dim_single, dtype=complex).reshape(-1)
 
 
+def sector_generator(params: SystemParams, n_al: int, n_ar: int,
+                     omega_c_value: float) -> np.ndarray:
+    """Block of Hu on qubit sector (n_al, n_ar), basis (n_cl, n_cr) row-major (MHz):
+
+        kron(h_l, I) - kron(I, h_r*)
+            + i*kappa_c*(kron(d, d*) - 1/2 kron(n, I) - 1/2 kron(I, n^T)),
+        h_k = (delta_ad k + alpha_a/2 k(k-1)) I + (delta_cd + 2 chi_ac k) n
+              + (omega_c/2)(d + d^+),
+
+    with d the resonator lowering operator, n = d^+ d, h_l = h_{n_al} and
+    h_r = h_{n_ar}. The level numbers k and k(k-1) are taken from the same
+    operator products as in kerr_hamiltonian (a^+ a and a^+ a^+ a a) and the
+    terms are added in the same order, so every entry is the same float as in
+    the Kronecker doubling of kerr_hamiltonian.
+    """
+    n_a = params.n_a
+    if not (0 <= n_al < n_a and 0 <= n_ar < n_a):
+        raise ValueError(f"qubit sector ({n_al}, {n_ar}) outside 0..{n_a - 1}")
+    a = destroy(n_a)
+    num_a = np.diag(a.conj().T @ a)
+    kerr_a = np.diag(a.conj().T @ a.conj().T @ a @ a)
+    d = destroy(params.n_c)
+    num_c = d.conj().T @ d
+    eye = np.eye(params.n_c)
+
+    def h(k):
+        return ((params.delta_ad * num_a[k] + 0.5 * params.alpha_a * kerr_a[k]) * eye
+                + params.delta_cd * num_c
+                + 2.0 * params.chi_ac * (num_a[k] * num_c)
+                + 0.5 * omega_c_value * (d + d.conj().T))
+
+    return (np.kron(h(n_al), eye) - np.kron(eye, h(n_ar).conj())
+            + 1j * params.kappa_c * (np.kron(d, d.conj())
+                                     - 0.5 * np.kron(num_c, eye)
+                                     - 0.5 * np.kron(eye, num_c.T)))
+
+
+def _drive_block(n_c: int) -> np.ndarray:
+    """Drive quadrature kron(x, I) - kron(I, x*), x = (d + d^+)/2: the
+    coefficient of the drive amplitude in every sector block of Hu."""
+    d = destroy(n_c)
+    x = 0.5 * (d + d.conj().T)
+    eye = np.eye(n_c)
+    return np.kron(x, eye) - np.kron(eye, x.conj())
+
+
 def build_extended_hamiltonian(params: SystemParams, omega_c_value: float) -> ExtendedOperator:
-    """Assemble Hu = H_l - H_r + H_kappa by Kronecker doubling (MHz)."""
-    h = kerr_hamiltonian(params, omega_c_value)
-    _, c = single_copy_operators(params)
-    num_c = c.conj().T @ c
-    m = h.shape[0]
-    eye = np.eye(m)
-    hu = (np.kron(h, eye) - np.kron(eye, h.conj())
-          + 1j * params.kappa_c * (np.kron(c, c.conj())
-                                   - 0.5 * np.kron(num_c, eye)
-                                   - 0.5 * np.kron(eye, num_c.T)))
-    return ExtendedOperator(data=hu, dim=m * m)
-
-
-def extended_drive_operator(params: SystemParams) -> ExtendedOperator:
-    """Doubled drive quadrature (c_l + c_l^+ - c_r - c_r^+)/2: the coefficient
-    of the instantaneous drive amplitude inside Hu."""
-    _, c = single_copy_operators(params)
-    x = 0.5 * (c + c.conj().T)
-    m = x.shape[0]
-    eye = np.eye(m)
-    return ExtendedOperator(data=np.kron(x, eye) - np.kron(eye, x.conj()), dim=m * m)
+    """Full Hu (MHz): the n_a^2 sector_generator blocks scattered into the
+    doubled space, zeros between sectors."""
+    dim = (params.n_a * params.n_c) ** 2
+    data = np.zeros((dim, dim), dtype=complex)
+    for n_al in range(params.n_a):
+        for n_ar in range(params.n_a):
+            idx = sector_indices(params, n_al, n_ar)
+            data[np.ix_(idx, idx)] = sector_generator(params, n_al, n_ar, omega_c_value)
+    return ExtendedOperator(data=data, dim=dim)
 
 
 def build_superoperator(h: np.ndarray, collapses: list[CollapseTerm]) -> ExtendedOperator:
@@ -198,23 +239,27 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     """RK4 propagation of the vectorized state under Hu(t).
 
     Hu conserves both qubit labels, so only the qubit sectors in which state0
-    has a nonzero entry are stepped, as one stack of n_c^2 x n_c^2 blocks
-    sliced out of the full generator; the other sectors stay exactly 0. The
-    drive block is rescaled with the envelope at the three RK4 amplitudes of
-    each step. A step whose three amplitudes are equal (a constant pulse, the
-    flat top and the zero tail of a square-gaussian) is time-independent:
-    maximal runs of such steps up to the next sample are applied as one power
-    of the RK4 step matrix, which is the same polynomial the stepwise loop
-    applies. Samples are embedded back into the full doubled vector.
+    has a nonzero entry are stepped, as one stack of sector_generator blocks;
+    the other sectors stay exactly 0. The drive block, the same in every
+    sector, is rescaled with the envelope at the three RK4 amplitudes of each
+    step; those amplitudes are evaluated one sample interval at a time. A step
+    whose three amplitudes are equal (a constant pulse, the flat top and the
+    zero tail of a square-gaussian) is time-independent: maximal runs of such
+    steps up to the next sample are applied as one power of the RK4 step
+    matrix, which is the same polynomial the stepwise loop applies. Samples
+    are embedded back into the full doubled vector.
 
-    Raises ValueError when dt violates the matrix-scale stability bound and
-    AccuracyError when the trace drifts by more than 1e-6 or the state departs
-    from Hermiticity (max |rho - rho^+| over the samples) by more than 1e-6.
+    Raises ValueError when dt violates the matrix-scale stability bound (the
+    largest absolute row sum of Hu at the pulse amplitude, over all n_a^2
+    sectors whether occupied or not) and AccuracyError when the trace drifts
+    by more than 1e-6 or the state departs from Hermiticity
+    (max |rho - rho^+| over the samples) by more than 1e-6.
     """
-    hu_static = build_extended_hamiltonian(params, 0.0).data
-    hu_drive = extended_drive_operator(params).data
+    labels = [(n_al, n_ar) for n_al in range(params.n_a) for n_ar in range(params.n_a)]
+    static = np.array([sector_generator(params, n_al, n_ar, 0.0) for n_al, n_ar in labels])
+    drive = _drive_block(params.n_c)
 
-    scale = np.max(np.sum(np.abs(hu_static + pulse.omega_c * hu_drive), axis=1))
+    scale = np.max(np.sum(np.abs(static + pulse.omega_c * drive), axis=-1))
     dt_max = 0.05 / (2.0e-3 * np.pi * scale) if scale > 0 else np.inf
     if dt > dt_max:
         raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns "
@@ -226,15 +271,12 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     rate = -2.0j * np.pi * 1.0e-3  # per ns per MHz
 
     psi0 = state0.vec.astype(complex)
-    sectors = np.array([sector_indices(params, n_al, n_ar)
-                        for n_al in range(params.n_a) for n_ar in range(params.n_a)])
-    blocks = sectors[np.any(psi0[sectors] != 0, axis=1)]
-    gen_s = rate * hu_static[blocks[:, :, None], blocks[:, None, :]]
-    gen_d = rate * hu_drive[blocks[:, :, None], blocks[:, None, :]]
+    sectors = np.array([sector_indices(params, n_al, n_ar) for n_al, n_ar in labels])
+    occupied = np.any(psi0[sectors] != 0, axis=1)
+    blocks = sectors[occupied]
+    gen_s = rate * static[occupied]
+    gen_d = rate * drive
     y = psi0[blocks][:, :, None]
-
-    amp = pulse.omega_c * sg_envelope(np.arange(2 * n_steps + 1) * (dt / 2.0), pulse)
-    flat = (amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2])
     powers = {}  # (amplitude, run length) -> power of the RK4 step matrix
 
     def rhs(a, v):
@@ -244,22 +286,30 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     states = [VectorizedState(vec=state0.vec.copy(), dims=state0.dims)]
     k = 0
     while k < n_steps:
-        if flat[k]:
+        if k % sample_every == 0:
+            # half-step amplitudes of the sample interval [k, end], and which
+            # of its steps are constant
+            start, end = k, min(k + sample_every, n_steps)
+            amp = pulse.omega_c * sg_envelope(np.arange(2 * start, 2 * end + 1) * (dt / 2.0),
+                                              pulse)
+            flat = (amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2])
+        i = k - start
+        if flat[i]:
             # run length: up to the first non-constant step or the next sample
-            n = int(np.argmin(np.append(flat[k:(k // sample_every + 1) * sample_every], False)))
-            a = float(amp[2 * k])
+            n = int(np.argmin(np.append(flat[i:], False)))
+            a = float(amp[2 * i])
             if (a, n) not in powers:
                 powers[a, n] = np.linalg.matrix_power(_rk4_step_matrix(gen_s + a * gen_d, dt), n)
             y = powers[a, n] @ y
         else:
             n = 1
-            k1 = rhs(amp[2 * k], y)
-            k2 = rhs(amp[2 * k + 1], y + dt / 2.0 * k1)
-            k3 = rhs(amp[2 * k + 1], y + dt / 2.0 * k2)
-            k4 = rhs(amp[2 * k + 2], y + dt * k3)
+            k1 = rhs(amp[2 * i], y)
+            k2 = rhs(amp[2 * i + 1], y + dt / 2.0 * k1)
+            k3 = rhs(amp[2 * i + 1], y + dt / 2.0 * k2)
+            k4 = rhs(amp[2 * i + 2], y + dt * k3)
             y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         k += n
-        if k % sample_every == 0 or k == n_steps:
+        if k == end:
             vec = np.zeros_like(psi0)
             vec[blocks] = y[:, :, 0]
             times.append(k * dt)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .liouville import (AccuracyError, ExtendedOperator, basis_index, build_extended_hamiltonian,
+from .liouville import (AccuracyError, ExtendedOperator, basis_index, sector_generator,
                         sector_indices)
 from .model import SystemParams, write_csv
 from .response import steady_state
@@ -76,10 +76,11 @@ def coherence_seed(params: SystemParams) -> tuple[np.ndarray, complex]:
 def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> CoherenceTrack:
     """Follow the coherence eigenvalue along the drive grid by max overlap.
 
-    Only the (1, 0) qubit sector of Hu is diagonalized: Hu conserves n_al and
-    n_ar, so the |1><0| eigenvector has no weight outside that block, and the
-    continuation cannot jump to another sector. The selected block eigenvector
-    is embedded back into the full doubled space (zeros elsewhere).
+    Only the (1, 0) qubit sector of Hu is built (liouville.sector_generator)
+    and diagonalized: Hu conserves n_al and n_ar, so the |1><0| eigenvector
+    has no weight outside that block, and the continuation cannot jump to
+    another sector. The selected block eigenvector is embedded back into the
+    full doubled space (zeros elsewhere).
 
     The grid must start at omega_c = 0, where the eigenvector is the exact
     basis state. Each diagonalization is independent (parallel across the
@@ -91,7 +92,7 @@ def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> C
     idx = sector_indices(params, 1, 0)
 
     def diag(omega):
-        return eigendecompose(build_extended_hamiltonian(params, omega).data[np.ix_(idx, idx)])
+        return eigendecompose(sector_generator(params, 1, 0, omega))
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from readoutmap.effective import effective_spectrum
 from readoutmap.eigenstates import (coherent_amplitudes, eigenstate_fidelity,
                                     perturbative_eigenstate, residual_norm, write_fidelity_csv)
-from readoutmap.liouville import destroy
+from readoutmap.liouville import build_extended_hamiltonian, destroy
 from readoutmap.model import SystemParams, detuning_l
 from readoutmap.response import steady_state
 
@@ -94,6 +95,28 @@ def test_residual_definition():
     state = perturbative_eigenstate((1, 0), SMALL, eta_ss, 2)
     res = residual_norm(state, SMALL, omega)
     assert 0.0 < res < 1.0  # small but nonzero at finite drive
+
+
+def full_matvec_residual(state, params, omega_c):
+    """|Hu v - lambda v| / |v| with the full doubled-space generator (reference)."""
+    hu = build_extended_hamiltonian(params, omega_c).data
+    _, photon = steady_state(params, omega_c)
+    n_al, n_ar = state.n_al, state.n_ar
+    lam = (params.delta_ad * (n_al - n_ar)
+           + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
+           + effective_spectrum(params, n_al, n_ar, photon).value)
+    v = state.vector
+    return float(np.linalg.norm(hu @ v - lam * v) / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("labels", [(1, 0), (1, 1), (0, 0)])
+def test_residual_on_the_sector_block_matches_full_matvec(labels):
+    for omega in (0.7, 2.0):
+        eta_ss, _ = steady_state(SMALL, omega)
+        for order in (0, 1, 2):
+            state = perturbative_eigenstate(labels, SMALL, eta_ss, order)
+            ref = full_matvec_residual(state, SMALL, omega)
+            assert abs(residual_norm(state, SMALL, omega) - ref) <= 1e-12 * ref
 
 
 def test_double_excited_state_residual_only():

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from readoutmap import liouville
+from readoutmap import eigenstates, liouville, spectra
 from readoutmap.liouville import (AccuracyError, CollapseTerm, VectorizedState, basis_index,
                                   build_extended_hamiltonian, build_superoperator, destroy,
                                   kerr_hamiltonian, propagate, qubit_block, qubit_coherence,
-                                  sector_indices, single_copy_operators, trace_functional,
-                                  vectorize)
+                                  sector_generator, sector_indices, single_copy_operators,
+                                  trace_functional, vectorize)
 from readoutmap.model import PulseSpec, SystemParams, sg_envelope
 
 SMALL = SystemParams(delta_ad=-20.0, delta_cd=-5.0, alpha_a=-3.3, chi_ac=-1.0,
@@ -28,12 +30,33 @@ def doubled_copy_generator(h, gamma, c):
                        - 0.5 * c_r.conj().T @ c_r))
 
 
+def kron_doubling(params, omega_c_value):
+    """Hu by Kronecker doubling of the full single-copy Kerr Hamiltonian (test
+    reference: every sector block must equal its slice exactly)."""
+    h = kerr_hamiltonian(params, omega_c_value)
+    _, c = single_copy_operators(params)
+    num_c = c.conj().T @ c
+    eye = np.eye(h.shape[0])
+    return (np.kron(h, eye) - np.kron(eye, h.conj())
+            + 1j * params.kappa_c * (np.kron(c, c.conj())
+                                     - 0.5 * np.kron(num_c, eye)
+                                     - 0.5 * np.kron(eye, num_c.T)))
+
+
+def kron_drive(params):
+    """Full doubled drive quadrature by Kronecker doubling (test reference)."""
+    _, c = single_copy_operators(params)
+    x = 0.5 * (c + c.conj().T)
+    eye = np.eye(x.shape[0])
+    return np.kron(x, eye) - np.kron(eye, x.conj())
+
+
 def dense_rk4_reference(state0, params, pulse, t_end, dt, sample_every):
     """Stepwise RK4 of the whole doubled vector under Hu(t), one step at a time,
     with the drive rescaled by the envelope at each substep (test oracle)."""
     rate = -2.0j * np.pi * 1.0e-3
     gen_s = rate * build_extended_hamiltonian(params, 0.0).data
-    gen_d = rate * liouville.extended_drive_operator(params).data
+    gen_d = rate * kron_drive(params)
     n_steps = int(round(t_end / dt))
     half_grid = np.arange(2 * n_steps + 1) * (dt / 2.0)
     amp = (pulse.omega_c * sg_envelope(half_grid, pulse)).tolist()
@@ -105,6 +128,34 @@ def test_generator_has_no_entries_between_qubit_sectors(n_a, n_c, freqs, kappa, 
     # the sectors tile the doubled basis: n_a^2 disjoint sets of n_c^2 indices
     assert np.count_nonzero(inside) == n_a**2 * n_c**4
     assert np.all(hu[~inside] == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_a=st.sampled_from([2, 3]), n_c=st.integers(2, 6),
+       freqs=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+       kappa=st.floats(0.0, 10.0), omega=st.floats(-20.0, 20.0))
+def test_sector_generator_matches_independent_route(n_a, n_c, freqs, kappa, omega):
+    p = SystemParams(*freqs, kappa_c=kappa, n_a=n_a, n_c=n_c)
+    _, c = single_copy_operators(p)
+    # build_superoperator gives -i*Hu from the flattening identities
+    ref = 1j * build_superoperator(kerr_hamiltonian(p, omega), [CollapseTerm(kappa, c)]).data
+    full = build_extended_hamiltonian(p, omega).data
+    kron = kron_doubling(p, omega)
+    for n_al in range(n_a):
+        for n_ar in range(n_a):
+            idx = np.ix_(sector_indices(p, n_al, n_ar), sector_indices(p, n_al, n_ar))
+            block = sector_generator(p, n_al, n_ar, omega)
+            assert block.shape == (n_c**2, n_c**2)
+            assert np.max(np.abs(block - ref[idx])) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(full[idx], block)
+            assert np.array_equal(kron[idx], block)
+    assert np.array_equal(full, kron)
+
+
+def test_sector_generator_rejects_labels_outside_the_qubit():
+    for n_al, n_ar in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="sector"):
+            sector_generator(SMALL, n_al, n_ar, 1.0)
 
 
 def test_sector_indices_follow_basis_order():
@@ -208,14 +259,15 @@ def test_propagate_time_dependent_pulse_preserves_structure():
 
 def test_propagate_hermiticity_gate(monkeypatch):
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
-    coherence = basis_index(p, 1, 0, 0, 0)  # |1_a 0_c><0_a 0_c|: off-diagonal, trace-free
 
-    def skewed(params, omega_c_value):
-        hu = build_extended_hamiltonian(params, omega_c_value).data.copy()
-        hu[coherence, coherence] += 0.01j  # grows rho_10 but not rho_01
-        return liouville.ExtendedOperator(data=hu, dim=hu.shape[0])
+    def skewed(params, n_al, n_ar, omega_c_value):
+        block = sector_generator(params, n_al, n_ar, omega_c_value)
+        if (n_al, n_ar) == (1, 0):
+            # |1_a 0_c><0_a 0_c|: off-diagonal, trace-free; grows rho_10 but not rho_01
+            block[0, 0] += 0.01j
+        return block
 
-    monkeypatch.setattr(liouville, "build_extended_hamiltonian", skewed)
+    monkeypatch.setattr(liouville, "sector_generator", skewed)
     plus = np.zeros(8, dtype=complex)
     plus[0] = plus[4] = 1.0 / np.sqrt(2.0)
     st = VectorizedState(vec=vectorize(np.outer(plus, plus.conj())), dims=(2, 4))
@@ -225,14 +277,15 @@ def test_propagate_hermiticity_gate(monkeypatch):
 
 def test_propagate_trace_gate(monkeypatch):
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
-    population = basis_index(p, 0, 0, 0, 0)  # |0_a 0_c><0_a 0_c|: on the trace
 
-    def skewed(params, omega_c_value):
-        hu = build_extended_hamiltonian(params, omega_c_value).data.copy()
-        hu[population, population] += 0.01j  # grows rho_00 and with it the trace
-        return liouville.ExtendedOperator(data=hu, dim=hu.shape[0])
+    def skewed(params, n_al, n_ar, omega_c_value):
+        block = sector_generator(params, n_al, n_ar, omega_c_value)
+        if (n_al, n_ar) == (0, 0):
+            # |0_a 0_c><0_a 0_c|: on the trace; grows rho_00 and with it the trace
+            block[0, 0] += 0.01j
+        return block
 
-    monkeypatch.setattr(liouville, "build_extended_hamiltonian", skewed)
+    monkeypatch.setattr(liouville, "sector_generator", skewed)
     with pytest.raises(AccuracyError, match="trace"):
         propagate(plus_state(p), p, PulseSpec("constant", 0.0), 100.0, 0.05)
 
@@ -281,6 +334,44 @@ def test_propagate_step_bound():
     with pytest.raises(ValueError, match="stability"):
         propagate(VectorizedState(vec=np.zeros(64, complex), dims=(2, 4)),
                   p, PulseSpec("constant", 3.0), 10.0, 5.0)
+
+
+@pytest.mark.parametrize("n_a", [2, 3])
+def test_propagate_stability_bound_covers_every_sector(n_a):
+    p = SystemParams(-30.0, -5.0, -7.0, -1.0, 2.0, n_a, 4)
+    omega = 6.0
+    scale = np.max(np.sum(np.abs(kron_doubling(p, 0.0) + omega * kron_drive(p)), axis=1))
+    dt_max = 0.05 / (2.0e-3 * np.pi * scale)
+    ground = np.zeros((n_a * p.n_c,) * 2, dtype=complex)
+    ground[0, 0] = 1.0
+    # only the (0, 0) sector, which does not set the scale, or none at all
+    for st0 in (VectorizedState(vec=vectorize(ground), dims=(n_a, p.n_c)),
+                VectorizedState(vec=np.zeros(ground.size, complex), dims=(n_a, p.n_c))):
+        # the block row sums add the same entries in another order: the bound
+        # may move by the rounding of a sum of a few terms, not more
+        above = dt_max * (1.0 + 1e-14)
+        with pytest.raises(ValueError, match="stability"):
+            propagate(st0, p, PulseSpec("constant", omega), 2.0 * above, above)
+        below = dt_max * (1.0 - 1e-14)
+        propagate(st0, p, PulseSpec("constant", omega), 2.0 * below, below)
+
+
+def test_product_paths_never_build_the_full_generator(monkeypatch):
+    def full_build(*args, **kwargs):
+        raise AssertionError("full doubled-space generator assembled")
+
+    for module in (liouville, spectra, eigenstates):
+        monkeypatch.setattr(module, "build_extended_hamiltonian", full_build, raising=False)
+    p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 6)
+    track = spectra.track_coherence(p, [0.0, 0.5, 1.0])
+    assert track.eigenvalues.size == 3
+    rows = eigenstates.fidelity_sweep(p, [0.5, 1.0])
+    assert len(rows) == 6
+    p0 = replace(p, delta_ad=0.0, alpha_a=0.0)
+    for pulse in (PulseSpec("constant", 2.0),
+                  PulseSpec("square-gaussian", 2.0, tau_p=20.0, tau_r=5.0, sigma_r=2.5)):
+        res = propagate(plus_state(p0), p0, pulse, 30.0, 0.1)
+        assert res.max_trace_drift < 1e-9
 
 
 def test_qubit_coherence_partial_trace():
