@@ -72,6 +72,9 @@ def effective_spectrum(params: SystemParams, n_al: int, n_ar: int,
     The real part carries the level-difference factor and the imaginary part
     its square, so E_{n,n} = 0 and E_{m,n} = -conj(E_{n,m}) hold exactly in
     floating point.
+
+    Raises ValueError when a level sits on its undamped dressed resonance
+    (kappa_c = 0 and delta_cd + 2 chi_ac n = 0), where the entry is singular.
     """
     if photon < 0:
         raise ValueError("photon number must be >= 0")
@@ -80,6 +83,11 @@ def effective_spectrum(params: SystemParams, n_al: int, n_ar: int,
     dl = d + 2.0 * chi * n_al
     dr = d + 2.0 * chi * n_ar
     den = (dl**2 + half_k_sq) * (dr**2 + half_k_sq)
+    if den == 0.0:
+        n = n_al if dl**2 + half_k_sq == 0.0 else n_ar
+        raise ValueError(f"delta_cd = {d + 0.0:g} MHz puts qubit level {n} on its undamped "
+                         f"dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0): "
+                         f"the effective spectrum is singular")
     base = d**2 + half_k_sq
     diff = float(n_al - n_ar)
     re = 2.0 * chi * base * (dl * dr + half_k_sq) * diff * photon / den

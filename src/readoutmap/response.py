@@ -9,9 +9,11 @@ package units, time in ns, rates in cyclic MHz)
 with eta(0) = 0. A fixed-step classic RK4 on a uniform grid is used so that
 downstream correlation integrals stay grid-aligned; it is evaluated as its
 one-step recurrence by one banded solve (`_rk4_linear`, shared with the
-transient correlation integrals). Derivatives are obtained from the ODE itself
-(differentiating it once and twice) rather than from the samples, which keeps
-the adiabatic derivative expansion noise-free.
+transient correlation integrals). That solve is the package's only use of
+scipy, imported on its first call so that importing the package loads numpy
+alone. Derivatives are obtained from the ODE itself (differentiating it once
+and twice) rather than from the samples, which keeps the adiabatic derivative
+expansion noise-free.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import ztbtrs
 
 from .model import RAD_PER_MHZ_NS, PulseSpec, SystemParams, envelope_derivatives, sg_envelope
 
@@ -86,6 +87,8 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: comple
     runs it as plain forward substitution, i.e. that recurrence; a pivoting
     band LU (solve_banded) would reorder the arithmetic.
     """
+    from scipy.linalg.lapack import ztbtrs
+
     a = h * mu
     r = 1.0 + a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
     rhs = np.empty(f.size, dtype=complex)
@@ -102,6 +105,17 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: comple
     return u[:, 0]
 
 
+def _eta_samples(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> np.ndarray:
+    """eta on the grid k*dt, k = 0..round(t_end/dt): the RK4 trajectory alone."""
+    dt_max = max_stable_dt(params, pulse)
+    if dt > dt_max:
+        raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns")
+    n_steps = int(round(t_end / dt))
+    half_grid = np.arange(2 * n_steps + 1) * (dt / 2.0)
+    dr = -1.0j * np.pi * 1.0e-3 * pulse.omega_c * sg_envelope(half_grid, pulse)
+    return _rk4_linear(-_decay_rate_per_ns(params), dr[0::2], dr[1::2], dt, 0.0)
+
+
 def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> ResonatorTrajectory:
     """Integrate the resonator response on [0, t_end] ns with step dt.
 
@@ -111,19 +125,10 @@ def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -
 
     Raises ValueError when dt violates the stability/accuracy bound.
     """
-    dt_max = max_stable_dt(params, pulse)
-    if dt > dt_max:
-        raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns")
-
+    eta = _eta_samples(params, pulse, t_end, dt)
     beta = _decay_rate_per_ns(params)
     drive = -1.0j * np.pi * 1.0e-3 * pulse.omega_c
-
-    n_steps = int(round(t_end / dt))
-    times = np.arange(n_steps + 1) * dt
-    half_grid = np.arange(2 * n_steps + 1) * (dt / 2.0)
-    dr = drive * sg_envelope(half_grid, pulse)
-    eta = _rk4_linear(-beta, dr[0::2], dr[1::2], dt, 0.0)
-
+    times = np.arange(eta.size) * dt
     env = sg_envelope(times, pulse)
     env_d1 = envelope_derivatives(times, pulse, 1)
     env_d2 = envelope_derivatives(times, pulse, 2)

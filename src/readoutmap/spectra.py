@@ -3,11 +3,12 @@
 For a constant drive the generator is time independent. Hu conserves both
 qubit labels n_al and n_ar, so it is n_a^2 independent n_c^2 x n_c^2 blocks,
 and the |1><0| qubit coherence lives entirely in the (n_al, n_ar) = (1, 0)
-block. Only that block is diagonalized, densely (LAPACK: balancing, Hessenberg
-reduction, shifted QR). Its coherence eigenvalue is followed across a drive
-sweep by eigenvector-overlap continuation; its real part renormalizes the
-qubit frequency (Stark shift) and its negative imaginary part is the
-measurement-induced dephasing rate.
+block. Only that block is diagonalized, densely, by numpy's LAPACK zgeev
+(balancing, Hessenberg reduction, shifted QR). numpy releases the GIL for the
+solve, so the solves of a threaded sweep overlap. Its coherence eigenvalue is
+followed across a drive sweep by eigenvector-overlap continuation; its real
+part renormalizes the qubit frequency (Stark shift) and its negative
+imaginary part is the measurement-induced dephasing rate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .liouville import (AccuracyError, ExtendedOperator, basis_index, sector_generator,
                         sector_indices)
@@ -53,7 +53,7 @@ def eigendecompose(op: ExtendedOperator | np.ndarray) -> EigenSet:
     mat = op.data if isinstance(op, ExtendedOperator) else np.asarray(op, dtype=complex)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix contains non-finite entries")
-    w, v = sla.eig(mat)
+    w, v = np.linalg.eig(mat)
     norms = np.linalg.norm(v, axis=0)
     v = v / norms
     residuals = np.linalg.norm(mat @ v - v * w, axis=0)

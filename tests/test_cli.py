@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import readoutmap
 from readoutmap.cli import load_config, main
 
 BASE = {
@@ -191,6 +196,67 @@ def test_rates_sweep_through_an_undamped_resonance_is_an_error(tmp_path, capsys,
     grid = np.linspace(start, stop, points)
     level, d = ("ground", 0.0) if 0.0 in grid else ("excited", -2.0 * chi)
     assert f"delta_cd = {d:g} MHz is on the undamped {level}-state resonance" in err
+
+
+@pytest.mark.parametrize("command, fields, level, d", [
+    # level 1's dressed detuning 2 + 2 * (-1) * 1 vanishes: (0, 1) entry is singular
+    ("spectrum-grid", {"delta_cd_mhz": 2.0, "chi_ac_mhz": -1.0,
+                       "spectrum_grid": {"photon": 1.0, "levels": 3}}, 1, 2.0),
+    # undriven, undamped, resonant: the response step has no bound, and the
+    # effective map's ground level sits on its resonance
+    ("propagate", {"delta_cd_mhz": 0.0, "chi_ac_mhz": -1.0,
+                   "pulse": {"kind": "constant", "omega_c_mhz": 0.0},
+                   "propagate": {"dt_ns": 0.5, "t_end_ns": 20.0, "sample_every": 10}}, 0, 0.0),
+])
+def test_undamped_dressed_resonance_is_an_error(tmp_path, capsys, command, fields, level, d):
+    cfg = write_config(tmp_path, "c.json", {**BASE, "kappa_c_mhz": 0.0, **fields})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert (f"delta_cd = {d:g} MHz puts qubit level {level} on its undamped dressed "
+            f"resonance") in err
+
+
+STARTUP_SCRIPT = """
+import json, sys
+import readoutmap, readoutmap.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+cfg, out = sys.argv[1], sys.argv[2]
+loaded = {"import": scipy_modules()}
+for command, extra in (("rates-sweep", []), ("spectrum-grid", []), ("compare-gambetta", []),
+                       ("benchmark-eig", ["--threads", "2"])):
+    assert cli.main([command, "--config", cfg, "--out", out] + extra) == 0
+    loaded[command] = scipy_modules()
+assert cli.main(["transient", "--config", cfg, "--out", out]) == 0
+loaded["transient"] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_startup_and_eigensolves_load_no_scipy(tmp_path):
+    # scipy is loaded on first use by the banded RK4 solve, and only there
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE,
+        "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 5},
+        "spectrum_grid": {"photon": 1.0, "levels": 3},
+        "compare_gambetta": {"delta_cd_start_mhz": -12.0, "delta_cd_stop_mhz": 8.0, "points": 5},
+        "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0]},
+        "transient": {"dt_ns": 0.5, "t_end_ns": 200.0}})
+    src = os.path.dirname(os.path.dirname(readoutmap.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, cfg, str(tmp_path / "o.csv")],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = json.loads(proc.stdout)
+    for stage in ("import", "rates-sweep", "spectrum-grid", "compare-gambetta", "benchmark-eig"):
+        assert loaded[stage] == [], stage
+    assert loaded["transient"] is True
 
 
 FORMAT_SECTIONS = {

@@ -2,9 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from readoutmap.effective import effective_spectrum, rates
-from readoutmap.liouville import basis_index, build_extended_hamiltonian, sector_indices
+from readoutmap.liouville import (basis_index, build_extended_hamiltonian, sector_generator,
+                                  sector_indices)
 from readoutmap.model import SystemParams
 from readoutmap.spectra import (TrackingLostError, coherence_seed, eigendecompose, extract_rates,
                                 track_coherence, write_track_csv)
@@ -44,6 +47,25 @@ def test_eigendecompose_weakly_coupled_pair():
 def test_eigendecompose_rejects_nonfinite():
     with pytest.raises(ValueError):
         eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_a=st.sampled_from([2, 3]), n_c=st.integers(2, 8), omega=st.floats(0.0, 10.0),
+       data=st.data())
+def test_eigendecompose_matches_scipy_eig_on_sector_blocks(n_a, n_c, omega, data):
+    import scipy.linalg  # reference solver only; the package does not load scipy here
+    p = replace(BENCH, n_a=n_a, n_c=n_c)
+    n_al, n_ar = (data.draw(st.integers(0, n_a - 1)) for _ in range(2))
+    block = sector_generator(p, n_al, n_ar, omega)
+    es = eigendecompose(block)
+    w_ref, v_ref = scipy.linalg.eig(block)
+    tol = 1e-9 * max(1.0, np.linalg.norm(block))
+    assert max(float(np.min(np.abs(es.eigenvalues - e))) for e in w_ref) <= tol
+    assert max(float(np.min(np.abs(w_ref - e))) for e in es.eigenvalues) <= tol
+    v_ref = v_ref / np.linalg.norm(v_ref, axis=0)
+    gate = 1e-8 * np.linalg.norm(block)
+    assert np.max(es.residuals) <= gate
+    assert np.max(np.linalg.norm(block @ v_ref - v_ref * w_ref, axis=0)) <= gate
 
 
 def test_zero_drive_spectrum_matches_closed_form():
@@ -123,6 +145,15 @@ def test_coherence_eigenvalue_matches_closed_form():
                      for n in track.photons])
     assert np.max(np.abs(lam - pert)) <= 1e-12
     assert np.max(np.abs(lam - track.eigenvalues)) <= 1e-8
+
+
+def test_threaded_tracking_matches_serial_tracking():
+    grid = [0.0] + [omega_for_photon(BENCH, n) for n in (0.1, 0.5, 1.2, 2.3, 4.0)]
+    serial = track_coherence(BENCH, grid, n_workers=1)
+    threaded = track_coherence(BENCH, grid, n_workers=2)
+    assert np.max(np.abs(threaded.eigenvalues - serial.eigenvalues)) <= 1e-9
+    assert np.max(np.abs(threaded.overlaps - serial.overlaps)) <= 1e-9
+    assert np.array_equal(threaded.photons, serial.photons)
 
 
 def test_track_requires_zero_start():
