@@ -6,17 +6,14 @@ and exact cross-checks against the dense spectrum and time propagation of the
 vectorized Lindblad generator.
 """
 
-from .effective import (EffectiveLindblad, EffectiveSpectrumEntry, RatePair,
-                        adiabatic_correlations, choi_cptp_check, effective_lindblad,
-                        effective_map_apply, effective_spectrum, gambetta_rates, rates,
-                        spectrum_matrix)
+from .effective import (EffectiveLindblad, RatePair, adiabatic_correlations, choi_cptp_check,
+                        effective_lindblad, effective_map_apply, effective_spectrum,
+                        gambetta_rates, rates, spectrum_matrix)
 from .eigenstates import (PerturbativeEigenstate, eigenstate_fidelity, fidelity_sweep,
                           perturbative_eigenstate, residual_norm)
-from .liouville import (AccuracyError, CollapseTerm, ExtendedOperator, VectorizedState,
-                        build_extended_hamiltonian, build_superoperator, propagate,
-                        sector_generator)
-from .model import (LevelDetuning, PulseSpec, SystemParams, envelope_derivatives,
-                    level_detuning, sg_envelope, validity_margin)
+from .liouville import (AccuracyError, CollapseTerm, VectorizedState, build_extended_hamiltonian,
+                        build_superoperator, propagate, sector_generator)
+from .model import PulseSpec, SystemParams, envelope_derivatives, sg_envelope, validity_margin
 from .response import ResonatorTrajectory, solve_eta, steady_state
 from .spectra import (CoherenceTrack, EigenSet, TrackingLostError, eigendecompose,
                       extract_rates, track_coherence)
@@ -27,15 +24,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "CoherenceTrack", "CollapseTerm", "CorrelationSet",
-    "EffectiveLindblad", "EffectiveSpectrumEntry", "EigenSet", "ExtendedOperator",
-    "GeneratorSeries", "LevelDetuning", "PerturbativeEigenstate", "PulseSpec",
+    "EffectiveLindblad", "EigenSet", "GeneratorSeries", "PerturbativeEigenstate", "PulseSpec",
     "RatePair", "ResonatorTrajectory", "SystemParams", "TrackingLostError",
     "VectorizedState", "adiabatic_correlations", "adiabatic_series_A",
     "build_extended_hamiltonian", "build_superoperator", "choi_cptp_check",
     "correlations_timedomain", "effective_generator_timedep", "effective_lindblad",
     "effective_map_apply", "effective_spectrum", "eigendecompose",
     "eigenstate_fidelity", "envelope_derivatives", "extract_rates", "fidelity_sweep",
-    "fourier_A", "gambetta_rates", "level_detuning", "perturbative_eigenstate",
+    "fourier_A", "gambetta_rates", "perturbative_eigenstate",
     "propagate", "rates", "residual_norm", "sector_generator", "sg_envelope",
     "solve_eta", "spectrum_matrix", "steady_state", "track_coherence", "validity_margin",
 ]

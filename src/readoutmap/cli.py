@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import effective, liouville, response, spectra, transient
-from .model import (PulseSpec, SystemParams, level_detuning, params_from_dict, pulse_from_dict,
-                    sg_envelope, validity_margin, write_csv)
+from .model import (PulseSpec, SystemParams, detuning_l, detuning_r, params_from_dict,
+                    pulse_from_dict, sg_envelope, validity_margin, write_csv)
 
 _TOP_KEYS = {"delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz",
              "n_a", "n_c", "pulse", "out",
@@ -108,6 +108,8 @@ def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -
     else:
         grid = np.linspace(0.0, float(sec.get("omega_c_max_mhz", 20.1)),
                            int(sec.get("points", 12)))
+    if grid.size == 0:
+        raise ValueError("config section 'benchmark_eig' gives an empty omega_c grid")
     p = config.params
     margin = validity_margin(p, float(np.max(grid)))
     if margin >= 1.0:
@@ -128,11 +130,18 @@ def cmd_transient(config: RunConfig, out: str, header: bool, threads: int) -> No
     if margin >= 1.0:
         print(f"warning: perturbative validity margin {margin:.3f} >= 1 at the pulse peak",
               file=sys.stderr)
-    levels = [tuple(pair) for pair in sec.get("levels", [[1, 0]])]
+    # every entry must be an int pair; the CSV holds the first one only
+    try:
+        levels = [(int(m), int(n)) for m, n in sec.get("levels", [[1, 0]])]
+    except (TypeError, ValueError):
+        raise ValueError("config section 'transient': 'levels' must list [n_al, n_ar] "
+                         "int pairs") from None
+    if not levels:
+        raise ValueError("config section 'transient' gives an empty 'levels' list")
     traj = response.solve_eta(config.params, config.pulse,
                               float(sec["t_end_ns"]), float(sec["dt_ns"]))
-    corr = transient.correlations_timedomain(traj, config.params, levels)
-    gen = transient.effective_generator_timedep(corr, traj, config.params, levels)
+    corr = transient.correlations_timedomain(traj, config.params, levels[:1])
+    gen = transient.effective_generator_timedep(corr, traj, config.params, levels[:1])
     transient.write_transient_csv(out, traj, corr, gen, pair=levels[0], header=header)
 
 
@@ -214,9 +223,9 @@ def _run_validation(config: RunConfig) -> dict:
     record("envelope_continuity", jump < 1e-12, f"max boundary jump {jump:.3e}")
 
     # dressed-detuning conjugation
-    ld = level_detuning(p, 1, 1)
-    record("detuning_conjugation", ld.value_r == np.conj(ld.value_l),
-           f"value_l={ld.value_l}, value_r={ld.value_r}")
+    value_l, value_r = detuning_l(p, 1), detuning_r(p, 1)
+    record("detuning_conjugation", value_r == np.conj(value_l),
+           f"value_l={value_l}, value_r={value_r}")
 
     # vectorization oracle: random Hermitian instances + the Kerr model
     rng = np.random.default_rng(20260810)
@@ -233,18 +242,18 @@ def _run_validation(config: RunConfig) -> dict:
         hu = np.kron(h, eye) - np.kron(eye, h.conj()) + 1j * 0.7 * (
             np.kron(c, c.conj()) - 0.5 * np.kron(c.conj().T @ c, eye)
             - 0.5 * np.kron(eye, (c.conj().T @ c).T))
-        worst = max(worst, float(np.max(np.abs(sup.data - (-1j) * hu))))
+        worst = max(worst, float(np.max(np.abs(sup - (-1j) * hu))))
     hu_kerr = liouville.build_extended_hamiltonian(small, 7.0)
     h_kerr = liouville.kerr_hamiltonian(small, 7.0)
     _, c_op = liouville.single_copy_operators(small)
     sup_kerr = liouville.build_superoperator(2.0 * np.pi * h_kerr,
                                              [liouville.CollapseTerm(2.0 * np.pi * small.kappa_c, c_op)])
-    worst = max(worst, float(np.max(np.abs(-2j * np.pi * hu_kerr.data - sup_kerr.data))))
+    worst = max(worst, float(np.max(np.abs(-2j * np.pi * hu_kerr - sup_kerr))))
     record("vectorization_oracle", worst < 1e-12, f"max elementwise diff {worst:.3e}")
 
     # trace functional annihilates the generator from the left
     w_tr = liouville.trace_functional(small.n_a * small.n_c)
-    lhs = w_tr @ (-1j * hu_kerr.data)
+    lhs = w_tr @ (-1j * hu_kerr)
     record("trace_functional", float(np.max(np.abs(lhs))) < 1e-12,
            f"max |w L| entry {float(np.max(np.abs(lhs))):.3e}")
 
@@ -278,8 +287,8 @@ def _run_validation(config: RunConfig) -> dict:
                           float(rng.uniform(0.05, 10.0)), 4, 2)
         ph = float(rng.uniform(0.0, 20.0))
         m_, n_ = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        e_mn = effective.effective_spectrum(pr, m_, n_, ph).value
-        e_nm = effective.effective_spectrum(pr, n_, m_, ph).value
+        e_mn = effective.effective_spectrum(pr, m_, n_, ph)
+        e_nm = effective.effective_spectrum(pr, n_, m_, ph)
         if m_ == n_:
             ok &= e_mn == 0.0
         else:
@@ -313,7 +322,7 @@ def _run_validation(config: RunConfig) -> dict:
 
     # rates() is literally the (1,0) spectrum entry
     pair = effective.rates(p, 0.7)
-    entry = effective.effective_spectrum(p, 1, 0, 0.7).value
+    entry = effective.effective_spectrum(p, 1, 0, 0.7)
     record("rates_match_spectrum_entry",
            pair.stark == entry.real and pair.dephasing == -entry.imag,
            "exact equality")

@@ -157,7 +157,7 @@ def residual_norm(state: PerturbativeEigenstate, params: SystemParams, omega_c: 
     n_al, n_ar = state.n_al, state.n_ar
     lam = (params.delta_ad * (n_al - n_ar)
            + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
-           + effective_spectrum(params, n_al, n_ar, photon).value)
+           + effective_spectrum(params, n_al, n_ar, photon))
     v = state.vector[sector_indices(params, n_al, n_ar)]
     hb = sector_generator(params, n_al, n_ar, omega_c)
     return float(np.linalg.norm(hb @ v - lam * v) / np.linalg.norm(state.vector))

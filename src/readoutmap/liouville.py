@@ -38,18 +38,6 @@ class AccuracyError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class ExtendedOperator:
-    """Dense complex matrix over the doubled space."""
-
-    data: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        if self.data.shape != (self.dim, self.dim):
-            raise ValueError(f"data shape {self.data.shape} does not match dim {self.dim}")
-
-
-@dataclass(frozen=True)
 class CollapseTerm:
     """One dissipator: rate gamma (MHz, >= 0) and single-copy jump operator."""
 
@@ -174,7 +162,7 @@ def _drive_block(n_c: int) -> np.ndarray:
     return np.kron(x, eye) - np.kron(eye, x.conj())
 
 
-def build_extended_hamiltonian(params: SystemParams, omega_c_value: float) -> ExtendedOperator:
+def build_extended_hamiltonian(params: SystemParams, omega_c_value: float) -> np.ndarray:
     """Full Hu (MHz): the n_a^2 sector_generator blocks scattered into the
     doubled space, zeros between sectors."""
     dim = (params.n_a * params.n_c) ** 2
@@ -183,10 +171,10 @@ def build_extended_hamiltonian(params: SystemParams, omega_c_value: float) -> Ex
         for n_ar in range(params.n_a):
             idx = sector_indices(params, n_al, n_ar)
             data[np.ix_(idx, idx)] = sector_generator(params, n_al, n_ar, omega_c_value)
-    return ExtendedOperator(data=data, dim=dim)
+    return data
 
 
-def build_superoperator(h: np.ndarray, collapses: list[CollapseTerm]) -> ExtendedOperator:
+def build_superoperator(h: np.ndarray, collapses: list[CollapseTerm]) -> np.ndarray:
     """Lindblad generator assembled directly from the flattening identities.
 
     Returns -i(kron(H, I) - kron(I, H^T))
@@ -211,7 +199,7 @@ def build_superoperator(h: np.ndarray, collapses: list[CollapseTerm]) -> Extende
         sup = sup + term.rate * (np.kron(c, c.conj())
                                  - 0.5 * np.kron(cdc, eye)
                                  - 0.5 * np.kron(eye, cdc.T))
-    return ExtendedOperator(data=sup, dim=m * m)
+    return sup
 
 
 @dataclass(frozen=True)
@@ -249,12 +237,17 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     matrix, which is the same polynomial the stepwise loop applies. Samples
     are embedded back into the full doubled vector.
 
-    Raises ValueError when dt violates the matrix-scale stability bound (the
-    largest absolute row sum of Hu at the pulse amplitude, over all n_a^2
-    sectors whether occupied or not) and AccuracyError when the trace drifts
-    by more than 1e-6 or the state departs from Hermiticity
-    (max |rho - rho^+| over the samples) by more than 1e-6.
+    Raises ValueError when dt is not positive, sample_every is below 1, or dt
+    violates the matrix-scale stability bound (the largest absolute row sum
+    of Hu at the pulse amplitude, over all n_a^2 sectors whether occupied or
+    not), and AccuracyError when the trace drifts by more than 1e-6 or the
+    state departs from Hermiticity (max |rho - rho^+| over the samples) by
+    more than 1e-6.
     """
+    if not dt > 0.0:
+        raise ValueError(f"step size dt = {dt} ns must be > 0")
+    if sample_every is not None and sample_every < 1:
+        raise ValueError(f"sample_every = {sample_every} must be >= 1")
     labels = [(n_al, n_ar) for n_al in range(params.n_a) for n_ar in range(params.n_a)]
     static = np.array([sector_generator(params, n_al, n_ar, 0.0) for n_al, n_ar in labels])
     drive = _drive_block(params.n_c)

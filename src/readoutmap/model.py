@@ -85,39 +85,15 @@ class PulseSpec:
                 raise ValueError("square-gaussian requires sigma_r > 0")
 
 
-@dataclass(frozen=True)
-class LevelDetuning:
-    """Resonator-drive detunings dressed by the qubit occupation of each copy.
-
-    value_l = delta_cd - i*kappa_c/2 + 2*chi_ac*n_al   (ket-side copy)
-    value_r = delta_cd + i*kappa_c/2 + 2*chi_ac*n_ar   (bra-side copy)
-
-    For equal labels value_r == conj(value_l) exactly.
-    """
-
-    n_al: int
-    n_ar: int
-    value_l: complex
-    value_r: complex
-
-
 def detuning_l(params: SystemParams, n: int) -> complex:
     """Ket-copy complex detuning for qubit level n (MHz)."""
     return params.delta_cd - 0.5j * params.kappa_c + 2.0 * params.chi_ac * n
 
 
 def detuning_r(params: SystemParams, n: int) -> complex:
-    """Bra-copy complex detuning for qubit level n (MHz)."""
+    """Bra-copy complex detuning for qubit level n (MHz); exactly
+    conj(detuning_l(params, n))."""
     return params.delta_cd + 0.5j * params.kappa_c + 2.0 * params.chi_ac * n
-
-
-def level_detuning(params: SystemParams, n_al: int, n_ar: int) -> LevelDetuning:
-    return LevelDetuning(
-        n_al=n_al,
-        n_ar=n_ar,
-        value_l=detuning_l(params, n_al),
-        value_r=detuning_r(params, n_ar),
-    )
 
 
 def sg_envelope(t, pulse: PulseSpec):

@@ -107,6 +107,10 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: comple
 
 def _eta_samples(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> np.ndarray:
     """eta on the grid k*dt, k = 0..round(t_end/dt): the RK4 trajectory alone."""
+    if not dt > 0.0:
+        raise ValueError(f"step size dt = {dt} ns must be > 0")
+    if not t_end >= 0.0:
+        raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
     dt_max = max_stable_dt(params, pulse)
     if dt > dt_max:
         raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns")
@@ -123,7 +127,8 @@ def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -
     eta rings up without settling (at delta_cd = 0 under a constant drive it
     grows linearly, eta = -i*pi*1e-3*omega_c*t), finite on any finite grid.
 
-    Raises ValueError when dt violates the stability/accuracy bound.
+    Raises ValueError when dt is not positive, t_end is negative, or dt
+    violates the stability/accuracy bound.
     """
     eta = _eta_samples(params, pulse, t_end, dt)
     beta = _decay_rate_per_ns(params)

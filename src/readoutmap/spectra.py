@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import (AccuracyError, ExtendedOperator, basis_index, sector_generator,
-                        sector_indices)
+from .liouville import AccuracyError, basis_index, sector_generator, sector_indices
 from .model import SystemParams, write_csv
 from .response import steady_state
 
@@ -48,9 +47,9 @@ class CoherenceTrack:
     vectors: list[np.ndarray]
 
 
-def eigendecompose(op: ExtendedOperator | np.ndarray) -> EigenSet:
+def eigendecompose(op: np.ndarray) -> EigenSet:
     """Dense non-Hermitian eigendecomposition with residual enforcement."""
-    mat = op.data if isinstance(op, ExtendedOperator) else np.asarray(op, dtype=complex)
+    mat = np.asarray(op, dtype=complex)
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix contains non-finite entries")
     w, v = np.linalg.eig(mat)

@@ -88,6 +88,8 @@ def correlations_timedomain(traj: ResonatorTrajectory, params: SystemParams,
         raise ValueError("correlations_timedomain requires kappa_c > 0")
     pairs = [(int(m), int(n)) for m, n in levels]
     t = traj.times
+    if t.size < 2:
+        raise ValueError("correlations need at least two grid points: t_end is below dt/2")
     dt = traj.dt
     steps = np.diff(t)
     if steps.size and np.max(np.abs(steps - dt)) > 1e-9 * dt:
@@ -139,6 +141,12 @@ def correlations_timedomain(traj: ResonatorTrajectory, params: SystemParams,
     return CorrelationSet(times=t, pairs=pairs, a_ll=a_ll, a_rr=a_rr, b_lr=b_lr, c_lr=c_lr)
 
 
+def _side_detuning(params: SystemParams, level: int, side: str) -> complex:
+    if side not in ("l", "r"):
+        raise ValueError("side must be 'l' or 'r'")
+    return detuning_l(params, level) if side == "l" else detuning_r(params, level)
+
+
 def adiabatic_series_A(traj: ResonatorTrajectory, params: SystemParams, level: int,
                        order: int, side: str = "l") -> np.ndarray:
     """Derivative expansion of the second-order correlation, orders 0..2.
@@ -152,12 +160,7 @@ def adiabatic_series_A(traj: ResonatorTrajectory, params: SystemParams, level: i
     """
     if order not in (0, 1, 2):
         raise ValueError(f"unsupported adiabatic order {order}")
-    if side == "l":
-        d = detuning_l(params, level)
-    elif side == "r":
-        d = detuning_r(params, level)
-    else:
-        raise ValueError("side must be 'l' or 'r'")
+    d = _side_detuning(params, level, side)
     eta = traj.eta
     out = np.abs(eta) ** 2 / d
     if order >= 1:
@@ -184,7 +187,7 @@ def fourier_A(traj: ResonatorTrajectory, params: SystemParams, level: int,
         raise ValueError("n_freq must cover the trajectory length")
     if n_freq & (n_freq - 1):
         raise ValueError("n_freq must be a power of two")
-    d = detuning_l(params, level) if side == "l" else detuning_r(params, level)
+    d = _side_detuning(params, level, side)
     w_hat = RAD_PER_MHZ_NS * d  # rad/ns
     dt = traj.dt
     if np.pi / dt < 4.0 * abs(w_hat):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 import readoutmap
 from readoutmap.cli import load_config, main
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 BASE = {
     "delta_ad_mhz": 0.0, "delta_cd_mhz": -5.0, "alpha_a_mhz": 0.0,
@@ -283,3 +286,60 @@ def test_csv_format_contract(tmp_path, command):
     assert not any("\r" in ln or "\n" in ln for ln in lines)
     assert "-0" not in [field for ln in lines for field in ln.split(",")]
     assert bare.read_bytes().decode() == "".join(ln + "\r\n" for ln in lines[1:])
+
+
+@pytest.mark.parametrize("command, config, section, key, value, names", [
+    ("transient", "transient_flattop", "transient", "dt_ns", 0, "dt"),
+    ("transient", "transient_flattop", "transient", "dt_ns", -0.1, "dt"),
+    ("transient", "transient_flattop", "transient", "t_end_ns", -5, "t_end"),
+    ("transient", "transient_flattop", "transient", "t_end_ns", 0, "t_end"),
+    ("transient", "transient_flattop", "transient", "levels", [], "levels"),
+    ("transient", "transient_flattop", "transient", "levels", [[1]], "levels"),
+    ("transient", "transient_flattop", "transient", "levels", [[None, 0]], "levels"),
+    ("transient", "transient_flattop", "transient", "levels", 5, "levels"),
+    ("propagate", "propagate", "propagate", "dt_ns", 0, "dt"),
+    ("propagate", "propagate", "propagate", "dt_ns", -0.02, "dt"),
+    ("propagate", "propagate", "propagate", "sample_every", 0, "sample_every"),
+    ("propagate", "propagate", "propagate", "sample_every", -3, "sample_every"),
+    ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [], "omega_c grid"),
+])
+def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section, key, value,
+                                      names):
+    # a shipped config with one key changed
+    with open(os.path.join(CONFIGS, config + ".json")) as fh:
+        payload = json.load(fh)
+    payload[section][key] = value
+    cfg = write_config(tmp_path, "c.json", payload)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    errors = [ln for ln in lines if ln.startswith("error: ")]
+    assert len(errors) == 1 and names in errors[0]
+    assert not any("Traceback" in ln for ln in lines)
+
+
+# SHA-256 of shipped products that run element-wise float arithmetic only (no
+# LAPACK), so their bytes do not depend on BLAS threads; a change to any of
+# them is a change to a published number
+SHIPPED_DIGESTS = [
+    ("rates-sweep", "rates_sweep_narrow",
+     "70762c8bc74bebe27d81d91ac10377844d242c9304595c8f5aa1fbc4681ba6c7"),
+    ("rates-sweep", "rates_sweep_split",
+     "aeb077f3415ea2c8a95279448a67fb215ff497d4b117335160aa6906b76c37b9"),
+    ("compare-gambetta", "compare_gambetta",
+     "6062252ff8ea898a0412a1942f2f2fd31ae96ec5a47120d456582e9b89f4e9af"),
+    ("spectrum-grid", "spectrum_grid",
+     "dd87073b911952f950f49d1fb1b0d098d952c32e48fae2378b25648265cf9bfa"),
+]
+
+
+def test_shipped_products_keep_their_bytes(tmp_path):
+    assert [name for name in readoutmap.__all__ if not hasattr(readoutmap, name)] == []
+    changed = []
+    for command, config, digest in SHIPPED_DIGESTS:
+        out = tmp_path / f"{config}.csv"
+        assert main([command, "--config", os.path.join(CONFIGS, config + ".json"),
+                     "--out", str(out)]) == 0
+        if hashlib.sha256(out.read_bytes()).hexdigest() != digest:
+            changed.append(config)
+    assert changed == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from readoutmap.effective import (adiabatic_correlations, choi_cptp_check, dephasing_choi,
                                   effective_lindblad, effective_map_apply, effective_spectrum,
@@ -9,6 +11,72 @@ from readoutmap.model import SystemParams
 
 BENCH = SystemParams(-2005.0, -5.0, -330.0, -1.0, 1.0, 2, 14)
 GRID10 = SystemParams(0.0, -5.0, 0.0, -1.0, 1.0, 3, 2)  # spectrum-grid working point
+
+
+def scalar_reference(params, n_al, n_ar, photon):
+    """The per-entry closed form effective_spectrum replaced (squares through
+    **, one entry per call); an independent oracle for the broadcasting one."""
+    if photon < 0:
+        raise ValueError("photon number must be >= 0")
+    d, chi, k = params.delta_cd, params.chi_ac, params.kappa_c
+    half_k_sq = (k / 2.0) ** 2
+    dl = d + 2.0 * chi * n_al
+    dr = d + 2.0 * chi * n_ar
+    den = (dl**2 + half_k_sq) * (dr**2 + half_k_sq)
+    if den == 0.0:
+        n = n_al if dl**2 + half_k_sq == 0.0 else n_ar
+        raise ValueError(f"delta_cd = {d + 0.0:g} MHz puts qubit level {n} on its undamped "
+                         f"dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0): "
+                         f"the effective spectrum is singular")
+    base = d**2 + half_k_sq
+    diff = float(n_al - n_ar)
+    re = 2.0 * chi * base * (dl * dr + half_k_sq) * diff * photon / den
+    im = -2.0 * chi**2 * k * base * diff**2 * photon / den
+    return complex(re, im)
+
+
+def loop_reference(params, levels, photon):
+    """The per-entry double loop spectrum_matrix replaced."""
+    return np.array([[scalar_reference(params, m, n, photon) for n in range(levels)]
+                     for m in range(levels)])
+
+
+def error_text(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{fn.__name__} raised no ValueError")
+
+
+@settings(max_examples=200, deadline=None)
+@given(delta_cd=st.floats(-100.0, 100.0), chi=st.floats(-5.0, 5.0), kappa=st.floats(0.01, 20.0),
+       levels=st.integers(1, 7), photon=st.floats(0.0, 50.0))
+def test_spectrum_matrix_entries_are_the_scalar_calls(delta_cd, chi, kappa, levels, photon):
+    p = SystemParams(0.0, delta_cd, 0.0, chi, kappa, 2, 2)
+    mat = spectrum_matrix(p, levels, photon)
+    scalar = np.array([[effective_spectrum(p, m, n, photon) for n in range(levels)]
+                       for m in range(levels)])
+    assert mat.shape == (levels, levels) and mat.dtype == complex
+    assert np.array_equal(mat, scalar)
+    ref = loop_reference(p, levels, photon)
+    assert np.all(np.abs(mat - ref) <= 1e-15 * np.abs(ref))
+    # E_nn = 0 and E_mn = -conj(E_nm), exactly
+    assert np.all(np.diagonal(mat) == 0.0)
+    assert np.array_equal(mat, -mat.conj().T)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chi=st.sampled_from([0.0, 1.0, -1.0]) | st.floats(0.05, 5.0) | st.floats(-5.0, -0.05),
+       singular=st.integers(0, 6), extra=st.integers(1, 4), photon=st.floats(0.0, 50.0))
+@example(chi=0.0, singular=2, extra=1, photon=1.0)  # every level singular: name level 0
+def test_spectrum_matrix_names_the_lowest_singular_level(chi, singular, extra, photon):
+    # kappa_c = 0 and delta_cd + 2 chi_ac n = 0 at n = singular (at every n if chi_ac = 0)
+    p = SystemParams(0.0, -(2.0 * chi * singular), 0.0, chi, 0.0, 2, 2)
+    levels = singular + extra
+    text = error_text(spectrum_matrix, p, levels, photon)
+    assert text == error_text(loop_reference, p, levels, photon)
+    assert f"qubit level {0 if chi == 0.0 else singular} on its undamped" in text
 
 
 def random_params(rng):
@@ -32,10 +100,10 @@ def test_adiabatic_correlations_values():
 
 
 def test_spectrum_entry_values():
-    assert effective_spectrum(GRID10, 1, 1, 10.0).value == 0.0
-    e10 = effective_spectrum(GRID10, 1, 0, 10.0).value
+    assert effective_spectrum(GRID10, 1, 1, 10.0) == 0.0
+    e10 = effective_spectrum(GRID10, 1, 0, 10.0)
     assert e10 == pytest.approx(-14.3147208122 - 0.4060913706j, rel=1e-10)
-    e01 = effective_spectrum(GRID10, 0, 1, 10.0).value
+    e01 = effective_spectrum(GRID10, 0, 1, 10.0)
     assert e01 == -np.conj(e10)
 
 
@@ -45,7 +113,7 @@ def test_spectrum_matches_generator_assembly():
         p = random_params(rng)
         m, n = int(rng.integers(0, 4)), int(rng.integers(0, 4))
         ph = float(rng.uniform(0.0, 30.0))
-        closed = effective_spectrum(p, m, n, ph).value
+        closed = effective_spectrum(p, m, n, ph)
         term_by_term = generator_eigenvalue(p, m, n, ph)
         assert abs(closed - term_by_term) <= 1e-12 * max(1.0, abs(closed))
 
@@ -56,8 +124,8 @@ def test_spectrum_property_draws():
         p = random_params(rng)
         ph = float(rng.uniform(0.0, 20.0))
         m, n = int(rng.integers(0, 4)), int(rng.integers(0, 4))
-        e_mn = effective_spectrum(p, m, n, ph).value
-        e_nm = effective_spectrum(p, n, m, ph).value
+        e_mn = effective_spectrum(p, m, n, ph)
+        e_nm = effective_spectrum(p, n, m, ph)
         if m == n:
             assert e_mn == 0.0
         else:
@@ -70,7 +138,7 @@ def test_rates_and_identity():
     pair = rates(BENCH, 1.0)
     assert pair.stark == pytest.approx(-1.4314720812182742, rel=1e-14)
     assert pair.dephasing == pytest.approx(0.04060913705583756, rel=1e-14)
-    entry = effective_spectrum(BENCH, 1, 0, 1.0).value
+    entry = effective_spectrum(BENCH, 1, 0, 1.0)
     assert pair.stark == entry.real and pair.dephasing == -entry.imag
     zero_chi = SystemParams(0.0, -5.0, 0.0, 0.0, 1.0, 2, 2)
     assert rates(zero_chi, 3.0) == rates(zero_chi, 0.0)

@@ -99,12 +99,12 @@ def test_residual_definition():
 
 def full_matvec_residual(state, params, omega_c):
     """|Hu v - lambda v| / |v| with the full doubled-space generator (reference)."""
-    hu = build_extended_hamiltonian(params, omega_c).data
+    hu = build_extended_hamiltonian(params, omega_c)
     _, photon = steady_state(params, omega_c)
     n_al, n_ar = state.n_al, state.n_ar
     lam = (params.delta_ad * (n_al - n_ar)
            + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
-           + effective_spectrum(params, n_al, n_ar, photon).value)
+           + effective_spectrum(params, n_al, n_ar, photon))
     v = state.vector
     return float(np.linalg.norm(hu @ v - lam * v) / np.linalg.norm(v))
 

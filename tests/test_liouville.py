@@ -55,7 +55,7 @@ def dense_rk4_reference(state0, params, pulse, t_end, dt, sample_every):
     """Stepwise RK4 of the whole doubled vector under Hu(t), one step at a time,
     with the drive rescaled by the envelope at each substep (test oracle)."""
     rate = -2.0j * np.pi * 1.0e-3
-    gen_s = rate * build_extended_hamiltonian(params, 0.0).data
+    gen_s = rate * build_extended_hamiltonian(params, 0.0)
     gen_d = rate * kron_drive(params)
     n_steps = int(round(t_end / dt))
     half_grid = np.arange(2 * n_steps + 1) * (dt / 2.0)
@@ -96,7 +96,7 @@ def assert_matches_dense_reference(state0, params, pulse, t_end, dt, sample_ever
 
 
 def test_zero_drive_diagonal_entries():
-    hu = build_extended_hamiltonian(SMALL, 0.0).data
+    hu = build_extended_hamiltonian(SMALL, 0.0)
     idx = basis_index(SMALL, 1, 0, 0, 0)
     assert hu[idx, idx] == SMALL.delta_ad
     vac = basis_index(SMALL, 0, 0, 0, 0)
@@ -109,8 +109,8 @@ def test_zero_drive_diagonal_entries():
 
 def test_dimension_bookkeeping():
     hu = build_extended_hamiltonian(SMALL, 3.0)
-    assert hu.dim == (SMALL.n_a * SMALL.n_c) ** 2
-    assert hu.data.shape == (hu.dim, hu.dim)
+    dim = (SMALL.n_a * SMALL.n_c) ** 2
+    assert hu.shape == (dim, dim)
 
 
 @settings(max_examples=60, deadline=None)
@@ -119,7 +119,7 @@ def test_dimension_bookkeeping():
        kappa=st.floats(0.0, 10.0), omega=st.floats(-20.0, 20.0))
 def test_generator_has_no_entries_between_qubit_sectors(n_a, n_c, freqs, kappa, omega):
     p = SystemParams(*freqs, kappa_c=kappa, n_a=n_a, n_c=n_c)
-    hu = build_extended_hamiltonian(p, omega).data
+    hu = build_extended_hamiltonian(p, omega)
     inside = np.zeros(hu.shape, dtype=bool)
     for n_al in range(n_a):
         for n_ar in range(n_a):
@@ -138,8 +138,8 @@ def test_sector_generator_matches_independent_route(n_a, n_c, freqs, kappa, omeg
     p = SystemParams(*freqs, kappa_c=kappa, n_a=n_a, n_c=n_c)
     _, c = single_copy_operators(p)
     # build_superoperator gives -i*Hu from the flattening identities
-    ref = 1j * build_superoperator(kerr_hamiltonian(p, omega), [CollapseTerm(kappa, c)]).data
-    full = build_extended_hamiltonian(p, omega).data
+    ref = 1j * build_superoperator(kerr_hamiltonian(p, omega), [CollapseTerm(kappa, c)])
+    full = build_extended_hamiltonian(p, omega)
     kron = kron_doubling(p, omega)
     for n_al in range(n_a):
         for n_ar in range(n_a):
@@ -168,9 +168,9 @@ def test_sector_indices_follow_basis_order():
 def test_superoperator_trivial_cases():
     m = 4
     zero = build_superoperator(np.zeros((m, m)), [])
-    assert np.all(zero.data == 0.0)
+    assert np.all(zero == 0.0)
     c = destroy(m)
-    sup = build_superoperator(np.zeros((m, m)), [CollapseTerm(2.0, c)]).data
+    sup = build_superoperator(np.zeros((m, m)), [CollapseTerm(2.0, c)])
     # vacuum is stationary: the generator annihilates vec(|0><0|)
     vac = np.zeros(m * m)
     vac[0] = 1.0
@@ -191,7 +191,7 @@ def test_vectorization_oracle_random_instances():
         h = (h + h.conj().T) / 2.0
         c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
         gamma = float(rng.uniform(0.1, 2.0))
-        sup = build_superoperator(h, [CollapseTerm(gamma, c)]).data
+        sup = build_superoperator(h, [CollapseTerm(gamma, c)])
         assert np.max(np.abs(sup - doubled_copy_generator(h, gamma, c))) < 1e-12
 
 
@@ -200,18 +200,18 @@ def test_vectorization_oracle_kerr_model():
     h = kerr_hamiltonian(SMALL, 7.0)
     _, c = single_copy_operators(SMALL)
     sup = build_superoperator(h, [CollapseTerm(SMALL.kappa_c, c)])
-    assert np.max(np.abs(-1j * hu.data - sup.data)) < 1e-12
+    assert np.max(np.abs(-1j * hu - sup)) < 1e-12
 
 
 def test_trace_functional_annihilates_generator():
     for omega in (0.0, 7.0):
-        hu = build_extended_hamiltonian(SMALL, omega).data
+        hu = build_extended_hamiltonian(SMALL, omega)
         w = trace_functional(SMALL.n_a * SMALL.n_c)
         assert np.max(np.abs(w @ (-1j * hu))) < 1e-12
 
 
 def test_zero_drive_vacuum_resonator_states_are_eigenvectors():
-    hu = build_extended_hamiltonian(SMALL, 0.0).data
+    hu = build_extended_hamiltonian(SMALL, 0.0)
     aa = SMALL.alpha_a
     for n_al in range(SMALL.n_a):
         for n_ar in range(SMALL.n_a):

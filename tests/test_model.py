@@ -6,9 +6,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from readoutmap import model
-from readoutmap.model import (PulseSpec, SystemParams, envelope_derivatives, level_detuning,
-                              params_from_dict, pulse_from_dict, sg_envelope, validity_margin,
-                              write_csv)
+from readoutmap.model import (PulseSpec, SystemParams, detuning_l, detuning_r,
+                              envelope_derivatives, params_from_dict, pulse_from_dict,
+                              sg_envelope, validity_margin, write_csv)
 
 SG = PulseSpec("square-gaussian", omega_c=50.0, tau_p=1000.0, tau_r=100.0, sigma_r=50.0)
 
@@ -98,9 +98,8 @@ def test_derivatives_match_finite_differences_on_grid(order):
 def test_level_detuning_conjugation():
     p = SystemParams(-2005, -5, -330, -1, 1, 2, 14)
     for n in range(4):
-        ld = level_detuning(p, n, n)
-        assert ld.value_r == np.conj(ld.value_l)
-        assert ld.value_l == p.delta_cd - 0.5j * p.kappa_c + 2 * p.chi_ac * n
+        assert detuning_r(p, n) == np.conj(detuning_l(p, n))
+        assert detuning_l(p, n) == p.delta_cd - 0.5j * p.kappa_c + 2 * p.chi_ac * n
 
 
 def test_validity_margin():

@@ -89,7 +89,7 @@ def test_spectrum_pairing_and_zero_mode():
 
 def test_sector_spectra_tile_the_full_spectrum():
     p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 3, 4)
-    hu = build_extended_hamiltonian(p, 4.0).data
+    hu = build_extended_hamiltonian(p, 4.0)
     full = eigendecompose(hu).eigenvalues
     blocks = np.concatenate([eigendecompose(hu[np.ix_(idx, idx)]).eigenvalues
                              for idx in (sector_indices(p, m, n)
@@ -141,7 +141,7 @@ def test_coherence_eigenvalue_matches_closed_form():
     grid = [0.0] + [omega_for_photon(wide, n) for n in (0.5, 2.0, 4.0)]
     track = track_coherence(wide, grid, n_workers=2)
     lam = np.array([closed_form_coherence_eigenvalue(wide, w) for w in grid])
-    pert = np.array([wide.delta_ad + effective_spectrum(wide, 1, 0, n).value
+    pert = np.array([wide.delta_ad + effective_spectrum(wide, 1, 0, n)
                      for n in track.photons])
     assert np.max(np.abs(lam - pert)) <= 1e-12
     assert np.max(np.abs(lam - track.eigenvalues)) <= 1e-8

@@ -53,7 +53,7 @@ def test_generator_plateau_matches_adiabatic_spectrum(step_drive_run):
     gen = effective_generator_timedep(corr, traj, params, [(1, 0), (1, 1)])
     _, n_ss = steady_state(params, pulse.omega_c)
     i = int(round(10.0 / params.kappa_c * 1e3 / traj.dt))
-    expected = effective_spectrum(params, 1, 0, n_ss).value
+    expected = effective_spectrum(params, 1, 0, n_ss)
     assert abs(gen.values[(1, 0)][i] - expected) / abs(expected) < 1e-6
     assert abs(gen.values[(1, 1)][i]) < 1e-9 * abs(expected)
 
@@ -146,6 +146,20 @@ def test_fourier_validation():
         fourier_A(coarse, big_detuning, 1, 2048)
 
 
+@pytest.mark.parametrize("series", [
+    lambda traj, p, side: adiabatic_series_A(traj, p, 1, 0, side=side),
+    lambda traj, p, side: fourier_A(traj, p, 1, 256, side=side),
+], ids=["adiabatic_series_A", "fourier_A"])
+def test_side_must_be_l_or_r(series):
+    p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 2)
+    traj = solve_eta(p, PulseSpec("constant", 1.0), 100.0, 0.5)
+    # the two sides use conjugate detunings, so they give different series
+    assert not np.allclose(series(traj, p, "l"), series(traj, p, "r"))
+    for side in ("x", "L", ""):
+        with pytest.raises(ValueError, match="side must be 'l' or 'r'"):
+            series(traj, p, side)
+
+
 def test_crosstalk_generator_follows_photon_number():
     traj = solve_eta(CROSSTALK, SLOW_PULSE, 1300.0, 0.1)
     corr = correlations_timedomain(traj, CROSSTALK, [(1, 0)])
@@ -161,7 +175,7 @@ def test_crosstalk_generator_follows_photon_number():
     i_mid = int(round(500.0 / traj.dt))
     assert 1e-5 < -e10[i_mid].imag < 1e-3
     # |E| follows the instantaneous photon number through the whole pulse
-    per_photon = effective_spectrum(CROSSTALK, 1, 0, 1.0).value
+    per_photon = effective_spectrum(CROSSTALK, 1, 0, 1.0)
     sel = traj.photon > 0.2 * np.max(traj.photon)
     ratio = np.abs(e10[sel]) / (abs(per_photon) * traj.photon[sel])
     assert np.max(np.abs(ratio - 1.0)) < 0.02
