@@ -101,15 +101,14 @@ def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> 
 
 
 def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    sec = _section(config, "benchmark_eig",
-                   {"omega_c_grid_mhz", "omega_c_max_mhz", "points"})
-    if "omega_c_grid_mhz" in sec:
-        grid = np.asarray(sec["omega_c_grid_mhz"], dtype=float)
-    else:
-        grid = np.linspace(0.0, float(sec.get("omega_c_max_mhz", 20.1)),
-                           int(sec.get("points", 12)))
-    if grid.size == 0:
-        raise ValueError("config section 'benchmark_eig' gives an empty omega_c grid")
+    sec = _section(config, "benchmark_eig", {"omega_c_grid_mhz"})
+    try:
+        grid = np.asarray(sec.get("omega_c_grid_mhz", []), dtype=float)
+    except (TypeError, ValueError):  # ragged lists, strings
+        grid = np.empty(0)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("config section 'benchmark_eig' requires 'omega_c_grid_mhz', "
+                         "a non-empty 1-D omega_c grid")
     p = config.params
     margin = validity_margin(p, float(np.max(grid)))
     if margin >= 1.0:
@@ -130,14 +129,14 @@ def cmd_transient(config: RunConfig, out: str, header: bool, threads: int) -> No
     if margin >= 1.0:
         print(f"warning: perturbative validity margin {margin:.3f} >= 1 at the pulse peak",
               file=sys.stderr)
-    # every entry must be an int pair; the CSV holds the first one only
+    # every entry must be a pair of qubit levels; the CSV holds the first one only
     try:
         levels = [(int(m), int(n)) for m, n in sec.get("levels", [[1, 0]])]
     except (TypeError, ValueError):
-        raise ValueError("config section 'transient': 'levels' must list [n_al, n_ar] "
-                         "int pairs") from None
-    if not levels:
-        raise ValueError("config section 'transient' gives an empty 'levels' list")
+        levels = []
+    if not levels or min(min(pair) for pair in levels) < 0:
+        raise ValueError("config section 'transient': 'levels' must be a non-empty list of "
+                         "[n_al, n_ar] pairs of ints >= 0")
     traj = response.solve_eta(config.params, config.pulse,
                               float(sec["t_end_ns"]), float(sec["dt_ns"]))
     corr = transient.correlations_timedomain(traj, config.params, levels[:1])
@@ -149,6 +148,8 @@ def cmd_spectrum_grid(config: RunConfig, out: str, header: bool, threads: int) -
     sec = _section(config, "spectrum_grid", {"photon", "levels"})
     photon = float(sec.get("photon", 1.0))
     levels = int(sec.get("levels", 3))
+    if levels < 1:
+        raise ValueError(f"config section 'spectrum_grid': 'levels' = {levels} must be >= 1")
     effective.write_spectrum_grid_csv(out, config.params, levels, photon, header=header)
 
 

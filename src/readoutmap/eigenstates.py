@@ -11,7 +11,8 @@ matrix exponentials) to avoid truncation-induced norm loss.
 Validation is done at a steady-state snapshot under constant drive, where the
 exact eigenvectors of the static generator are available densely. Hu conserves
 n_al and n_ar, so a (n_al, n_ar) ansatz and its exact partner live in that one
-qubit sector: only its n_c^2 x n_c^2 block (liouville.sector_generator) is
+qubit sector: every vector here is a block vector over (n_cl, n_cr), the basis
+of that sector's n_c^2 x n_c^2 block (liouville.sector_generator), which is
 built, diagonalized and used for the residual.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .effective import effective_spectrum
-from .liouville import destroy, sector_generator, sector_indices
+from .liouville import destroy, sector_generator
 from .model import SystemParams, detuning_l, detuning_r, write_csv
 from .response import steady_state
 from .spectra import TrackingLostError, eigendecompose
@@ -30,14 +31,14 @@ from .spectra import TrackingLostError, eigendecompose
 
 @dataclass(frozen=True)
 class PerturbativeEigenstate:
-    """Unit-normalized doubled-space vector for labels (n_al, n_ar), orders 0..2."""
+    """Unit-normalized eigenstate for labels (n_al, n_ar), orders 0..2, as a
+    vector over the (n_cl, n_cr) basis of the (n_al, n_ar) sector block."""
 
     n_al: int
     n_ar: int
     order: int
     eta: complex
     vector: np.ndarray = field(repr=False)
-    dims: tuple[int, int] = (0, 0)
 
 
 def coherent_amplitudes(eta: complex, n_c: int) -> np.ndarray:
@@ -65,45 +66,38 @@ def perturbative_eigenstate(labels: tuple[int, int], params: SystemParams,
         raise ValueError("perturbative eigenstates are built for labels in {0,1}")
     if order not in (0, 1, 2):
         raise ValueError(f"unsupported perturbative order {order}")
-    n_a, n_c = params.n_a, params.n_c
+    n_c = params.n_c
     if abs(eta) ** 2 >= n_c / 4.0:
         raise ValueError(f"|eta|^2 = {abs(eta)**2:.3g} too large for n_c = {n_c}; "
                          "increase the resonator truncation")
 
-    qubit_l = np.zeros(n_a, dtype=complex)
-    qubit_l[n_al] = 1.0
-    qubit_r = np.zeros(n_a, dtype=complex)
-    qubit_r[n_ar] = 1.0
     res_l = coherent_amplitudes(eta, n_c)
     res_r = coherent_amplitudes(np.conj(eta), n_c)
 
     disp_l = destroy(n_c).conj().T - np.conj(eta) * np.eye(n_c)  # c^+ - eta*
     disp_r = destroy(n_c).conj().T - eta * np.eye(n_c)           # c^+ - eta
 
-    def assemble(left, right):
-        return np.kron(qubit_l, np.kron(left, np.kron(qubit_r, right)))
-
-    vec = assemble(res_l, res_r)
+    vec = np.kron(res_l, res_r)
     chi = params.chi_ac
     if n_al == 1 and order >= 1:
         dl = detuning_l(params, 1)
-        vec = vec - (2.0 * chi * eta / dl) * assemble(disp_l @ res_l, res_r)
+        vec = vec - (2.0 * chi * eta / dl) * np.kron(disp_l @ res_l, res_r)
         if order >= 2:
-            vec = vec + (2.0 * chi**2 * eta**2 / dl**2) * assemble(disp_l @ (disp_l @ res_l), res_r)
+            vec = vec + (2.0 * chi**2 * eta**2 / dl**2) * np.kron(disp_l @ (disp_l @ res_l), res_r)
     if n_ar == 1 and order >= 1:
         dr = detuning_r(params, 1)
-        vec = vec - (2.0 * chi * np.conj(eta) / dr) * assemble(res_l, disp_r @ res_r)
+        vec = vec - (2.0 * chi * np.conj(eta) / dr) * np.kron(res_l, disp_r @ res_r)
         if order >= 2:
             vec = vec + (2.0 * chi**2 * np.conj(eta) ** 2 / dr**2) \
-                * assemble(res_l, disp_r @ (disp_r @ res_r))
+                * np.kron(res_l, disp_r @ (disp_r @ res_r))
     if n_al == 1 and n_ar == 1 and order >= 2:
         d, k = params.delta_cd, params.kappa_c
         cross = 4.0 * chi**2 * abs(eta) ** 2 / ((d + 2.0 * chi) ** 2 + (k / 2.0) ** 2)
-        vec = vec + cross * assemble(disp_l @ res_l, disp_r @ res_r)
+        vec = vec + cross * np.kron(disp_l @ res_l, disp_r @ res_r)
 
     vec = vec / np.linalg.norm(vec)
     return PerturbativeEigenstate(n_al=n_al, n_ar=n_ar, order=order, eta=complex(eta),
-                                  vector=vec, dims=(n_a, n_c))
+                                  vector=vec)
 
 
 def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
@@ -112,23 +106,20 @@ def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
 
     Only the (state.n_al, state.n_ar) qubit sector of Hu is diagonalized: Hu
     conserves both qubit labels, so the ansatz and its exact partner have no
-    weight outside that block. The block eigenvector is returned embedded in
-    the full doubled space (zeros elsewhere).
+    weight outside that block. Returns the unit block eigenvector, in the
+    basis of state.vector.
 
     Selected by maximal overlap with the perturbative vector; in the validity
     regime the branch is isolated, so this is the same selection rule as
     overlap continuation from zero drive. Raises TrackingLostError when the
     best overlap drops to 0.5."""
-    idx = sector_indices(params, state.n_al, state.n_ar)
     es = eigendecompose(sector_generator(params, state.n_al, state.n_ar, omega_c))
-    ov = np.abs(state.vector[idx].conj() @ es.eigenvectors)
+    ov = np.abs(state.vector.conj() @ es.eigenvectors)
     j = int(np.argmax(ov))
     if ov[j] <= 0.5:
         raise TrackingLostError(
             f"overlap {ov[j]:.3f} <= 0.5 at omega_c = {omega_c} MHz; ansatz too far from exact")
-    exact = np.zeros_like(state.vector)
-    exact[idx] = es.eigenvectors[:, j]
-    return exact
+    return es.eigenvectors[:, j]
 
 
 def eigenstate_fidelity(state: PerturbativeEigenstate, params: SystemParams,
@@ -151,16 +142,16 @@ def residual_norm(state: PerturbativeEigenstate, params: SystemParams, omega_c: 
     """|Hu v - lambda v| / |v| with lambda the perturbative eigenvalue
     delta_ad (n_al - n_ar) + anharmonic offset + E_{n_al,n_ar}(photon).
 
-    v has no weight outside its (n_al, n_ar) qubit sector, which Hu maps to
-    itself, so this is |H_b v_b - lambda v_b| / |v| on that sector's block."""
+    v is a block vector of the (n_al, n_ar) qubit sector, which Hu maps to
+    itself, so H_b v on that sector's block is all of Hu v."""
     _, photon = steady_state(params, omega_c)
     n_al, n_ar = state.n_al, state.n_ar
     lam = (params.delta_ad * (n_al - n_ar)
            + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
            + effective_spectrum(params, n_al, n_ar, photon))
-    v = state.vector[sector_indices(params, n_al, n_ar)]
+    v = state.vector
     hb = sector_generator(params, n_al, n_ar, omega_c)
-    return float(np.linalg.norm(hb @ v - lam * v) / np.linalg.norm(state.vector))
+    return float(np.linalg.norm(hb @ v - lam * v) / np.linalg.norm(v))
 
 
 def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int] = (1, 0),

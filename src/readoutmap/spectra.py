@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import AccuracyError, basis_index, sector_generator, sector_indices
+from .liouville import AccuracyError, sector_generator
 from .model import SystemParams, write_csv
 from .response import steady_state
 
@@ -38,7 +38,10 @@ class EigenSet:
 
 @dataclass(frozen=True)
 class CoherenceTrack:
-    """|1><0| coherence eigenvalue followed over a drive-amplitude grid."""
+    """|1><0| coherence eigenvalue followed over a drive-amplitude grid.
+
+    vectors are unit eigenvectors of the (1, 0) sector block, ordered
+    (n_cl, n_cr) row-major like liouville.sector_generator."""
 
     omega_c: np.ndarray
     eigenvalues: np.ndarray
@@ -64,55 +67,45 @@ def eigendecompose(op: np.ndarray) -> EigenSet:
     return EigenSet(eigenvalues=w, eigenvectors=v, residuals=residuals)
 
 
-def coherence_seed(params: SystemParams) -> tuple[np.ndarray, complex]:
-    """Exact zero-drive eigenpair for the |1_al, 0_cl, 0_ar, 0_cr> coherence."""
-    dim = (params.n_a * params.n_c) ** 2
-    v = np.zeros(dim, dtype=complex)
-    v[basis_index(params, 1, 0, 0, 0)] = 1.0
-    return v, complex(params.delta_ad)
-
-
 def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> CoherenceTrack:
     """Follow the coherence eigenvalue along the drive grid by max overlap.
 
     Only the (1, 0) qubit sector of Hu is built (liouville.sector_generator)
     and diagonalized: Hu conserves n_al and n_ar, so the |1><0| eigenvector
     has no weight outside that block, and the continuation cannot jump to
-    another sector. The selected block eigenvector is embedded back into the
-    full doubled space (zeros elsewhere).
+    another sector. Every vector stays in that block's basis.
 
     The grid must start at omega_c = 0, where the eigenvector is the exact
-    basis state. Each diagonalization is independent (parallel across the
-    grid); the overlap selection is a sequential pass afterwards.
+    basis state |0_cl, 0_cr> (block entry 0) with eigenvalue delta_ad. The
+    diagonalizations are independent and run on n_workers (>= 1) threads;
+    the overlap selection is a sequential pass afterwards.
     """
     grid = np.asarray(omega_c_grid, dtype=float)
     if grid.size == 0 or grid[0] != 0.0:
         raise ValueError("omega_c grid must start at 0")
-    idx = sector_indices(params, 1, 0)
+    if n_workers < 1:
+        raise ValueError(f"n_workers = {n_workers} must be >= 1")
 
     def diag(omega):
         return eigendecompose(sector_generator(params, 1, 0, omega))
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            eigsets = list(pool.map(diag, grid[1:]))
-    else:
-        eigsets = [diag(w) for w in grid[1:]]
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        eigsets = list(pool.map(diag, grid[1:]))
 
-    v_seed, e0 = coherence_seed(params)
-    eigenvalues = [e0]
+    seed = np.zeros(params.n_c ** 2, dtype=complex)
+    seed[0] = 1.0
+    eigenvalues = [complex(params.delta_ad)]
     overlaps = [1.0]
-    vectors = [v_seed]
+    vectors = [seed]
     for omega, es in zip(grid[1:], eigsets):
-        ov = np.abs(vectors[-1][idx].conj() @ es.eigenvectors)
+        ov = np.abs(vectors[-1].conj() @ es.eigenvectors)
         j = int(np.argmax(ov))
         if ov[j] <= 0.5:
             raise TrackingLostError(
                 f"overlap {ov[j]:.3f} <= 0.5 at omega_c = {omega} MHz; refine the grid")
         eigenvalues.append(complex(es.eigenvalues[j]))
         overlaps.append(float(ov[j]))
-        vectors.append(np.zeros_like(v_seed))
-        vectors[-1][idx] = es.eigenvectors[:, j]
+        vectors.append(es.eigenvectors[:, j].copy())  # a view would keep the whole matrix
 
     photons = np.array([steady_state(params, w)[1] for w in grid])
     return CoherenceTrack(omega_c=grid, eigenvalues=np.asarray(eigenvalues),

@@ -302,6 +302,15 @@ def test_csv_format_contract(tmp_path, command):
     ("propagate", "propagate", "propagate", "sample_every", 0, "sample_every"),
     ("propagate", "propagate", "propagate", "sample_every", -3, "sample_every"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [], "omega_c grid"),
+    ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [[0.0, 1.0]],
+     "omega_c grid"),
+    ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [[0.0], 1.0],
+     "omega_c grid"),
+    ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_max_mhz", 20.1,
+     "omega_c_max_mhz"),
+    ("spectrum-grid", "spectrum_grid", "spectrum_grid", "levels", 0, "levels"),
+    ("spectrum-grid", "spectrum_grid", "spectrum_grid", "levels", -2, "levels"),
+    ("transient", "transient_flattop", "transient", "levels", [[-1, 0]], "levels"),
 ])
 def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section, key, value,
                                       names):
@@ -316,6 +325,19 @@ def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section
     errors = [ln for ln in lines if ln.startswith("error: ")]
     assert len(errors) == 1 and names in errors[0]
     assert not any("Traceback" in ln for ln in lines)
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_benchmark_eig_needs_a_worker_thread(tmp_path, capsys, threads):
+    cfg = write_config(tmp_path, "c.json", {**BASE, "benchmark_eig": {"omega_c_grid_mhz": [0.0]}})
+    rc = main(["benchmark-eig", "--config", cfg, "--out", str(tmp_path / "o.csv"),
+               "--threads", str(threads)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [ln for ln in lines if ln.startswith("error: ")] == \
+        [f"error: n_workers = {threads} must be >= 1"]
+    assert not any("Traceback" in ln for ln in lines)
+    assert not (tmp_path / "o.csv").exists()
 
 
 # SHA-256 of shipped products that run element-wise float arithmetic only (no

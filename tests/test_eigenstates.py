@@ -4,9 +4,10 @@ import pytest
 from readoutmap.effective import effective_spectrum
 from readoutmap.eigenstates import (coherent_amplitudes, eigenstate_fidelity,
                                     perturbative_eigenstate, residual_norm, write_fidelity_csv)
-from readoutmap.liouville import build_extended_hamiltonian, destroy
+from readoutmap.liouville import build_extended_hamiltonian, destroy, sector_indices
 from readoutmap.model import SystemParams, detuning_l
 from readoutmap.response import steady_state
+from readoutmap.spectra import eigendecompose
 
 SMALL = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 8)
 
@@ -30,7 +31,7 @@ def test_ground_pair_is_pure_coherent_product():
     # zero drive: bare Fock basis state
     bare = perturbative_eigenstate((1, 0), SMALL, 0.0, 2)
     expect = np.zeros(bare.vector.size)
-    expect[((1 * SMALL.n_c + 0) * SMALL.n_a + 0) * SMALL.n_c + 0] = 1.0
+    expect[0] = 1.0  # |0_cl, 0_cr> of the (1, 0) block
     assert np.max(np.abs(bare.vector - expect)) == 0.0
 
 
@@ -42,12 +43,10 @@ def test_first_order_correction_structure():
     n_c = SMALL.n_c
     rl = coherent_amplitudes(eta, n_c)
     rr = coherent_amplitudes(np.conj(eta), n_c)
-    ql = np.array([0.0, 1.0])
-    qr = np.array([1.0, 0.0])
-    base = np.kron(ql, np.kron(rl, np.kron(qr, rr)))
+    base = np.kron(rl, rr)
     disp = destroy(n_c).conj().T - np.conj(eta) * np.eye(n_c)
     coeff = -2.0 * SMALL.chi_ac * eta / detuning_l(SMALL, 1)
-    raw = base + coeff * np.kron(ql, np.kron(disp @ rl, np.kron(qr, rr)))
+    raw = base + coeff * np.kron(disp @ rl, rr)
     raw /= np.linalg.norm(raw)
     assert np.max(np.abs(s1.vector - raw)) < 1e-14
     assert np.max(np.abs(s0.vector - base / np.linalg.norm(base))) < 1e-14
@@ -105,7 +104,8 @@ def full_matvec_residual(state, params, omega_c):
     lam = (params.delta_ad * (n_al - n_ar)
            + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
            + effective_spectrum(params, n_al, n_ar, photon))
-    v = state.vector
+    v = np.zeros(hu.shape[0], dtype=complex)
+    v[sector_indices(params, n_al, n_ar)] = state.vector
     return float(np.linalg.norm(hu @ v - lam * v) / np.linalg.norm(v))
 
 
@@ -117,6 +117,26 @@ def test_residual_on_the_sector_block_matches_full_matvec(labels):
             state = perturbative_eigenstate(labels, SMALL, eta_ss, order)
             ref = full_matvec_residual(state, SMALL, omega)
             assert abs(residual_norm(state, SMALL, omega) - ref) <= 1e-12 * ref
+
+
+def full_space_infidelity(state, params, omega_c):
+    """1 - |<pert|exact>|^2 with the eigenvector of the full doubled-space
+    generator that overlaps the embedded ansatz most (reference)."""
+    v = np.zeros((params.n_a * params.n_c) ** 2, dtype=complex)
+    v[sector_indices(params, state.n_al, state.n_ar)] = state.vector
+    es = eigendecompose(build_extended_hamiltonian(params, omega_c))
+    exact = es.eigenvectors[:, int(np.argmax(np.abs(v.conj() @ es.eigenvectors)))]
+    return float(1.0 - abs(np.vdot(v, exact)) ** 2)
+
+
+@pytest.mark.parametrize("labels", [(1, 0), (1, 1), (0, 0)])
+def test_fidelity_on_the_sector_block_matches_full_space(labels):
+    for omega in (0.7, 2.0):
+        eta_ss, _ = steady_state(SMALL, omega)
+        for order in (0, 1, 2):
+            state = perturbative_eigenstate(labels, SMALL, eta_ss, order)
+            ref = full_space_infidelity(state, SMALL, omega)
+            assert abs(eigenstate_fidelity(state, SMALL, omega) - ref) <= 1e-14
 
 
 def test_double_excited_state_residual_only():

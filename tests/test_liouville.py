@@ -374,6 +374,23 @@ def test_product_paths_never_build_the_full_generator(monkeypatch):
         assert res.max_trace_drift < 1e-9
 
 
+def test_eigenvectors_never_use_the_doubled_layout(monkeypatch):
+    # tracking and the fidelity sweep keep every vector in its qubit-sector
+    # block; propagate, which embeds its samples in the full doubled vector,
+    # is the one product path that needs the layout
+    def layout(*args, **kwargs):
+        raise AssertionError("doubled-basis layout used")
+
+    for module in (liouville, spectra, eigenstates):
+        for name in ("basis_index", "sector_indices"):
+            monkeypatch.setattr(module, name, layout, raising=False)
+    p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 6)
+    track = spectra.track_coherence(p, [0.0, 0.5, 1.0])
+    assert [v.shape for v in track.vectors] == [(p.n_c ** 2,)] * 3
+    rows = eigenstates.fidelity_sweep(p, [0.5, 1.0])
+    assert len(rows) == 6
+
+
 def test_qubit_coherence_partial_trace():
     n_a, n_c = 2, 3
     rho = np.zeros((6, 6), dtype=complex)

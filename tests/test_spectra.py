@@ -9,8 +9,8 @@ from readoutmap.effective import effective_spectrum, rates
 from readoutmap.liouville import (basis_index, build_extended_hamiltonian, sector_generator,
                                   sector_indices)
 from readoutmap.model import SystemParams
-from readoutmap.spectra import (TrackingLostError, coherence_seed, eigendecompose, extract_rates,
-                                track_coherence, write_track_csv)
+from readoutmap.spectra import (TrackingLostError, eigendecompose, extract_rates, track_coherence,
+                                write_track_csv)
 from conftest import BENCH, PHOTON_TARGETS, omega_for_photon
 
 
@@ -103,8 +103,9 @@ def full_space_track(params, grid):
     """Overlap continuation over eigensolves of the whole doubled-space
     generator (reference for the sector-block tracking): eigenvalues and
     unit eigenvectors along the grid."""
-    v_prev, e0 = coherence_seed(params)
-    eigenvalues, vectors = [e0], [v_prev]
+    v_prev = np.zeros((params.n_a * params.n_c) ** 2, dtype=complex)
+    v_prev[basis_index(params, 1, 0, 0, 0)] = 1.0
+    eigenvalues, vectors = [complex(params.delta_ad)], [v_prev]
     for omega in grid[1:]:
         es = eigendecompose(build_extended_hamiltonian(params, omega))
         ov = np.abs(v_prev.conj() @ es.eigenvectors)
@@ -121,8 +122,9 @@ def test_sector_tracking_matches_full_space_tracking(bench_track):
     picks = [0] + [1 + PHOTON_TARGETS.index(n) for n in (0.5, 2.3, 4.0)]
     eigenvalues, vectors = full_space_track(BENCH, track.omega_c[picks])
     assert np.max(np.abs(eigenvalues - track.eigenvalues[picks])) <= 1e-9
+    idx = sector_indices(BENCH, 1, 0)
     for i, v in zip(picks, vectors):
-        assert abs(abs(np.vdot(v, track.vectors[i])) - 1.0) <= 1e-9
+        assert abs(abs(np.vdot(v[idx], track.vectors[i])) - 1.0) <= 1e-9
 
 
 def closed_form_coherence_eigenvalue(p: SystemParams, omega: float) -> complex:
@@ -166,8 +168,8 @@ def test_track_zero_drive_is_exact():
     track = track_coherence(p, [0.0])
     assert track.eigenvalues[0] == p.delta_ad + 0.0j
     assert track.overlaps[0] == 1.0
-    idx = basis_index(p, 1, 0, 0, 0)
-    assert track.vectors[0][idx] == 1.0
+    assert track.vectors[0].shape == (p.n_c ** 2,)
+    assert track.vectors[0][0] == 1.0  # |0_cl, 0_cr> of the (1, 0) block
 
 
 def test_tracking_lost_on_absurd_jump():
@@ -199,15 +201,12 @@ def test_low_power_ratio_approaches_one(bench_track):
     assert abs(ratios[0] - 1.0) <= abs(ratios[-1] - 1.0)
 
 
-def embed_doubled_vector(vec, params_from, params_to):
-    out = np.zeros((params_to.n_a * params_to.n_c) ** 2, dtype=complex)
-    for n_al in range(params_from.n_a):
-        for n_cl in range(params_from.n_c):
-            for n_ar in range(params_from.n_a):
-                for n_cr in range(params_from.n_c):
-                    out[basis_index(params_to, n_al, n_cl, n_ar, n_cr)] = \
-                        vec[basis_index(params_from, n_al, n_cl, n_ar, n_cr)]
-    return out
+def pad_block_vector(vec, n_from, n_to):
+    """Sector-block vector over (n_cl, n_cr) at n_from resonator levels,
+    zero-padded to n_to levels."""
+    out = np.zeros((n_to, n_to), dtype=complex)
+    out[:n_from, :n_from] = vec.reshape(n_from, n_from)
+    return out.ravel()
 
 
 def test_truncation_convergence_of_tracked_eigenvalue(bench_track):
@@ -225,9 +224,9 @@ def test_truncation_convergence_of_tracked_eigenvalue(bench_track):
     for n_c in (16, 18):
         wide = SystemParams(BENCH.delta_ad, BENCH.delta_cd, BENCH.alpha_a, BENCH.chi_ac,
                             BENCH.kappa_c, BENCH.n_a, n_c)
-        embedded = embed_doubled_vector(vec, prev_params, wide)
-        es = eigendecompose(build_extended_hamiltonian(wide, omega_top))
-        j = int(np.argmax(np.abs(embedded.conj() @ es.eigenvectors)))
+        padded = pad_block_vector(vec, prev_params.n_c, n_c)
+        es = eigendecompose(sector_generator(wide, 1, 0, omega_top))
+        j = int(np.argmax(np.abs(padded.conj() @ es.eigenvectors)))
         moves.append(abs(es.eigenvalues[j] - prev_eig))
         vec, prev_params, prev_eig = es.eigenvectors[:, j], wide, es.eigenvalues[j]
     assert moves[0] < 5e-3
