@@ -171,12 +171,12 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
 
     # effective-map coherence on the same output grid; the response step must
     # divide the propagation step so the grids line up exactly (an undriven,
-    # undamped, resonant resonator has no step bound: eta stays 0)
+    # undamped, resonant resonator has no step bound: eta stays 0). eta is
+    # solved at the written samples only.
     dt_max = response.max_stable_dt(p, pulse)
     dt_eta = dt / np.ceil(dt / dt_max) if np.isfinite(dt_max) else dt
-    eta = response._eta_samples(p, pulse, t_end, dt_eta)
     idx = np.rint(np.asarray(result.times) / dt_eta).astype(int)
-    photon = np.abs(eta[idx]) ** 2
+    photon = np.abs(response.eta_at(p, pulse, t_end, dt_eta, idx)) ** 2
     rho_t = effective.effective_map_apply(liouville.qubit_block(state0), p, photon,
                                           np.asarray(result.times))
     full = [abs(liouville.qubit_coherence(s)) for s in result.states]

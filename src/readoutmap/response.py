@@ -8,12 +8,12 @@ package units, time in ns, rates in cyclic MHz)
 
 with eta(0) = 0. A fixed-step classic RK4 on a uniform grid is used so that
 downstream correlation integrals stay grid-aligned; it is evaluated as its
-one-step recurrence by one banded solve (`_rk4_linear`, shared with the
-transient correlation integrals). That solve is the package's only use of
-scipy, imported on its first call so that importing the package loads numpy
-alone. Derivatives are obtained from the ODE itself (differentiating it once
-and twice) rather than from the samples, which keeps the adiabatic derivative
-expansion noise-free.
+one-step recurrence u[k+1] = r*u[k] + g[k] by a blocked numpy scan
+(`_rk4_linear`, shared with the transient correlation integrals). Where only a
+few samples of a long grid are wanted, `eta_at` advances the same recurrence
+from sample to sample, one interval at a time. Derivatives are obtained from
+the ODE itself (differentiating it once and twice) rather than from the
+samples, which keeps the adiabatic derivative expansion noise-free.
 """
 
 from __future__ import annotations
@@ -74,39 +74,73 @@ def max_stable_dt(params: SystemParams, pulse: PulseSpec) -> float:
     return 0.05 / (RAD_PER_MHZ_NS * fastest)
 
 
-def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: complex) -> np.ndarray:
-    """Classic RK4 for du/dt = mu*u + f(t) from u[0] = z0 on a uniform grid.
+_BLOCK = 64  # steps per block of the scan in _rk4_linear
+
+
+def _rk4_factor(mu: complex, h: float) -> complex:
+    """r = 1 + a + a^2/2 + a^3/6 + a^4/24 with a = h*mu: see _rk4_recurrence."""
+    a = h * mu
+    return 1.0 + a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
+
+
+def _rk4_recurrence(mu: complex, f: np.ndarray, fm: np.ndarray,
+                    h: float) -> tuple[complex, np.ndarray]:
+    """Classic RK4 for du/dt = mu*u + f as u[k+1] = r*u[k] + g[k]; returns r and g.
 
     f holds the forcing at the N grid points, fm at the N-1 interval midpoints;
     h is the signed step. With a = h*mu, one RK4 step is exactly
 
-        u[k+1] = R*u[k] + g[k],  R = 1 + a + a^2/2 + a^3/6 + a^4/24,
-        g[k] = (h/6) [(1 + a + a^2/2 + a^3/4) f[k] + (4 + 2a + a^2/2) fm[k] + f[k+1]],
-
-    so the trajectory is one unit lower-bidiagonal banded solve. LAPACK ztbtrs
-    runs it as plain forward substitution, i.e. that recurrence; a pivoting
-    band LU (solve_banded) would reorder the arithmetic.
+        r    = 1 + a + a^2/2 + a^3/6 + a^4/24,
+        g[k] = (h/6) [(1 + a + a^2/2 + a^3/4) f[k] + (4 + 2a + a^2/2) fm[k] + f[k+1]].
     """
-    from scipy.linalg.lapack import ztbtrs
-
     a = h * mu
-    r = 1.0 + a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
-    rhs = np.empty(f.size, dtype=complex)
-    rhs[0] = z0
-    g = rhs[1:]
-    np.multiply(1.0 + a * (1.0 + a * (0.5 + 0.25 * a)), f[:-1], out=g)
+    g = (1.0 + a * (1.0 + a * (0.5 + 0.25 * a))) * f[:-1]
     g += (4.0 + a * (2.0 + 0.5 * a)) * fm
     g += f[1:]
     g *= h / 6.0
-    ab = np.empty((2, f.size), dtype=complex, order="F")  # LAPACK band storage
-    ab[0] = 1.0
-    ab[1] = -r
-    u, _ = ztbtrs(ab, rhs[:, None], uplo="L", diag="U", overwrite_b=True)
-    return u[:, 0]
+    return _rk4_factor(mu, h), g
 
 
-def _eta_samples(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> np.ndarray:
-    """eta on the grid k*dt, k = 0..round(t_end/dt): the RK4 trajectory alone."""
+def _powers(r: complex, n: int) -> np.ndarray:
+    """r^0 .. r^n, each by one more multiplication, as the recurrence applies them."""
+    pw = np.empty(n + 1, dtype=complex)
+    pw[0] = 1.0
+    np.cumprod(np.full(n, r), out=pw[1:])
+    return pw
+
+
+def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: complex) -> np.ndarray:
+    """Classic RK4 for du/dt = mu*u + f(t) from u[0] = z0 on a uniform grid.
+
+    The trajectory is the recurrence u[k+1] = r*u[k] + g[k] of
+    `_rk4_recurrence`, scanned in blocks of B steps. Inside a block that
+    starts from the carry c, u[i+1] = r^(i+1) c + sum_{j<=i} r^(i-j) g[j]:
+    one product with the lower-triangular Toeplitz matrix of the powers of r
+    for all blocks at once. The block-end carries c <- r^B c + (block end)
+    follow in one scalar loop. Nothing is pivoted, so the result is the
+    recurrence to rounding.
+    """
+    r, g = _rk4_recurrence(mu, f, fm, h)
+    n = g.size
+    nb = -(-n // _BLOCK)
+    pw = _powers(r, _BLOCK)
+    toeplitz = np.tril(pw[np.abs(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)))])
+    g_blocks = np.zeros((nb, _BLOCK), dtype=complex)
+    g_blocks.reshape(-1)[:n] = g
+    u = np.empty(nb * _BLOCK + 1, dtype=complex)
+    u[0] = z0
+    blocks = u[1:].reshape(nb, _BLOCK)
+    np.matmul(g_blocks, toeplitz.T, out=blocks)
+    carry, c, r_block = [], complex(z0), complex(pw[-1])
+    for end in blocks[:, -1].tolist():
+        carry.append(c)
+        c = r_block * c + end
+    blocks += np.array(carry, dtype=complex)[:, None] * pw[1:]
+    return u[:n + 1]
+
+
+def _grid_steps(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> int:
+    """Number of RK4 steps on [0, t_end]; ValueError for a bad or unstable grid."""
     if not dt > 0.0:
         raise ValueError(f"step size dt = {dt} ns must be > 0")
     if not t_end >= 0.0:
@@ -114,10 +148,44 @@ def _eta_samples(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
     dt_max = max_stable_dt(params, pulse)
     if dt > dt_max:
         raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns")
-    n_steps = int(round(t_end / dt))
-    half_grid = np.arange(2 * n_steps + 1) * (dt / 2.0)
+    return int(round(t_end / dt))
+
+
+def _drive(pulse: PulseSpec, start: int, stop: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Drive term of the ODE at the grid points start..stop and their midpoints."""
+    half_grid = np.arange(2 * start, 2 * stop + 1) * (dt / 2.0)
     dr = -1.0j * np.pi * 1.0e-3 * pulse.omega_c * sg_envelope(half_grid, pulse)
-    return _rk4_linear(-_decay_rate_per_ns(params), dr[0::2], dr[1::2], dt, 0.0)
+    return dr[0::2], dr[1::2]
+
+
+def eta_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
+           indices) -> np.ndarray:
+    """eta of the RK4 trajectory on the grid k*dt, k = 0..round(t_end/dt), at
+    the grid points k = indices (non-decreasing) only.
+
+    The recurrence is advanced from one index to the next, one interval at a
+    time: the drive is evaluated on that interval alone and n steps are
+    applied as u <- r^n u + sum_j r^(n-1-j) g[j]. Memory is O(largest
+    interval), not O(grid). Raises the ValueErrors of solve_eta, and for
+    indices off the grid or out of order.
+    """
+    n_steps = _grid_steps(params, pulse, t_end, dt)
+    idx = np.asarray(indices, dtype=int).reshape(-1)
+    gaps = np.diff(idx, prepend=0)
+    if np.any(gaps < 0) or (idx.size and idx[-1] > n_steps):
+        raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")
+    mu = -_decay_rate_per_ns(params)
+    pw = _powers(_rk4_factor(mu, dt), int(gaps.max(initial=0)))
+    out = np.empty(idx.size, dtype=complex)
+    u, k = 0.0j, 0
+    for i, stop in enumerate(idx.tolist()):
+        if stop > k:
+            _, g = _rk4_recurrence(mu, *_drive(pulse, k, stop, dt), dt)
+            n = stop - k
+            u = pw[n] * u + np.dot(pw[n - 1::-1], g)
+            k = stop
+        out[i] = u
+    return out
 
 
 def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> ResonatorTrajectory:
@@ -130,8 +198,9 @@ def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -
     Raises ValueError when dt is not positive, t_end is negative, or dt
     violates the stability/accuracy bound.
     """
-    eta = _eta_samples(params, pulse, t_end, dt)
+    n_steps = _grid_steps(params, pulse, t_end, dt)
     beta = _decay_rate_per_ns(params)
+    eta = _rk4_linear(-beta, *_drive(pulse, 0, n_steps, dt), dt, 0.0)
     drive = -1.0j * np.pi * 1.0e-3 * pulse.omega_c
     times = np.arange(eta.size) * dt
     env = sg_envelope(times, pulse)

@@ -5,9 +5,9 @@ B_lr/C_lr are indefinite (particular-solution) integrals of the resonator
 response against dressed-detuning phase kernels. Each one reduces to scalar
 auxiliary states u obeying du/dt = mu*u + f(t) with complex mu = +-i*w, where
 w is a dressed detuning in rad/ns. Each is integrated by classic RK4, evaluated
-as its one-step recurrence by one banded solve (`response._rk4_linear`, shared
-with the resonator response). |Re(mu)| is half the resonator linewidth and its
-sign sets the direction, so kappa_c must be positive:
+as its one-step recurrence by a blocked numpy scan (`response._rk4_linear`,
+shared with the resonator response). |Re(mu)| is half the resonator linewidth
+and its sign sets the direction, so kappa_c must be positive:
 
   * Re(mu) < 0 (decaying kernel): the particular solution is the causal one;
     integrate forward from u(0) = 0. The pulse starts from eta(0) = 0,

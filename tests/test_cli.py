@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -136,6 +137,38 @@ def test_propagate_small(tmp_path):
     assert abs(full_end / eff_end - 1.0) < 0.05
 
 
+def test_propagate_memory_is_flat_in_the_response_grid(tmp_path):
+    # 1.2 M response steps: eta is solved at the 601 written samples only, so
+    # no array of the grid's length (16 bytes a step) is ever allocated
+    cfg = write_config(tmp_path, "c.json", {
+        "delta_ad_mhz": 0.0, "delta_cd_mhz": -10.0, "alpha_a_mhz": 0.0,
+        "chi_ac_mhz": -1.5, "kappa_c_mhz": 8.0, "n_a": 2, "n_c": 3,
+        "pulse": {"kind": "constant", "omega_c_mhz": 1.0},
+        "propagate": {"dt_ns": 0.02, "t_end_ns": 24000.0, "sample_every": 2000}})
+    out = tmp_path / "prop.csv"
+    tracemalloc.start()
+    try:
+        assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_rows(out)) == 601
+    assert peak < 16 * 1_200_001 / 4
+
+
+def test_transient_levels_above_n_a_are_a_result(tmp_path):
+    # the closed form does not depend on n_a: a level at or above the model's
+    # qubit levels is computed, not rejected, with the same bytes for any n_a
+    products = []
+    for n_a in (2, 3):
+        cfg = write_config(tmp_path, f"c{n_a}.json", {
+            **BASE, "n_a": n_a, "transient": {"dt_ns": 0.5, "t_end_ns": 200.0, "levels": [[2, 0]]}})
+        out = tmp_path / f"t{n_a}.csv"
+        assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
+        products.append(out.read_bytes())
+    assert products[0] == products[1]
+
+
 def test_compare_gambetta(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         **BASE, "chi_ac_mhz": -2.0,
@@ -234,24 +267,24 @@ def scipy_modules():
 cfg, out = sys.argv[1], sys.argv[2]
 loaded = {"import": scipy_modules()}
 for command, extra in (("rates-sweep", []), ("spectrum-grid", []), ("compare-gambetta", []),
-                       ("benchmark-eig", ["--threads", "2"])):
+                       ("benchmark-eig", ["--threads", "2"]), ("transient", []),
+                       ("propagate", []), ("validate", [])):
     assert cli.main([command, "--config", cfg, "--out", out] + extra) == 0
     loaded[command] = scipy_modules()
-assert cli.main(["transient", "--config", cfg, "--out", out]) == 0
-loaded["transient"] = "scipy.linalg" in sys.modules
 print(json.dumps(loaded))
 """
 
 
 def test_startup_and_eigensolves_load_no_scipy(tmp_path):
-    # scipy is loaded on first use by the banded RK4 solve, and only there
+    # the package runs on numpy alone: no subcommand loads any scipy module
     cfg = write_config(tmp_path, "c.json", {
         **BASE,
         "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 5},
         "spectrum_grid": {"photon": 1.0, "levels": 3},
         "compare_gambetta": {"delta_cd_start_mhz": -12.0, "delta_cd_stop_mhz": 8.0, "points": 5},
         "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0]},
-        "transient": {"dt_ns": 0.5, "t_end_ns": 200.0}})
+        "transient": {"dt_ns": 0.5, "t_end_ns": 200.0},
+        "propagate": {"dt_ns": 0.05, "t_end_ns": 200.0, "sample_every": 400}})
     src = os.path.dirname(os.path.dirname(readoutmap.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, cfg, str(tmp_path / "o.csv")],
@@ -259,7 +292,8 @@ def test_startup_and_eigensolves_load_no_scipy(tmp_path):
     loaded = json.loads(proc.stdout)
     for stage in ("import", "rates-sweep", "spectrum-grid", "compare-gambetta", "benchmark-eig"):
         assert loaded[stage] == [], stage
-    assert loaded["transient"] is True
+    for stage in ("transient", "propagate", "validate"):
+        assert loaded[stage] == [], stage
 
 
 FORMAT_SECTIONS = {

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readoutmap.model import PulseSpec, SystemParams
-from readoutmap.response import _rk4_linear, max_stable_dt, solve_eta, steady_state
+from readoutmap.response import _rk4_linear, eta_at, max_stable_dt, solve_eta, steady_state
 
 P = SystemParams(delta_ad=0.0, delta_cd=-5.0, alpha_a=0.0, chi_ac=-1.0, kappa_c=1.0,
                  n_a=2, n_c=14)
@@ -42,6 +42,9 @@ def rk4_reference(mu, f, fm, h, z0):
        seed=st.integers(0, 2**32 - 1))
 @example(n=1, h=0.1, h_sign=1.0, a_abs=0.05, a_phase=0.0, seed=0)
 @example(n=2000, h=0.1, h_sign=-1.0, a_abs=0.05, a_phase=3.0, seed=1)
+# long grids, so the block-end carry crosses many block boundaries
+@example(n=5000, h=0.1, h_sign=1.0, a_abs=0.05, a_phase=0.0, seed=2)     # growing kernel
+@example(n=5000, h=0.1, h_sign=1.0, a_abs=0.05, a_phase=np.pi, seed=3)   # decaying kernel
 def test_rk4_linear_matches_stepwise_reference(n, h, h_sign, a_abs, a_phase, seed):
     rng = np.random.default_rng(seed)
     h = h_sign * h
@@ -53,6 +56,41 @@ def test_rk4_linear_matches_stepwise_reference(n, h, h_sign, a_abs, a_phase, see
     got = _rk4_linear(mu, f, fm, h, z0)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["constant", "square-gaussian"]),
+       omega_c=st.floats(0.5, 60.0),
+       delta_cd=st.floats(-20.0, 20.0),
+       kappa_c=st.floats(0.1, 10.0),
+       step_frac=st.floats(0.05, 1.0),    # response step as a fraction of its bound
+       m=st.integers(2, 6),               # response steps per propagate step
+       n=st.integers(1, 300),             # propagate steps
+       sample_every=st.integers(1, 320))
+@example(kind="square-gaussian", omega_c=50.0, delta_cd=-5.0, kappa_c=5.0, step_frac=1.0,
+         m=3, n=100, sample_every=7)      # partial last interval through both ramps
+def test_eta_at_matches_the_full_trajectory(kind, omega_c, delta_cd, kappa_c, step_frac, m, n,
+                                            sample_every):
+    p = SystemParams(0.0, delta_cd, 0.0, -1.0, kappa_c, 2, 4)
+    pulse = PulseSpec("constant", omega_c)
+    dt_eta = step_frac * max_stable_dt(p, pulse)
+    t_end = n * m * dt_eta
+    if kind == "square-gaussian":
+        # the pulse ends inside the grid, so the samples see ramps, top and tail
+        pulse = PulseSpec(kind, omega_c, tau_p=0.6 * t_end, tau_r=0.15 * t_end,
+                          sigma_r=0.075 * t_end)
+    # propagate's sample grid: every sample_every-th step, then the last one
+    idx = m * np.array(list(range(0, n, sample_every)) + [n])
+    full = solve_eta(p, pulse, t_end, dt_eta).eta
+    assert full.size == n * m + 1
+    got = eta_at(p, pulse, t_end, dt_eta, idx)
+    assert np.max(np.abs(got - full[idx])) <= 1e-12 * np.max(np.abs(full))
+
+
+@pytest.mark.parametrize("indices", [[0, 5, 3], [-1, 2], [0, 101]])
+def test_eta_at_rejects_indices_off_the_grid(indices):
+    with pytest.raises(ValueError, match="sample indices"):
+        eta_at(P, PulseSpec("constant", 7.0), t_end=10.0, dt=0.1, indices=indices)
 
 
 def test_one_point_grid():
