@@ -222,22 +222,61 @@ def _rk4_step_matrix(gen: np.ndarray, dt: float) -> np.ndarray:
     return m
 
 
+def _ramp_operands(gen_s: np.ndarray, gen_d: np.ndarray, dt: float
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Split the occupied static blocks gen_s (S, d, d) and the shared drive
+    block gen_d (d, d), both already in 1/ns, into the pieces the ramp step
+    uses: the per-sector diagonals times dt/2, as a (d, S) array, and the
+    shared real operand (dt/2) [jump | drive.imag], shape (d, 2d).
+
+    Every static block is its diagonal plus the jump term, which all sectors
+    share and which is real after the -2*pi*i rate; the drive block is
+    imaginary. Nothing of the blocks is dropped: ValueError when an occupied
+    block's off-diagonal part differs from the first one's, the jump part is
+    not real or the drive block not imaginary.
+    """
+    d = gen_d.shape[0]
+    diag = np.arange(d)
+    lam = gen_s[:, diag, diag]
+    off = gen_s.copy()
+    off[:, diag, diag] = 0.0
+    jump = off[0] if len(off) else np.zeros((d, d), dtype=complex)
+    if not np.array_equal(off, np.broadcast_to(jump, off.shape)):
+        raise ValueError("occupied sector blocks do not share one off-diagonal part")
+    if np.any(jump.imag != 0.0) or np.any(gen_d.real != 0.0):
+        raise ValueError("jump term not real or drive block not imaginary after the rate")
+    half = dt / 2.0
+    return half * lam.T, half * np.concatenate([jump.real, gen_d.imag], axis=1)
+
+
 def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
               t_end: float, dt: float, sample_every: int | None = None) -> PropagationResult:
     """RK4 propagation of the vectorized state under Hu(t).
 
     Hu conserves both qubit labels, so only the qubit sectors in which state0
-    has a nonzero entry are stepped, as one stack of sector_generator blocks;
-    the other sectors stay exactly 0. The drive block, the same in every
-    sector, is rescaled with the envelope at the three RK4 amplitudes of each
+    has a nonzero entry are stepped, from the sector_generator blocks; the
+    other sectors stay exactly 0. The drive block is the same in every sector
+    and is rescaled with the envelope at the three RK4 amplitudes of each
     step; those amplitudes are evaluated one sample interval at a time. A step
     whose three amplitudes are equal (a constant pulse, the flat top and the
     zero tail of a square-gaussian) is time-independent: maximal runs of such
     steps up to the next sample are applied as one power of the RK4 step
-    matrix, which is the same polynomial the stepwise loop applies. Samples
-    are embedded back into the full doubled vector.
+    matrix, which is the same polynomial the stepwise loop applies.
 
-    Raises ValueError when dt is not positive, sample_every is below 1, or dt
+    The other steps (the ramps) use how the blocks are made: after the
+    -2*pi*i rate each static block is its own diagonal plus the jump term
+    i*kappa_c*kron(d, d*), real and shared by every sector, and the drive
+    block is imaginary and shared too. A ramp run steps the occupied sectors
+    as the S columns of one (d, S) array: each RK4 stage is one real matmul of
+    the shared operand (dt/2) [jump | drive.imag] on the real view of
+    [v; i a v], plus the per-sector diagonal times v, written in place into
+    preallocated stage buffers. Samples are embedded back into the full
+    doubled vector.
+
+    Raises ValueError when dt is not positive, t_end is negative, sample_every
+    is below 1, state0.vec does not have (n_a n_c)^2 entries, an occupied
+    block's off-diagonal part is not the shared jump term (or the jump term is
+    not real, or the drive block not imaginary, after the rate), or dt
     violates the matrix-scale stability bound (the largest absolute row sum
     of Hu at the pulse amplitude, over all n_a^2 sectors whether occupied or
     not), and AccuracyError when the trace drifts by more than 1e-6 or the
@@ -246,8 +285,14 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     """
     if not dt > 0.0:
         raise ValueError(f"step size dt = {dt} ns must be > 0")
+    if not t_end >= 0.0:
+        raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every = {sample_every} must be >= 1")
+    size = (params.n_a * params.n_c) ** 2
+    if state0.vec.size != size:
+        raise ValueError(f"state0.vec has {state0.vec.size} entries; n_a = {params.n_a}, "
+                         f"n_c = {params.n_c} needs (n_a n_c)^2 = {size}")
     labels = [(n_al, n_ar) for n_al in range(params.n_a) for n_ar in range(params.n_a)]
     static = np.array([sector_generator(params, n_al, n_ar, 0.0) for n_al, n_ar in labels])
     drive = _drive_block(params.n_c)
@@ -272,8 +317,45 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     y = psi0[blocks][:, :, None]
     powers = {}  # (amplitude, run length) -> power of the RK4 step matrix
 
-    def rhs(a, v):
-        return gen_s @ v + a * (gen_d @ v)
+    # ramp step buffers: the stage input u in w[:d] and i*a*u in w[d:]; k1..k4
+    # receive the RK4 slopes times dt/2, tmp the diagonal term
+    lam, op = _ramp_operands(gen_s, gen_d, dt)
+    d = op.shape[0]
+    w = np.empty((2 * d, len(blocks)), dtype=complex)
+    u, iau, w_re = w[:d], w[d:], w.view(float)
+    slopes = np.empty((5, d, len(blocks)), dtype=complex)
+    k1, k2, k3, k4, tmp = slopes
+    k1_re, k2_re, k3_re, k4_re, _ = slopes.view(float)
+
+    def stage(a, out, out_re):
+        np.multiply(u, 1j * a, out=iau)
+        np.matmul(op, w_re, out=out_re)
+        np.multiply(lam, u, out=tmp)
+        out += tmp
+
+    def ramp(y, amp):
+        """RK4 steps with half-step amplitudes amp (2 n + 1 floats) on the
+        (S, d, 1) stack y, in the (d, S) layout."""
+        v = y[:, :, 0].T.copy()
+        for j in range(0, len(amp) - 1, 2):
+            a0, a1, a2 = amp[j:j + 3]
+            u[...] = v
+            stage(a0, k1, k1_re)
+            np.add(v, k1, out=u)
+            stage(a1, k2, k2_re)
+            np.add(v, k2, out=u)
+            stage(a1, k3, k3_re)
+            np.add(v, k3, out=u)
+            np.add(u, k3, out=u)
+            stage(a2, k4, k4_re)
+            # v += (k1 + 2 (k2 + k3) + k4) / 3
+            np.add(k2, k3, out=k2)
+            np.multiply(k2, 2.0, out=k2)
+            np.add(k1, k4, out=k1)
+            np.add(k1, k2, out=k1)
+            np.divide(k1, 3.0, out=k1)
+            v += k1
+        return v.T[:, :, None]
 
     times = [0.0]
     states = [VectorizedState(vec=state0.vec.copy(), dims=state0.dims)]
@@ -287,20 +369,15 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
                                               pulse)
             flat = (amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2])
         i = k - start
+        # run length: up to the first step of the other kind or the next sample
+        n = int(np.argmin(np.append(flat[i:], not flat[i]) == flat[i]))
         if flat[i]:
-            # run length: up to the first non-constant step or the next sample
-            n = int(np.argmin(np.append(flat[i:], False)))
             a = float(amp[2 * i])
             if (a, n) not in powers:
                 powers[a, n] = np.linalg.matrix_power(_rk4_step_matrix(gen_s + a * gen_d, dt), n)
             y = powers[a, n] @ y
         else:
-            n = 1
-            k1 = rhs(amp[2 * i], y)
-            k2 = rhs(amp[2 * i + 1], y + dt / 2.0 * k1)
-            k3 = rhs(amp[2 * i + 1], y + dt / 2.0 * k2)
-            k4 = rhs(amp[2 * i + 2], y + dt * k3)
-            y = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            y = ramp(y, amp[2 * i:2 * (i + n) + 1].tolist())
         k += n
         if k == end:
             vec = np.zeros_like(psi0)
@@ -308,11 +385,12 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
             times.append(k * dt)
             states.append(VectorizedState(vec=vec, dims=state0.dims))
 
+    trace0 = np.trace(states[0].to_density_matrix())
     trace_drift = 0.0
     herm_drift = 0.0
     for st in states:
         rho = st.to_density_matrix()
-        trace_drift = max(trace_drift, abs(np.trace(rho) - np.trace(states[0].to_density_matrix())))
+        trace_drift = max(trace_drift, abs(np.trace(rho) - trace0))
         herm_drift = max(herm_drift, float(np.max(np.abs(rho - rho.conj().T))))
     if trace_drift > 1e-6:
         raise AccuracyError(f"trace drifted by {trace_drift:.3e} (> 1e-6); reduce dt")

@@ -257,7 +257,18 @@ def test_propagate_time_dependent_pulse_preserves_structure():
     assert abs(res.states[-1].trace() - 1.0) < 1e-8
 
 
-def test_propagate_hermiticity_gate(monkeypatch):
+# no flat top: every step of the 100 ns gate runs is a ramp step
+RAMPS_ONLY = PulseSpec("square-gaussian", 3.0, tau_p=100.0, tau_r=50.0, sigma_r=25.0)
+GATE_PULSES = [PulseSpec("constant", 0.0), RAMPS_ONLY]
+
+
+def test_gate_pulse_has_ramp_steps_only():
+    amp = sg_envelope(np.arange(2 * 2000 + 1) * 0.025, RAMPS_ONLY)
+    assert not np.any((amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2]))
+
+
+@pytest.mark.parametrize("pulse", GATE_PULSES, ids=["constant", "ramps"])
+def test_propagate_hermiticity_gate(monkeypatch, pulse):
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
 
     def skewed(params, n_al, n_ar, omega_c_value):
@@ -272,10 +283,11 @@ def test_propagate_hermiticity_gate(monkeypatch):
     plus[0] = plus[4] = 1.0 / np.sqrt(2.0)
     st = VectorizedState(vec=vectorize(np.outer(plus, plus.conj())), dims=(2, 4))
     with pytest.raises(AccuracyError, match="Hermiticity"):
-        propagate(st, p, PulseSpec("constant", 0.0), 100.0, 0.05)
+        propagate(st, p, pulse, 100.0, 0.05)
 
 
-def test_propagate_trace_gate(monkeypatch):
+@pytest.mark.parametrize("pulse", GATE_PULSES, ids=["constant", "ramps"])
+def test_propagate_trace_gate(monkeypatch, pulse):
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
 
     def skewed(params, n_al, n_ar, omega_c_value):
@@ -287,7 +299,27 @@ def test_propagate_trace_gate(monkeypatch):
 
     monkeypatch.setattr(liouville, "sector_generator", skewed)
     with pytest.raises(AccuracyError, match="trace"):
-        propagate(plus_state(p), p, PulseSpec("constant", 0.0), 100.0, 0.05)
+        propagate(plus_state(p), p, pulse, 100.0, 0.05)
+
+
+@pytest.mark.parametrize("skew_every_sector", [False, True])
+def test_propagate_rejects_blocks_outside_the_ramp_structure(monkeypatch, skew_every_sector):
+    p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
+
+    def skewed(params, n_al, n_ar, omega_c_value):
+        block = sector_generator(params, n_al, n_ar, omega_c_value)
+        if skew_every_sector:
+            # the same in every sector, but imaginary after the rate
+            block[0, 1] += 0.01
+        elif (n_al, n_ar) == (1, 0):
+            # off the diagonal of one occupied sector only
+            block[0, 1] += 0.01j
+        return block
+
+    monkeypatch.setattr(liouville, "sector_generator", skewed)
+    match = "not real" if skew_every_sector else "off-diagonal"
+    with pytest.raises(ValueError, match=match):
+        propagate(plus_state(p), p, RAMPS_ONLY, 100.0, 0.05)
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,6 +327,8 @@ def test_propagate_trace_gate(monkeypatch):
        dt=st.floats(0.05, 0.25), tail=st.floats(0.0, 10.0), sample_every=st.integers(1, 60))
 # 500 steps, 7 does not divide them, and samples every 0.7 ns land inside both ramps
 @example(tau_p=40.0, ramp=0.5, width=0.5, dt=0.1, tail=10.0, sample_every=7)
+# 2500 ramp steps (no plateau) and a zero tail: the in-place stage algebra over a long run
+@example(tau_p=50.0, ramp=1.0, width=0.5, dt=0.02, tail=2.0, sample_every=300)
 # one sample at the end only, after the zero tail
 @example(tau_p=20.0, ramp=1.0, width=1.0, dt=0.2, tail=3.0, sample_every=60)
 # no plateau, peak at the midpoint of the step [10, 10.25]: equal end amplitudes, a
@@ -308,13 +342,22 @@ def test_propagate_matches_dense_stepwise_reference(tau_p, ramp, width, dt, tail
                                    sample_every)
 
 
-def test_propagate_constant_pulse_leaves_empty_sectors_zero():
-    p = SystemParams(-3.0, -5.0, -2.0, -1.0, 2.0, 3, 3)
-    st0 = plus_state(p, resonator=1)  # qubit levels {0, 1}: 4 of the 9 sectors occupied
-    res = assert_matches_dense_reference(st0, p, PulseSpec("constant", 4.0), 60.0, 0.1, 45)
-    empty = np.concatenate([sector_indices(p, n_al, n_ar) for n_al in range(3)
-                            for n_ar in range(3) if 2 in (n_al, n_ar)])
-    assert empty.size == 5 * p.n_c ** 2
+@pytest.mark.parametrize("n_a, levels, pulse", [
+    (3, [0, 1], PulseSpec("constant", 4.0)),
+    (3, [0, 1], PulseSpec("square-gaussian", 4.0, tau_p=50.0, tau_r=15.0, sigma_r=7.5)),
+    (2, [0], PulseSpec("square-gaussian", 4.0, tau_p=50.0, tau_r=15.0, sigma_r=7.5)),
+], ids=["constant", "ramped", "one-sector"])
+def test_propagate_leaves_empty_sectors_zero(n_a, levels, pulse):
+    p = SystemParams(-3.0, -5.0, -2.0, -1.0, 2.0, n_a, 3)
+    # qubit levels `levels` in equal superposition, resonator in |1>: the
+    # occupied sectors are levels x levels (4 of 9, or the single (0, 0))
+    psi = np.zeros(n_a * p.n_c, dtype=complex)
+    psi[np.array(levels) * p.n_c + 1] = 1.0 / np.sqrt(len(levels))
+    st0 = VectorizedState(vec=vectorize(np.outer(psi, psi.conj())), dims=(n_a, p.n_c))
+    res = assert_matches_dense_reference(st0, p, pulse, 60.0, 0.1, 45)
+    empty = np.concatenate([sector_indices(p, n_al, n_ar) for n_al in range(n_a)
+                            for n_ar in range(n_a) if {n_al, n_ar} - set(levels)])
+    assert empty.size == (n_a ** 2 - len(levels) ** 2) * p.n_c ** 2
     assert all(np.all(st.vec[empty] == 0.0) for st in res.states)
 
 
@@ -327,6 +370,19 @@ def test_propagate_zero_state_stays_zero():
     assert all(np.all(st.vec == 0.0) for st in res.states)
     assert res.max_trace_drift == 0.0
     assert res.max_hermiticity_drift == 0.0
+
+
+def test_propagate_rejects_negative_end_time():
+    p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
+    with pytest.raises(ValueError, match="t_end"):
+        propagate(plus_state(p), p, PulseSpec("constant", 3.0), -5.0, 0.1)
+
+
+def test_propagate_rejects_a_state_of_the_wrong_size():
+    p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
+    small = plus_state(replace(p, n_c=3))
+    with pytest.raises(ValueError, match=r"36 entries.*\b64\b"):
+        propagate(small, p, PulseSpec("constant", 3.0), 10.0, 0.1)
 
 
 def test_propagate_step_bound():
