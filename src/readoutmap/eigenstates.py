@@ -8,17 +8,24 @@ with closed-form coefficients built from the dressed detunings. Coherent
 amplitudes are written analytically in the truncated Fock basis (never via
 matrix exponentials) to avoid truncation-induced norm loss.
 
-Validation is done at a steady-state snapshot under constant drive, where the
-exact eigenvectors of the static generator are available densely. Hu conserves
-n_al and n_ar, so a (n_al, n_ar) ansatz and its exact partner live in that one
-qubit sector: every vector here is a block vector over (n_cl, n_cr), the basis
-of that sector's n_c^2 x n_c^2 block (liouville.sector_generator), which is
-built, diagonalized and used for the residual.
+Under a constant drive the model (no resonator Kerr term) has an exact
+stationary eigenpair per qubit sector, the polaron picture of Gambetta et al.,
+PRA 77, 012112 (2008): the displaced product |n_al, alpha_l><n_ar, alpha_r|,
+each resonator copy in the steady state of its dressed detuning, with the
+closed-form eigenvalue of effective.effective_spectrum. In a truncated Fock
+basis it is exact up to truncation (closed_form_eigenpair).
+
+Validation is done at a steady-state snapshot under constant drive. Hu
+conserves n_al and n_ar, so a (n_al, n_ar) ansatz and its exact partner live
+in that one qubit sector: every vector here is a block vector over
+(n_cl, n_cr), the basis of that sector's n_c^2 x n_c^2 block
+(liouville.sector_generator). The exact partner is the block's eigenvector at
+the closed-form eigenvalue, solved for alone (spectra.eigenpair_near).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +33,7 @@ from .effective import effective_spectrum
 from .liouville import destroy, sector_generator
 from .model import SystemParams, detuning_l, detuning_r, write_csv
 from .response import steady_state
-from .spectra import TrackingLostError, eigendecompose
+from .spectra import eigenpair_near
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,27 @@ def coherent_amplitudes(eta: complex, n_c: int) -> np.ndarray:
         else np.concatenate(([1.0], np.zeros(n_c - 1)))
     phase = np.exp(1j * k * np.angle(eta)) if eta != 0 else np.ones(n_c)
     return mag * phase
+
+
+def closed_form_eigenpair(params: SystemParams, n_al: int, n_ar: int,
+                          omega_c: float) -> tuple[complex, np.ndarray]:
+    """Constant-drive eigenpair of the (n_al, n_ar) sector block in closed form.
+
+    The eigenvalue is delta_ad (n_al - n_ar) + alpha_a/2 (n_al(n_al-1) -
+    n_ar(n_ar-1)) + E_{n_al,n_ar}(photon). The unit block vector is
+    kron(coherent(alpha_l), conj(coherent(alpha_r))), alpha_k the steady-state
+    amplitude at the dressed detuning delta_cd + 2 chi_ac k. The pair is exact
+    for this model but for Fock truncation: its residual falls as n_c grows."""
+    _, photon = steady_state(params, omega_c)
+    value = (params.delta_ad * (n_al - n_ar)
+             + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
+             + effective_spectrum(params, n_al, n_ar, photon))
+    alpha_l, alpha_r = (
+        steady_state(replace(params, delta_cd=params.delta_cd + 2.0 * params.chi_ac * k),
+                     omega_c)[0] for k in (n_al, n_ar))
+    vec = np.kron(coherent_amplitudes(alpha_l, params.n_c),
+                  np.conj(coherent_amplitudes(alpha_r, params.n_c)))
+    return complex(value), vec / np.linalg.norm(vec)
 
 
 def perturbative_eigenstate(labels: tuple[int, int], params: SystemParams,
@@ -104,22 +132,18 @@ def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
                       omega_c: float) -> np.ndarray:
     """Exact eigenvector of the static generator matched to the ansatz.
 
-    Only the (state.n_al, state.n_ar) qubit sector of Hu is diagonalized: Hu
+    Only the (state.n_al, state.n_ar) qubit sector of Hu is solved: Hu
     conserves both qubit labels, so the ansatz and its exact partner have no
     weight outside that block. Returns the unit block eigenvector, in the
     basis of state.vector.
 
-    Selected by maximal overlap with the perturbative vector; in the validity
-    regime the branch is isolated, so this is the same selection rule as
-    overlap continuation from zero drive. Raises TrackingLostError when the
-    best overlap drops to 0.5."""
-    es = eigendecompose(sector_generator(params, state.n_al, state.n_ar, omega_c))
-    ov = np.abs(state.vector.conj() @ es.eigenvectors)
-    j = int(np.argmax(ov))
-    if ov[j] <= 0.5:
-        raise TrackingLostError(
-            f"overlap {ov[j]:.3f} <= 0.5 at omega_c = {omega_c} MHz; ansatz too far from exact")
-    return es.eigenvectors[:, j]
+    The partner is the block eigenpair nearest the closed-form eigenvalue, by
+    inverse iteration from the perturbative vector (spectra.eigenpair_near).
+    Raises TrackingLostError when its overlap with the ansatz drops to 0.5
+    (the ansatz is too far from exact)."""
+    block = sector_generator(params, state.n_al, state.n_ar, omega_c)
+    shift, _ = closed_form_eigenpair(params, state.n_al, state.n_ar, omega_c)
+    return eigenpair_near(block, shift, state.vector).vector
 
 
 def eigenstate_fidelity(state: PerturbativeEigenstate, params: SystemParams,
@@ -139,18 +163,14 @@ def eigenstate_fidelity(state: PerturbativeEigenstate, params: SystemParams,
 
 
 def residual_norm(state: PerturbativeEigenstate, params: SystemParams, omega_c: float) -> float:
-    """|Hu v - lambda v| / |v| with lambda the perturbative eigenvalue
+    """|Hu v - lambda v| / |v| with lambda the closed-form eigenvalue
     delta_ad (n_al - n_ar) + anharmonic offset + E_{n_al,n_ar}(photon).
 
     v is a block vector of the (n_al, n_ar) qubit sector, which Hu maps to
     itself, so H_b v on that sector's block is all of Hu v."""
-    _, photon = steady_state(params, omega_c)
-    n_al, n_ar = state.n_al, state.n_ar
-    lam = (params.delta_ad * (n_al - n_ar)
-           + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
-           + effective_spectrum(params, n_al, n_ar, photon))
+    lam, _ = closed_form_eigenpair(params, state.n_al, state.n_ar, omega_c)
     v = state.vector
-    hb = sector_generator(params, n_al, n_ar, omega_c)
+    hb = sector_generator(params, state.n_al, state.n_ar, omega_c)
     return float(np.linalg.norm(hb @ v - lam * v) / np.linalg.norm(v))
 
 

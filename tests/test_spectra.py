@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readoutmap.effective import effective_spectrum, rates
-from readoutmap.liouville import (basis_index, build_extended_hamiltonian, sector_generator,
-                                  sector_indices)
+from readoutmap.eigenstates import closed_form_eigenpair, fidelity_sweep
+from readoutmap.liouville import (AccuracyError, basis_index, build_extended_hamiltonian,
+                                  sector_generator, sector_indices)
 from readoutmap.model import SystemParams
-from readoutmap.spectra import (TrackingLostError, eigendecompose, extract_rates, track_coherence,
-                                write_track_csv)
+from readoutmap.spectra import (TrackingLostError, _inverse_iteration, eigendecompose,
+                                eigenpair_near, extract_rates, track_coherence, write_track_csv)
 from conftest import BENCH, PHOTON_TARGETS, omega_for_photon
 
 
@@ -231,6 +232,102 @@ def test_truncation_convergence_of_tracked_eigenvalue(bench_track):
         vec, prev_params, prev_eig = es.eigenvectors[:, j], wide, es.eigenvalues[j]
     assert moves[0] < 5e-3
     assert moves[1] < moves[0] / 5.0  # geometric truncation convergence
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_a=st.sampled_from([2, 3]), n_c=st.integers(4, 10), photon=st.floats(0.0, 1.0),
+       data=st.data())
+def test_eigenpair_near_matches_the_dense_max_overlap_pair(n_a, n_c, photon, data):
+    # blocked inverse iteration against the full dense spectrum of the same
+    # block, the pair selected as the old sweeps did: by overlap with the
+    # closed-form vector
+    p = replace(BENCH, n_a=n_a, n_c=n_c)
+    m, n = (data.draw(st.integers(0, n_a - 1)) for _ in range(2))
+    omega = omega_for_photon(p, photon)
+    block = sector_generator(p, m, n, omega)
+    shift, start = closed_form_eigenpair(p, m, n, omega)
+    pair = eigenpair_near(block, shift, start)
+    ref = eigendecompose(block)
+    j = int(np.argmax(np.abs(start.conj() @ ref.eigenvectors)))
+    assert abs(pair.value - ref.eigenvalues[j]) <= 1e-9
+    assert 1.0 - abs(np.vdot(pair.vector, ref.eigenvectors[:, j])) <= 1e-12
+    assert np.linalg.norm(pair.vector) == pytest.approx(1.0, abs=1e-14)
+    assert pair.residual <= 1e-8 * np.linalg.norm(block)
+
+
+def test_closed_form_eigenpair_matches_the_polaron_eigenvalue():
+    for omega in (0.0, 3.2, 11.0, 20.1):
+        lam, _ = closed_form_eigenpair(BENCH, 1, 0, omega)
+        assert abs(lam - closed_form_coherence_eigenvalue(BENCH, omega)) <= 1e-12
+
+
+def test_closed_form_eigenvector_residual_falls_with_truncation():
+    # Fock truncation is all that separates the closed-form pair from an
+    # eigenpair (measured at 11 MHz: 1.4e-4 at n_c = 14, 1.6e-10 at 24)
+    residuals = []
+    for n_c in (14, 18, 24):
+        p = replace(BENCH, n_c=n_c)
+        lam, v = closed_form_eigenpair(p, 1, 0, 11.0)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        residuals.append(np.linalg.norm(sector_generator(p, 1, 0, 11.0) @ v - lam * v))
+    assert residuals[0] <= 2e-4
+    assert residuals[1] < residuals[0] / 100.0
+    assert residuals[2] < residuals[1] / 100.0
+    assert residuals[2] <= 3e-10
+
+
+def test_eigenpair_near_at_an_exactly_singular_shift():
+    # zero drive: the block is diagonal and the closed-form eigenvalue is its
+    # entry to the last bit, so block - shift*I cannot be factored as it is
+    p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 4)
+    block = sector_generator(p, 1, 0, 0.0)
+    shift, start = closed_form_eigenpair(p, 1, 0, 0.0)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(block - shift * np.eye(block.shape[0]))
+    pair = eigenpair_near(block, shift, start)
+    expect = np.zeros(p.n_c ** 2, dtype=complex)
+    expect[0] = 1.0
+    assert np.array_equal(pair.vector, expect)
+    assert pair.value == p.delta_ad and pair.residual == 0.0
+
+
+def test_eigenpair_near_rejects_a_shift_midway_between_eigenvalues():
+    # equidistant eigenvalues: the iterate swaps its relative sign every step
+    # and never settles on either eigenvector
+    with pytest.raises(AccuracyError, match="residual"):
+        eigenpair_near(np.diag([1.0, 3.0]).astype(complex), 2.0, np.array([1.0, 0.5]))
+
+
+def test_eigenpair_near_rejects_nonfinite():
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenpair_near(np.array([[np.inf, 0.0], [0.0, 1.0]]), 1.0, np.array([0.0, 1.0]))
+
+
+def test_lost_branch_is_reported_before_the_residual_gate():
+    # at the absurd jump the pair near the closed-form eigenvalue fails both
+    # gates; tracking reports the lost branch, not the residual
+    p = SystemParams(0.0, -1.0, 0.0, -1.0, 0.5, 2, 8)
+    block = sector_generator(p, 1, 0, 40.0)
+    shift, start = closed_form_eigenpair(p, 1, 0, 40.0)
+    pair = _inverse_iteration(block, shift, start)
+    assert abs(pair.vector[0]) <= 0.5  # overlap with the zero-drive vector
+    assert pair.residual > 1e-8 * np.linalg.norm(block)
+    with pytest.raises(TrackingLostError, match="at omega_c = 40.0 MHz"):
+        track_coherence(p, [0.0, 40.0])
+    with pytest.raises(TrackingLostError, match="near eigenvalue"):
+        eigenpair_near(block, shift, start)
+
+
+def test_product_paths_never_run_a_full_eigensolve(monkeypatch):
+    # tracking and the fidelity sweep solve for their one pair only;
+    # eigendecompose (zgeev) is the dense reference of validate and the tests
+    def full_solve(*args, **kwargs):
+        raise AssertionError("full eigendecomposition run")
+
+    monkeypatch.setattr(np.linalg, "eig", full_solve)
+    p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 6)
+    assert track_coherence(p, [0.0, 0.5, 1.0], n_workers=2).eigenvalues.size == 3
+    assert len(fidelity_sweep(p, [0.0, 0.5, 1.0])) == 9
 
 
 def test_track_csv(tmp_path, bench_track):
