@@ -110,14 +110,17 @@ def _scaled_inverse(mat: np.ndarray, shift: complex, scale: float) -> np.ndarray
     A shift that is an eigenvalue to the last bit (a Fock state at zero
     drive), so that the inverse does not exist or overflows, is moved off it
     by one rounding step of |M|; the iteration still finds that eigenvector."""
-    eye = np.eye(mat.shape[0])
+    shifted = mat.copy()
+    np.fill_diagonal(shifted, mat.diagonal() - shift)
     try:
-        inv = np.linalg.inv(mat - shift * eye)
+        inv = np.linalg.inv(shifted)
     except np.linalg.LinAlgError:
         inv = None
     if inv is None or not np.all(np.isfinite(inv)):
-        inv = np.linalg.inv(mat - (shift + np.spacing(scale)) * eye)
-    return inv / np.max(np.abs(inv))
+        np.fill_diagonal(shifted, mat.diagonal() - (shift + np.spacing(scale)))
+        inv = np.linalg.inv(shifted)
+    inv /= np.max(np.abs(inv))
+    return inv
 
 
 def _inverse_iteration(op: np.ndarray, shift: complex, start: np.ndarray) -> EigenPair:
