@@ -166,7 +166,7 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
     plus[0] = 1.0 / np.sqrt(2.0)
     plus[p.n_c] = 1.0 / np.sqrt(2.0)
     rho0 = np.outer(plus, plus.conj())
-    state0 = liouville.VectorizedState(vec=liouville.vectorize(rho0), dims=(p.n_a, p.n_c))
+    state0 = liouville.VectorizedState(vec=liouville.vectorize(rho0))
     result = liouville.propagate(state0, p, pulse, t_end, dt, sample_every=sample_every)
 
     # effective-map coherence on the same output grid; the response step must
@@ -175,14 +175,12 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
     # solved at the written samples only.
     dt_max = response.max_stable_dt(p, pulse)
     dt_eta = dt / np.ceil(dt / dt_max) if np.isfinite(dt_max) else dt
-    idx = np.rint(np.asarray(result.times) / dt_eta).astype(int)
+    idx = np.rint(result.times / dt_eta).astype(int)
     photon = np.abs(response.eta_at(p, pulse, t_end, dt_eta, idx)) ** 2
-    rho_t = effective.effective_map_apply(liouville.qubit_block(state0), p, photon,
-                                          np.asarray(result.times))
-    full = [abs(liouville.qubit_coherence(s)) for s in result.states]
-    eff = [abs(rho[1, 0]) for rho in rho_t]
-    write_csv(out, {"t_ns": result.times, "abs_rho10_full": full, "abs_rho10_eff": eff,
-                    "photon": photon}, header=header)
+    qubit = liouville.qubit_block(result.blocks)
+    rho_t = effective.effective_map_apply(qubit[0], p, photon, result.times)
+    write_csv(out, {"t_ns": result.times, "abs_rho10_full": abs(qubit[:, 1, 0]),
+                    "abs_rho10_eff": abs(rho_t[:, 1, 0]), "photon": photon}, header=header)
 
 
 def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int) -> None:

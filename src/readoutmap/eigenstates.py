@@ -141,8 +141,7 @@ def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
     inverse iteration from the perturbative vector (spectra.eigenpair_near).
     Raises TrackingLostError when its overlap with the ansatz drops to 0.5
     (the ansatz is too far from exact)."""
-    block = sector_generator(params, state.n_al, state.n_ar, omega_c)
-    shift, _ = closed_form_eigenpair(params, state.n_al, state.n_ar, omega_c)
+    block, shift = _sector(params, state.n_al, state.n_ar, omega_c)
     return eigenpair_near(block, shift, state.vector).vector
 
 
@@ -168,10 +167,18 @@ def residual_norm(state: PerturbativeEigenstate, params: SystemParams, omega_c: 
 
     v is a block vector of the (n_al, n_ar) qubit sector, which Hu maps to
     itself, so H_b v on that sector's block is all of Hu v."""
-    lam, _ = closed_form_eigenpair(params, state.n_al, state.n_ar, omega_c)
-    v = state.vector
-    hb = sector_generator(params, state.n_al, state.n_ar, omega_c)
-    return float(np.linalg.norm(hb @ v - lam * v) / np.linalg.norm(v))
+    return _residual(*_sector(params, state.n_al, state.n_ar, omega_c), state.vector)
+
+
+def _sector(params: SystemParams, n_al: int, n_ar: int,
+            omega_c: float) -> tuple[np.ndarray, complex]:
+    """The (n_al, n_ar) block of Hu and its closed-form eigenvalue."""
+    lam, _ = closed_form_eigenpair(params, n_al, n_ar, omega_c)
+    return sector_generator(params, n_al, n_ar, omega_c), lam
+
+
+def _residual(block: np.ndarray, lam: complex, v: np.ndarray) -> float:
+    return float(np.linalg.norm(block @ v - lam * v) / np.linalg.norm(v))
 
 
 def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int] = (1, 0),
@@ -179,18 +186,21 @@ def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int]
     """Infidelity and residual for each order across drive amplitudes.
 
     Returns one record per (omega_c, order): keys omega_c_mhz, order,
-    infidelity, residual_norm."""
+    infidelity, residual_norm. Each point builds its sector block and the
+    closed-form eigenvalue once; the exact vector (exact_eigenvector's solve,
+    from the highest order) and every residual share them."""
     rows = []
     for omega in omega_c_values:
         eta_ss, _ = steady_state(params, omega)
         states = [perturbative_eigenstate(labels, params, eta_ss, o) for o in orders]
-        exact = exact_eigenvector(states[-1], params, omega)
+        block, lam = _sector(params, *labels, omega)
+        exact = eigenpair_near(block, lam, states[-1].vector).vector
         for state in states:
             rows.append({
                 "omega_c_mhz": float(omega),
                 "order": state.order,
                 "infidelity": eigenstate_fidelity(state, params, omega, exact=exact),
-                "residual_norm": residual_norm(state, params, omega),
+                "residual_norm": _residual(block, lam, state.vector),
             })
     return rows
 

@@ -19,9 +19,10 @@ per qubit sector; sector_indices picks out the indices of one sector.
 
 sector_generator is the definition of Hu: it builds one sector block directly
 from n_c-dimensional resonator operators. build_extended_hamiltonian is the
-scatter of all n_a^2 blocks into the full doubled-space matrix; only the
-validation checks and the tests use it. The eigensolves, the eigenstate
-residuals and propagate work on the blocks.
+scatter of all n_a^2 blocks into the full doubled-space matrix, the one user
+of basis_index and sector_indices; only the validation checks and the tests
+call it. The eigensolves, the eigenstate residuals and propagate work on the
+blocks, and propagate returns its samples as sector blocks.
 """
 
 from __future__ import annotations
@@ -51,21 +52,10 @@ class CollapseTerm:
 
 @dataclass(frozen=True)
 class VectorizedState:
-    """Flattened density matrix over the doubled basis, with (n_a, n_c) tag."""
+    """Flattened density matrix over the doubled basis; its sizes n_a and n_c
+    are those of the SystemParams it is used with."""
 
     vec: np.ndarray
-    dims: tuple[int, int]
-
-    @property
-    def dim_single(self) -> int:
-        return self.dims[0] * self.dims[1]
-
-    def to_density_matrix(self) -> np.ndarray:
-        m = self.dim_single
-        return self.vec.reshape(m, m)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.to_density_matrix()))
 
 
 def destroy(n: int) -> np.ndarray:
@@ -204,8 +194,12 @@ def build_superoperator(h: np.ndarray, collapses: list[CollapseTerm]) -> np.ndar
 
 @dataclass(frozen=True)
 class PropagationResult:
+    """Samples at `times` (ns) as sector blocks, shape (n_t, n_a, n_a, n_c, n_c):
+    blocks[t, n_al, n_ar] is the resonator matrix of qubit sector (n_al, n_ar),
+    exactly 0 in the sectors where state0 is 0."""
+
     times: np.ndarray
-    states: list[VectorizedState]
+    blocks: np.ndarray
     max_trace_drift: float
     max_hermiticity_drift: float
 
@@ -270,8 +264,8 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     as the S columns of one (d, S) array: each RK4 stage is one real matmul of
     the shared operand (dt/2) [jump | drive.imag] on the real view of
     [v; i a v], plus the per-sector diagonal times v, written in place into
-    preallocated stage buffers. Samples are embedded back into the full
-    doubled vector.
+    preallocated stage buffers. state0.vec, the row-major density matrix over
+    |n_a, n_c>, is reshaped to sector blocks, and so are the samples.
 
     Raises ValueError when dt is not positive, t_end is negative, sample_every
     is below 1, state0.vec does not have (n_a n_c)^2 entries, an occupied
@@ -279,9 +273,10 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     not real, or the drive block not imaginary, after the rate), or dt
     violates the matrix-scale stability bound (the largest absolute row sum
     of Hu at the pulse amplitude, over all n_a^2 sectors whether occupied or
-    not), and AccuracyError when the trace drifts by more than 1e-6 or the
-    state departs from Hermiticity (max |rho - rho^+| over the samples) by
-    more than 1e-6.
+    not), and AccuracyError when the trace (the sum of the traces of the
+    diagonal sectors) drifts by more than 1e-6 or the state departs from
+    Hermiticity (max |blocks[t, m, n] - blocks[t, n, m]^+| over the samples,
+    the entries of rho - rho^+) by more than 1e-6.
     """
     if not dt > 0.0:
         raise ValueError(f"step size dt = {dt} ns must be > 0")
@@ -289,13 +284,14 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
         raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every = {sample_every} must be >= 1")
-    size = (params.n_a * params.n_c) ** 2
+    n_a, n_c = params.n_a, params.n_c
+    size = (n_a * n_c) ** 2
     if state0.vec.size != size:
-        raise ValueError(f"state0.vec has {state0.vec.size} entries; n_a = {params.n_a}, "
-                         f"n_c = {params.n_c} needs (n_a n_c)^2 = {size}")
-    labels = [(n_al, n_ar) for n_al in range(params.n_a) for n_ar in range(params.n_a)]
-    static = np.array([sector_generator(params, n_al, n_ar, 0.0) for n_al, n_ar in labels])
-    drive = _drive_block(params.n_c)
+        raise ValueError(f"state0.vec has {state0.vec.size} entries; n_a = {n_a}, "
+                         f"n_c = {n_c} needs (n_a n_c)^2 = {size}")
+    static = np.array([sector_generator(params, n_al, n_ar, 0.0)
+                       for n_al in range(n_a) for n_ar in range(n_a)])
+    drive = _drive_block(n_c)
 
     scale = np.max(np.sum(np.abs(static + pulse.omega_c * drive), axis=-1))
     dt_max = 0.05 / (2.0e-3 * np.pi * scale) if scale > 0 else np.inf
@@ -308,22 +304,21 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
         sample_every = max(1, n_steps // 512)
     rate = -2.0j * np.pi * 1.0e-3  # per ns per MHz
 
-    psi0 = state0.vec.astype(complex)
-    sectors = np.array([sector_indices(params, n_al, n_ar) for n_al, n_ar in labels])
-    occupied = np.any(psi0[sectors] != 0, axis=1)
-    blocks = sectors[occupied]
+    psi0 = (state0.vec.astype(complex).reshape(n_a, n_c, n_a, n_c)
+            .transpose(0, 2, 1, 3).reshape(n_a * n_a, n_c * n_c))
+    occupied = np.any(psi0 != 0, axis=1)
     gen_s = rate * static[occupied]
     gen_d = rate * drive
-    y = psi0[blocks][:, :, None]
+    y = psi0[occupied][:, :, None]
     powers = {}  # (amplitude, run length) -> power of the RK4 step matrix
 
     # ramp step buffers: the stage input u in w[:d] and i*a*u in w[d:]; k1..k4
     # receive the RK4 slopes times dt/2, tmp the diagonal term
     lam, op = _ramp_operands(gen_s, gen_d, dt)
     d = op.shape[0]
-    w = np.empty((2 * d, len(blocks)), dtype=complex)
+    w = np.empty((2 * d, len(y)), dtype=complex)
     u, iau, w_re = w[:d], w[d:], w.view(float)
-    slopes = np.empty((5, d, len(blocks)), dtype=complex)
+    slopes = np.empty((5, d, len(y)), dtype=complex)
     k1, k2, k3, k4, tmp = slopes
     k1_re, k2_re, k3_re, k4_re, _ = slopes.view(float)
 
@@ -357,8 +352,9 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
             v += k1
         return v.T[:, :, None]
 
-    times = [0.0]
-    states = [VectorizedState(vec=state0.vec.copy(), dims=state0.dims)]
+    times = np.append(np.arange(0, n_steps, sample_every), n_steps) * dt
+    blocks = np.zeros((len(times), n_a * n_a, n_c * n_c), dtype=complex)
+    blocks[0] = psi0
     k = 0
     while k < n_steps:
         if k % sample_every == 0:
@@ -380,34 +376,24 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
             y = ramp(y, amp[2 * i:2 * (i + n) + 1].tolist())
         k += n
         if k == end:
-            vec = np.zeros_like(psi0)
-            vec[blocks] = y[:, :, 0]
-            times.append(k * dt)
-            states.append(VectorizedState(vec=vec, dims=state0.dims))
+            blocks[start // sample_every + 1, occupied] = y[:, :, 0]
 
-    trace0 = np.trace(states[0].to_density_matrix())
-    trace_drift = 0.0
-    herm_drift = 0.0
-    for st in states:
-        rho = st.to_density_matrix()
-        trace_drift = max(trace_drift, abs(np.trace(rho) - trace0))
-        herm_drift = max(herm_drift, float(np.max(np.abs(rho - rho.conj().T))))
+    blocks = blocks.reshape(len(times), n_a, n_a, n_c, n_c)
+    trace = np.trace(qubit_block(blocks), axis1=1, axis2=2)
+    trace_drift = float(np.max(np.abs(trace - trace[0])))
+    # sector pair by pair: the temporaries stay one sector's size
+    herm_drift = max(
+        float(np.max(np.abs(blocks[:, m, n] - blocks[:, n, m].conj().transpose(0, 2, 1))))
+        for m in range(n_a) for n in range(m, n_a))
     if trace_drift > 1e-6:
         raise AccuracyError(f"trace drifted by {trace_drift:.3e} (> 1e-6); reduce dt")
     if herm_drift > 1e-6:
         raise AccuracyError(f"Hermiticity drifted by {herm_drift:.3e} (> 1e-6)")
-    return PropagationResult(times=np.asarray(times), states=states,
-                             max_trace_drift=float(trace_drift),
+    return PropagationResult(times=times, blocks=blocks, max_trace_drift=trace_drift,
                              max_hermiticity_drift=herm_drift)
 
 
-def qubit_block(state: VectorizedState) -> np.ndarray:
-    """Resonator-traced qubit density matrix Tr_c rho, shape (n_a, n_a)."""
-    n_a, n_c = state.dims
-    rho = state.to_density_matrix().reshape(n_a, n_c, n_a, n_c)
-    return np.trace(rho, axis1=1, axis2=3)
-
-
-def qubit_coherence(state: VectorizedState, m: int = 1, n: int = 0) -> complex:
-    """Matrix element <m_a| Tr_c rho |n_a> (resonator traced out)."""
-    return complex(qubit_block(state)[m, n])
+def qubit_block(blocks: np.ndarray) -> np.ndarray:
+    """Resonator trace Tr_c of sector blocks (..., n_a, n_a, n_c, n_c): the
+    qubit density matrices, shape (..., n_a, n_a)."""
+    return np.trace(blocks, axis1=-2, axis2=-1)

@@ -14,7 +14,7 @@ from readoutmap.effective import (adiabatic_correlations, choi_cptp_check, depha
                                   rates, spectrum_matrix)
 from readoutmap.liouville import (CollapseTerm, VectorizedState, build_extended_hamiltonian,
                                   build_superoperator, kerr_hamiltonian, propagate,
-                                  qubit_coherence, single_copy_operators, vectorize)
+                                  qubit_block, single_copy_operators, vectorize)
 from readoutmap.model import PulseSpec, SystemParams
 from readoutmap.response import solve_eta, steady_state
 from readoutmap.spectra import extract_rates
@@ -182,9 +182,9 @@ def test_criterion_09_full_versus_effective_map():
     plus = np.zeros(p.n_a * p.n_c, dtype=complex)
     plus[0] = plus[p.n_c] = 1.0 / np.sqrt(2.0)
     rho0 = np.outer(plus, plus.conj())
-    state0 = VectorizedState(vec=vectorize(rho0), dims=(p.n_a, p.n_c))
+    state0 = VectorizedState(vec=vectorize(rho0))
     result = propagate(state0, p, pulse, t_end, dt, sample_every=2000)
-    coh_full = np.array([abs(qubit_coherence(s)) for s in result.states])
+    coh_full = np.abs(qubit_block(result.blocks)[:, 1, 0])
 
     out_t = np.asarray(result.times)
     traj = solve_eta(p, pulse, t_end, dt * 2000 / 128)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from readoutmap.effective import effective_spectrum
-from readoutmap.eigenstates import (coherent_amplitudes, eigenstate_fidelity,
-                                    perturbative_eigenstate, residual_norm, write_fidelity_csv)
+from readoutmap import eigenstates
+from readoutmap.eigenstates import (coherent_amplitudes, eigenstate_fidelity, exact_eigenvector,
+                                    fidelity_sweep, perturbative_eigenstate, residual_norm,
+                                    write_fidelity_csv)
 from readoutmap.liouville import build_extended_hamiltonian, destroy, sector_indices
 from readoutmap.model import SystemParams, detuning_l
 from readoutmap.response import steady_state
@@ -147,6 +149,28 @@ def test_double_excited_state_residual_only():
     s2 = perturbative_eigenstate((1, 1), SMALL, eta_ss, 2)
     s0 = perturbative_eigenstate((1, 1), SMALL, eta_ss, 0)
     assert residual_norm(s2, SMALL, omega) < residual_norm(s0, SMALL, omega)
+
+
+@pytest.mark.parametrize("labels", [(1, 0), (1, 1)])
+def test_fidelity_sweep_builds_each_block_once(monkeypatch, labels):
+    omegas = [0.7, 2.0]
+    # the public per-state route: a block and a closed-form eigenvalue per call
+    expected = []
+    for omega in omegas:
+        eta_ss, _ = steady_state(SMALL, omega)
+        states = [perturbative_eigenstate(labels, SMALL, eta_ss, o) for o in (0, 1, 2)]
+        exact = exact_eigenvector(states[-1], SMALL, omega)
+        expected += [{"omega_c_mhz": omega, "order": s.order,
+                      "infidelity": eigenstate_fidelity(s, SMALL, omega, exact=exact),
+                      "residual_norm": residual_norm(s, SMALL, omega)} for s in states]
+    calls = {"sector_generator": 0, "closed_form_eigenpair": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(eigenstates, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(eigenstates, name, counted)
+    assert fidelity_sweep(SMALL, omegas, labels=labels) == expected
+    assert calls == {"sector_generator": len(omegas), "closed_form_eigenpair": len(omegas)}
 
 
 def test_fidelity_csv(tmp_path, eigenstate_rows):

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from readoutmap import eigenstates, liouville, spectra
+from readoutmap import cli, eigenstates, liouville, spectra
+from readoutmap.eigenstates import coherent_amplitudes
 from readoutmap.liouville import (AccuracyError, CollapseTerm, VectorizedState, basis_index,
                                   build_extended_hamiltonian, build_superoperator, destroy,
-                                  kerr_hamiltonian, propagate, qubit_block, qubit_coherence,
-                                  sector_generator, sector_indices, single_copy_operators,
-                                  trace_functional, vectorize)
+                                  kerr_hamiltonian, propagate, qubit_block, sector_generator,
+                                  sector_indices, single_copy_operators, trace_functional,
+                                  vectorize)
 from readoutmap.model import PulseSpec, SystemParams, sg_envelope
+from readoutmap.response import solve_eta
 
 SMALL = SystemParams(delta_ad=-20.0, delta_cd=-5.0, alpha_a=-3.3, chi_ac=-1.0,
                      kappa_c=1.0, n_a=2, n_c=5)
@@ -82,16 +84,30 @@ def plus_state(params, resonator=0):
     """(|0> + |1>)/sqrt(2) on the qubit times Fock state |resonator>."""
     psi = np.zeros(params.n_a * params.n_c, dtype=complex)
     psi[resonator] = psi[params.n_c + resonator] = 1.0 / np.sqrt(2.0)
-    return VectorizedState(vec=vectorize(np.outer(psi, psi.conj())),
-                           dims=(params.n_a, params.n_c))
+    return VectorizedState(vec=vectorize(np.outer(psi, psi.conj())))
+
+
+def sector_blocks(vecs, params):
+    """Doubled vectors (..., (n_a n_c)^2) as sector blocks (..., n_a, n_a, n_c,
+    n_c), each block read through sector_indices (test reference for the
+    layout of PropagationResult.blocks)."""
+    vecs = np.asarray(vecs)
+    lead, n_a, n_c = vecs.shape[:-1], params.n_a, params.n_c
+    out = np.empty(lead + (n_a, n_a, n_c, n_c), dtype=complex)
+    for n_al in range(n_a):
+        for n_ar in range(n_a):
+            out[..., n_al, n_ar, :, :] = vecs[..., sector_indices(params, n_al, n_ar)].reshape(
+                lead + (n_c, n_c))
+    return out
 
 
 def assert_matches_dense_reference(state0, params, pulse, t_end, dt, sample_every):
     res = propagate(state0, params, pulse, t_end, dt, sample_every=sample_every)
     times, vecs = dense_rk4_reference(state0, params, pulse, t_end, dt, sample_every)
     assert np.array_equal(res.times, times)
-    for st, vec in zip(res.states, vecs, strict=True):
-        assert np.max(np.abs(st.vec - vec)) <= 1e-12
+    ref = sector_blocks(vecs, params)
+    assert res.blocks.shape == ref.shape
+    assert np.max(np.abs(res.blocks - ref)) <= 1e-12
     return res
 
 
@@ -226,18 +242,18 @@ def test_propagate_identity_with_zero_generator():
     p = SystemParams(0, 0, 0, 0, 0, 2, 2)
     rho0 = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
     rho0 = np.kron(rho0, np.diag([1.0, 0.0])).astype(complex)
-    st = VectorizedState(vec=vectorize(rho0), dims=(2, 2))
+    st = VectorizedState(vec=vectorize(rho0))
     res = propagate(st, p, PulseSpec("constant", 0.0), 100.0, 1.0)
-    assert np.max(np.abs(res.states[-1].vec - st.vec)) == 0.0
+    assert np.max(np.abs(res.blocks[-1] - sector_blocks(st.vec, p))) == 0.0
 
 
 def test_propagate_single_photon_decay():
     p = SystemParams(0, 0, 0, 0, 2.0, 2, 4)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[1, 1] = 1.0  # |0_a, 1_c>
-    st = VectorizedState(vec=vectorize(rho0), dims=(2, 4))
+    st = VectorizedState(vec=vectorize(rho0))
     res = propagate(st, p, PulseSpec("constant", 0.0), 500.0, 0.5)
-    pop = np.array([s.to_density_matrix()[1, 1].real for s in res.states])
+    pop = res.blocks[:, 0, 0, 1, 1].real
     exact = np.exp(-2.0 * np.pi * p.kappa_c * np.asarray(res.times) * 1e-3)
     assert np.max(np.abs(pop - exact)) < 1e-6
     assert res.max_hermiticity_drift < 1e-8
@@ -250,11 +266,11 @@ def test_propagate_time_dependent_pulse_preserves_structure():
     plus = np.zeros(8, dtype=complex)
     plus[0] = plus[4] = 1.0 / np.sqrt(2.0)
     rho0 = np.outer(plus, plus.conj())
-    st = VectorizedState(vec=vectorize(rho0), dims=(2, 4))
+    st = VectorizedState(vec=vectorize(rho0))
     res = propagate(st, p, pulse, 300.0, 0.05)
     assert res.max_trace_drift < 1e-8
     assert res.max_hermiticity_drift < 1e-8
-    assert abs(res.states[-1].trace() - 1.0) < 1e-8
+    assert abs(np.trace(qubit_block(res.blocks[-1])) - 1.0) < 1e-8
 
 
 # no flat top: every step of the 100 ns gate runs is a ramp step
@@ -281,7 +297,7 @@ def test_propagate_hermiticity_gate(monkeypatch, pulse):
     monkeypatch.setattr(liouville, "sector_generator", skewed)
     plus = np.zeros(8, dtype=complex)
     plus[0] = plus[4] = 1.0 / np.sqrt(2.0)
-    st = VectorizedState(vec=vectorize(np.outer(plus, plus.conj())), dims=(2, 4))
+    st = VectorizedState(vec=vectorize(np.outer(plus, plus.conj())))
     with pytest.raises(AccuracyError, match="Hermiticity"):
         propagate(st, p, pulse, 100.0, 0.05)
 
@@ -342,6 +358,44 @@ def test_propagate_matches_dense_stepwise_reference(tau_p, ramp, width, dt, tail
                                    sample_every)
 
 
+# configs/propagate.json's resonator and drive (~0.1 photons) at 2 x 10
+POLARON = SystemParams(0.0, -10.0, 0.0, -1.0, 5.0, 2, 10)
+
+
+@pytest.mark.parametrize("pulse, t_end", [
+    (PulseSpec("constant", 6.5192), 2000.0),
+    (PulseSpec("square-gaussian", 6.5192, tau_p=100.0, tau_r=25.0, sigma_r=12.5), 150.0),
+], ids=["constant", "pulse"])
+def test_propagate_blocks_keep_the_polaron_form(pulse, t_end):
+    # From resonator vacuum each sector (m, n) stays c_mn(t)|alpha_m><alpha_n|
+    # (Gambetta et al., PRA 77, 012112 (2008)), alpha_k the response at
+    # delta_cd + 2 chi k, with trace rho_mn(0) exp(-2 pi i 1e-3 [(eps_m - eps_n) t
+    # + 2 chi (m - n) Int alpha_m alpha_n^* dt']). Measured worst over the
+    # samples and the four sectors: rank-1 distance 6.3e-8 / 4.8e-8 and trace
+    # error 1.5e-9 / 1.4e-9 (constant / pulse); the bounds keep 10x of margin.
+    p, dt = POLARON, 0.02
+    res = propagate(plus_state(p), p, pulse, t_end, dt)
+    idx = np.rint(res.times / dt).astype(int)
+    alpha = [solve_eta(replace(p, delta_cd=p.delta_cd + 2.0 * p.chi_ac * k), pulse, t_end, dt).eta
+             for k in range(p.n_a)]
+    eps = [p.delta_ad * k + 0.5 * p.alpha_a * k * (k - 1) for k in range(p.n_a)]
+    for m in range(p.n_a):
+        for n in range(p.n_a):
+            block = res.blocks[:, m, n]
+            ket = np.array([coherent_amplitudes(a, p.n_c) for a in alpha[m][idx]])
+            bra = np.array([coherent_amplitudes(a, p.n_c) for a in alpha[n][idx]])
+            fit = ket[:, :, None] * bra.conj()[:, None, :]
+            c = np.sum(fit.conj() * block, axis=(1, 2)) / np.sum(np.abs(fit) ** 2, axis=(1, 2))
+            rank1 = (np.linalg.norm(block - c[:, None, None] * fit, axis=(1, 2))
+                     / np.linalg.norm(block, axis=(1, 2)))
+            assert np.max(rank1) <= 7e-7
+            prod = alpha[m] * np.conj(alpha[n])
+            integral = np.concatenate(([0.0], np.cumsum(0.5 * (prod[1:] + prod[:-1]) * dt)))
+            exact = 0.5 * np.exp(-2j * np.pi * 1e-3 * ((eps[m] - eps[n]) * res.times
+                                                       + 2.0 * p.chi_ac * (m - n) * integral[idx]))
+            assert np.max(np.abs(qubit_block(block) - exact)) <= 2e-8
+
+
 @pytest.mark.parametrize("n_a, levels, pulse", [
     (3, [0, 1], PulseSpec("constant", 4.0)),
     (3, [0, 1], PulseSpec("square-gaussian", 4.0, tau_p=50.0, tau_r=15.0, sigma_r=7.5)),
@@ -353,21 +407,21 @@ def test_propagate_leaves_empty_sectors_zero(n_a, levels, pulse):
     # occupied sectors are levels x levels (4 of 9, or the single (0, 0))
     psi = np.zeros(n_a * p.n_c, dtype=complex)
     psi[np.array(levels) * p.n_c + 1] = 1.0 / np.sqrt(len(levels))
-    st0 = VectorizedState(vec=vectorize(np.outer(psi, psi.conj())), dims=(n_a, p.n_c))
+    st0 = VectorizedState(vec=vectorize(np.outer(psi, psi.conj())))
     res = assert_matches_dense_reference(st0, p, pulse, 60.0, 0.1, 45)
-    empty = np.concatenate([sector_indices(p, n_al, n_ar) for n_al in range(n_a)
-                            for n_ar in range(n_a) if {n_al, n_ar} - set(levels)])
-    assert empty.size == (n_a ** 2 - len(levels) ** 2) * p.n_c ** 2
-    assert all(np.all(st.vec[empty] == 0.0) for st in res.states)
+    empty = [(n_al, n_ar) for n_al in range(n_a) for n_ar in range(n_a)
+             if {n_al, n_ar} - set(levels)]
+    assert len(empty) == n_a ** 2 - len(levels) ** 2
+    assert all(np.all(res.blocks[:, n_al, n_ar] == 0.0) for n_al, n_ar in empty)
 
 
 def test_propagate_zero_state_stays_zero():
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
-    zero = VectorizedState(vec=np.zeros(64, complex), dims=(2, 4))
+    zero = VectorizedState(vec=np.zeros(64, complex))
     pulse = PulseSpec("square-gaussian", 3.0, tau_p=20.0, tau_r=5.0, sigma_r=2.5)
     res = propagate(zero, p, pulse, 30.0, 0.1, sample_every=40)
     assert res.times.tolist() == pytest.approx([0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 30.0])
-    assert all(np.all(st.vec == 0.0) for st in res.states)
+    assert np.all(res.blocks == 0.0)
     assert res.max_trace_drift == 0.0
     assert res.max_hermiticity_drift == 0.0
 
@@ -388,7 +442,7 @@ def test_propagate_rejects_a_state_of_the_wrong_size():
 def test_propagate_step_bound():
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
     with pytest.raises(ValueError, match="stability"):
-        propagate(VectorizedState(vec=np.zeros(64, complex), dims=(2, 4)),
+        propagate(VectorizedState(vec=np.zeros(64, complex)),
                   p, PulseSpec("constant", 3.0), 10.0, 5.0)
 
 
@@ -401,8 +455,8 @@ def test_propagate_stability_bound_covers_every_sector(n_a):
     ground = np.zeros((n_a * p.n_c,) * 2, dtype=complex)
     ground[0, 0] = 1.0
     # only the (0, 0) sector, which does not set the scale, or none at all
-    for st0 in (VectorizedState(vec=vectorize(ground), dims=(n_a, p.n_c)),
-                VectorizedState(vec=np.zeros(ground.size, complex), dims=(n_a, p.n_c))):
+    for st0 in (VectorizedState(vec=vectorize(ground)),
+                VectorizedState(vec=np.zeros(ground.size, complex))):
         # the block row sums add the same entries in another order: the bound
         # may move by the rounding of a sum of a few terms, not more
         above = dt_max * (1.0 + 1e-14)
@@ -430,14 +484,14 @@ def test_product_paths_never_build_the_full_generator(monkeypatch):
         assert res.max_trace_drift < 1e-9
 
 
-def test_eigenvectors_never_use_the_doubled_layout(monkeypatch):
+def test_eigenvectors_never_use_the_doubled_layout(monkeypatch, tmp_path):
     # tracking and the fidelity sweep keep every vector in its qubit-sector
-    # block; propagate, which embeds its samples in the full doubled vector,
-    # is the one product path that needs the layout
+    # block, and propagate keeps its samples as sector blocks; only
+    # build_extended_hamiltonian (validate and the tests) needs the layout
     def layout(*args, **kwargs):
         raise AssertionError("doubled-basis layout used")
 
-    for module in (liouville, spectra, eigenstates):
+    for module in (liouville, spectra, eigenstates, cli):
         for name in ("basis_index", "sector_indices"):
             monkeypatch.setattr(module, name, layout, raising=False)
     p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 6)
@@ -445,23 +499,43 @@ def test_eigenvectors_never_use_the_doubled_layout(monkeypatch):
     assert [v.shape for v in track.vectors] == [(p.n_c ** 2,)] * 3
     rows = eigenstates.fidelity_sweep(p, [0.5, 1.0])
     assert len(rows) == 6
+    p0 = replace(p, delta_ad=0.0, alpha_a=0.0)
+    for pulse in (PulseSpec("constant", 2.0),
+                  PulseSpec("square-gaussian", 2.0, tau_p=20.0, tau_r=5.0, sigma_r=2.5)):
+        res = propagate(plus_state(p0), p0, pulse, 30.0, 0.1)
+        assert res.blocks.shape == (len(res.times), 2, 2, p.n_c, p.n_c)
+        config = cli.RunConfig(params=p0, pulse=pulse, out=None,
+                               sections={"propagate": {"dt_ns": 0.1, "t_end_ns": 30.0}})
+        out = tmp_path / f"{pulse.kind}.csv"
+        cli.cmd_propagate(config, str(out), True, 1)
+        assert len(out.read_text().splitlines()) == len(res.times) + 1
 
 
-def test_qubit_coherence_partial_trace():
-    n_a, n_c = 2, 3
-    rho = np.zeros((6, 6), dtype=complex)
+def random_density_matrix(n_a, n_c):
+    rng = np.random.default_rng(7)
+    return rng.standard_normal((n_a * n_c,) * 2) + 1j * rng.standard_normal((n_a * n_c,) * 2)
+
+
+def sparse_coherence_matrix(n_a, n_c):
+    """<1_a|Tr_c rho|0_a> = 0.3 + 0.2j from two resonator levels, all else 0."""
+    rho = np.zeros((n_a * n_c,) * 2, dtype=complex)
     rho[1 * n_c + 0, 0 * n_c + 0] = 0.3
     rho[1 * n_c + 2, 0 * n_c + 2] = 0.2j
-    st = VectorizedState(vec=vectorize(rho), dims=(n_a, n_c))
-    assert qubit_coherence(st) == pytest.approx(0.3 + 0.2j)
+    return rho
 
 
-def test_qubit_block_matches_summed_trace():
-    n_a, n_c = 3, 5
-    rng = np.random.default_rng(7)
-    rho = rng.standard_normal((n_a * n_c,) * 2) + 1j * rng.standard_normal((n_a * n_c,) * 2)
-    block = qubit_block(VectorizedState(vec=vectorize(rho), dims=(n_a, n_c)))
+@pytest.mark.parametrize("make_rho, n_a, n_c", [(random_density_matrix, 3, 5),
+                                                (sparse_coherence_matrix, 2, 3)],
+                         ids=["random", "sparse"])
+def test_qubit_block_matches_summed_trace(make_rho, n_a, n_c):
+    rho = make_rho(n_a, n_c)
+    p = SystemParams(0.0, 0.0, 0.0, 0.0, 0.0, n_a, n_c)
+    block = qubit_block(sector_blocks(vectorize(rho), p))
     ref = [[sum(rho[m * n_c + j, n * n_c + j] for j in range(n_c)) for n in range(n_a)]
            for m in range(n_a)]
     assert np.allclose(block, ref, rtol=0.0, atol=1e-14)
-
+    # any leading axes: the trace is taken over the last two only
+    stack = qubit_block(sector_blocks(np.stack([vectorize(rho), 2.0 * vectorize(rho)]), p))
+    assert np.array_equal(stack, [block, 2.0 * block])
+    if make_rho is sparse_coherence_matrix:
+        assert complex(block[1, 0]) == pytest.approx(0.3 + 0.2j)

@@ -276,6 +276,29 @@ def test_closed_form_eigenvector_residual_falls_with_truncation():
     assert residuals[2] <= 3e-10
 
 
+@pytest.mark.parametrize("m, n", [(m, n) for m in range(3) for n in range(3)])
+def test_dense_block_eigenvalue_converges_to_the_closed_form(m, n):
+    # every sector of n_a = 3 at ~4 photons (20.0998 MHz): only Fock truncation
+    # separates the nearest block eigenvalue from the closed form. Measured
+    # |dE| / |Im E| at n_c = 10, 14, 18: 0.88, 1.67e-2, 8.37e-5 for (1,0);
+    # 0.374, 6.96e-3, 3.49e-5 for (2,0); 4.84e-2, 5.60e-5, 1.83e-8 for (2,1);
+    # the mirrored sectors alike, and |dE| <= 8e-14 on the diagonal
+    p3 = replace(BENCH, n_a=3)
+    omega = omega_for_photon(p3, 4.0)
+    gaps = []
+    for n_c in (10, 14, 18):
+        p = replace(p3, n_c=n_c)
+        lam, _ = closed_form_eigenpair(p, m, n, omega)
+        w = np.linalg.eigvals(sector_generator(p, m, n, omega))
+        gap = float(np.min(np.abs(w - lam)))
+        gaps.append(gap if m == n else gap / abs(lam.imag))
+    if m == n:
+        assert max(gaps) <= 2e-13
+    else:
+        assert gaps[0] > gaps[1] > gaps[2]
+        assert gaps[2] <= 2e-4
+
+
 def test_eigenpair_near_at_an_exactly_singular_shift():
     # zero drive: the block is diagonal and the closed-form eigenvalue is its
     # entry to the last bit, so block - shift*I cannot be factored as it is
