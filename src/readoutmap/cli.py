@@ -26,7 +26,7 @@ import numpy as np
 
 from . import effective, liouville, response, spectra, transient
 from .model import (PulseSpec, SystemParams, detuning_l, detuning_r, params_from_dict,
-                    pulse_from_dict, sg_envelope, validity_margin, write_csv)
+                    pulse_from_dict, sg_envelope, truncation_error, validity_margin, write_csv)
 
 _TOP_KEYS = {"delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz",
              "n_a", "n_c", "pulse", "out",
@@ -161,6 +161,9 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
     dt, t_end = float(sec["dt_ns"]), float(sec["t_end_ns"])
     sample_every = sec.get("sample_every")
     sample_every = int(sample_every) if sample_every is not None else None
+    problem = truncation_error(response.peak_photon(p, pulse.omega_c), p.n_c)
+    if problem:
+        print(f"warning: peak steady-state {problem}", file=sys.stderr)
 
     plus = np.zeros(p.n_a * p.n_c, dtype=complex)
     plus[0] = 1.0 / np.sqrt(2.0)

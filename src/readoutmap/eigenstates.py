@@ -31,7 +31,7 @@ import numpy as np
 
 from .effective import effective_spectrum
 from .liouville import destroy, sector_generator
-from .model import SystemParams, detuning_l, detuning_r, write_csv
+from .model import SystemParams, detuning_l, detuning_r, truncation_error, write_csv
 from .response import steady_state
 from .spectra import eigenpair_near
 
@@ -95,9 +95,9 @@ def perturbative_eigenstate(labels: tuple[int, int], params: SystemParams,
     if order not in (0, 1, 2):
         raise ValueError(f"unsupported perturbative order {order}")
     n_c = params.n_c
-    if abs(eta) ** 2 >= n_c / 4.0:
-        raise ValueError(f"|eta|^2 = {abs(eta)**2:.3g} too large for n_c = {n_c}; "
-                         "increase the resonator truncation")
+    problem = truncation_error(abs(eta) ** 2, n_c)
+    if problem:
+        raise ValueError(problem)
 
     res_l = coherent_amplitudes(eta, n_c)
     res_r = coherent_amplitudes(np.conj(eta), n_c)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import PulseSpec, SystemParams, sg_envelope
+from .model import PulseSpec, SystemParams, constant_envelope, sg_envelope
 
 
 class AccuracyError(RuntimeError):
@@ -255,7 +255,10 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     whose three amplitudes are equal (a constant pulse, the flat top and the
     zero tail of a square-gaussian) is time-independent: maximal runs of such
     steps up to the next sample are applied as one power of the RK4 step
-    matrix, which is the same polynomial the stepwise loop applies.
+    matrix, which is the same polynomial the stepwise loop applies. A sample
+    interval that model.constant_envelope proves constant is one such run at
+    omega_c times that level, taken without evaluating its envelope; powers
+    are memoized by (amplitude, run length), so equal intervals share one.
 
     The other steps (the ramps) use how the blocks are made: after the
     -2*pi*i rate each static block is its own diagonal plus the jump term
@@ -352,31 +355,37 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
             v += k1
         return v.T[:, :, None]
 
+    def runs(start, end):
+        """The maximal runs of the steps start..end of one sample interval, as
+        (n, a, None) for n steps at the constant amplitude a and (n, None,
+        amp) for n ramp steps with their 2 n + 1 half-step amplitudes."""
+        half = dt / 2.0
+        level = constant_envelope(pulse, (2 * start) * half, (2 * end) * half)
+        if level is not None:
+            return [(end - start, pulse.omega_c * level, None)]
+        amp = pulse.omega_c * sg_envelope(np.arange(2 * start, 2 * end + 1) * half, pulse)
+        flat = (amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2])
+        out, i = [], 0
+        while i < end - start:
+            # run length: up to the first step of the other kind or the interval end
+            n = int(np.argmin(np.append(flat[i:], not flat[i]) == flat[i]))
+            out.append((n, float(amp[2 * i]), None) if flat[i]
+                       else (n, None, amp[2 * i:2 * (i + n) + 1].tolist()))
+            i += n
+        return out
+
     times = np.append(np.arange(0, n_steps, sample_every), n_steps) * dt
     blocks = np.zeros((len(times), n_a * n_a, n_c * n_c), dtype=complex)
     blocks[0] = psi0
-    k = 0
-    while k < n_steps:
-        if k % sample_every == 0:
-            # half-step amplitudes of the sample interval [k, end], and which
-            # of its steps are constant
-            start, end = k, min(k + sample_every, n_steps)
-            amp = pulse.omega_c * sg_envelope(np.arange(2 * start, 2 * end + 1) * (dt / 2.0),
-                                              pulse)
-            flat = (amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2])
-        i = k - start
-        # run length: up to the first step of the other kind or the next sample
-        n = int(np.argmin(np.append(flat[i:], not flat[i]) == flat[i]))
-        if flat[i]:
-            a = float(amp[2 * i])
+    for sample, start in enumerate(range(0, n_steps, sample_every), start=1):
+        for n, a, amp in runs(start, min(start + sample_every, n_steps)):
+            if amp is not None:
+                y = ramp(y, amp)
+                continue
             if (a, n) not in powers:
                 powers[a, n] = np.linalg.matrix_power(_rk4_step_matrix(gen_s + a * gen_d, dt), n)
             y = powers[a, n] @ y
-        else:
-            y = ramp(y, amp[2 * i:2 * (i + n) + 1].tolist())
-        k += n
-        if k == end:
-            blocks[start // sample_every + 1, occupied] = y[:, :, 0]
+        blocks[sample, occupied] = y[:, :, 0]
 
     blocks = blocks.reshape(len(times), n_a, n_a, n_c, n_c)
     trace = np.trace(qubit_block(blocks), axis1=1, axis2=2)

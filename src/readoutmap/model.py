@@ -121,6 +121,24 @@ def sg_envelope(t, pulse: PulseSpec):
     return float(out[0]) if scalar else out
 
 
+def constant_envelope(pulse: PulseSpec, t0: float, t1: float) -> float | None:
+    """The value sg_envelope gives on all of [t0, t1] (ns) when its own
+    branches make it constant there, else None.
+
+    That is 1.0 for a constant pulse, 1.0 strictly inside the flat top
+    (tau_r < t0 and t1 < tau_p - tau_r) and 0.0 strictly after the pulse
+    (t0 > tau_p). Any interval that overlaps a ramp or touches a branch point
+    gives None, even where the envelope happens to be constant.
+    """
+    if pulse.kind == "constant":
+        return 1.0
+    if pulse.tau_r < t0 and t1 < pulse.tau_p - pulse.tau_r:
+        return 1.0
+    if t0 > pulse.tau_p:
+        return 0.0
+    return None
+
+
 def envelope_derivatives(t, pulse: PulseSpec, order: int):
     """Analytic time derivative of the envelope, order 1..3, in 1/ns^order.
 
@@ -168,6 +186,18 @@ def validity_margin(params: SystemParams, omega_c: float) -> float:
     if rhs == 0.0:
         raise ValueError("degenerate detuning: both dressed resonances sit exactly on the drive")
     return abs(chi * omega_c) / rhs
+
+
+def truncation_error(photon: float, n_c: int) -> str | None:
+    """The one rule for a resonator truncation too small for its photon number.
+
+    A coherent state of photon >= n_c/4 has a Fock tail that n_c levels cut
+    off; the message then names the photon number and the bound, else None.
+    """
+    if photon >= n_c / 4.0:
+        return (f"photon number {photon:.3g} >= n_c/4 = {n_c / 4.0:g}: too large for "
+                f"n_c = {n_c}; increase the resonator truncation")
+    return None
 
 
 def params_from_dict(cfg: dict) -> SystemParams:

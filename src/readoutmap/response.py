@@ -18,11 +18,13 @@ samples, which keeps the adiabatic derivative expansion noise-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import RAD_PER_MHZ_NS, PulseSpec, SystemParams, envelope_derivatives, sg_envelope
+from .model import (RAD_PER_MHZ_NS, PulseSpec, SystemParams, constant_envelope,
+                    envelope_derivatives, sg_envelope)
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,23 @@ def steady_state(params: SystemParams, omega_c: float) -> tuple[complex, float]:
     eta_ss = -0.5j * omega_c / denom
     n_c = (omega_c / 2.0) ** 2 / (params.delta_cd**2 + (params.kappa_c / 2.0) ** 2)
     return eta_ss, n_c
+
+
+def peak_photon(params: SystemParams, omega_c: float) -> float:
+    """Largest steady-state photon number over the qubit levels k = 0..n_a-1:
+
+        max_k (omega_c/2)^2 / ((delta_cd + 2 chi_ac k)^2 + (kappa_c/2)^2),
+
+    the photon number of a drive omega_c held at each level's dressed
+    detuning. A zero denominator under a nonzero drive (an undamped dressed
+    resonance) counts as unbounded, inf.
+    """
+    drive = (omega_c / 2.0) ** 2
+    peak = 0.0
+    for k in range(params.n_a):
+        denom = (params.delta_cd + 2.0 * params.chi_ac * k) ** 2 + (params.kappa_c / 2.0) ** 2
+        peak = max(peak, drive / denom if denom else (math.inf if drive else 0.0))
+    return peak
 
 
 def _decay_rate_per_ns(params: SystemParams) -> complex:
@@ -165,9 +184,14 @@ def eta_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
 
     The recurrence is advanced from one index to the next, one interval at a
     time: the drive is evaluated on that interval alone and n steps are
-    applied as u <- r^n u + sum_j r^(n-1-j) g[j]. Memory is O(largest
-    interval), not O(grid). Raises the ValueErrors of solve_eta, and for
-    indices off the grid or out of order.
+    applied as u <- r^n u + sum_j r^(n-1-j) g[j]. On an interval where
+    model.constant_envelope proves the envelope constant, every g[j] is the
+    same number, so the sum depends only on n and that level: it is computed
+    once, as on any other interval, and reused for every later interval of
+    the same length and level without evaluating the envelope (a constant
+    pulse, the flat top and the zero tail). Memory is O(largest interval), not
+    O(grid). Raises the ValueErrors of solve_eta, and for indices off the grid
+    or out of order.
     """
     n_steps = _grid_steps(params, pulse, t_end, dt)
     idx = np.asarray(indices, dtype=int).reshape(-1)
@@ -176,13 +200,18 @@ def eta_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
         raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")
     mu = -_decay_rate_per_ns(params)
     pw = _powers(_rk4_factor(mu, dt), int(gaps.max(initial=0)))
+    sums = {}  # (n, level) -> sum_j r^(n-1-j) g[j] of an interval at constant level
     out = np.empty(idx.size, dtype=complex)
     u, k = 0.0j, 0
     for i, stop in enumerate(idx.tolist()):
         if stop > k:
-            _, g = _rk4_recurrence(mu, *_drive(pulse, k, stop, dt), dt)
             n = stop - k
-            u = pw[n] * u + np.dot(pw[n - 1::-1], g)
+            level = constant_envelope(pulse, (2 * k) * (dt / 2.0), (2 * stop) * (dt / 2.0))
+            if level is None or (n, level) not in sums:
+                # (n, None) holds the last evaluated interval only: it is always rewritten
+                _, g = _rk4_recurrence(mu, *_drive(pulse, k, stop, dt), dt)
+                sums[n, level] = np.dot(pw[n - 1::-1], g)
+            u = pw[n] * u + sums[n, level]
             k = stop
         out[i] = u
     return out

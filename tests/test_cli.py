@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import readoutmap
+from readoutmap import cli, liouville, model, response
 from readoutmap.cli import load_config, main
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -154,6 +155,52 @@ def test_propagate_memory_is_flat_in_the_response_grid(tmp_path):
         tracemalloc.stop()
     assert len(read_rows(out)) == 601
     assert peak < 16 * 1_200_001 / 4
+
+
+def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, monkeypatch):
+    # 1.2 M response steps and 60 k propagate steps in 600 sample intervals,
+    # all at one constant level: one evaluated interval serves them all
+    intervals, original = [], model.sg_envelope
+
+    def counting(t, pulse):
+        intervals.append(np.size(t))
+        return original(t, pulse)
+
+    for module in (cli, liouville, model, response):  # every module that holds the name
+        monkeypatch.setattr(module, "sg_envelope", counting)
+    cfg = write_config(tmp_path, "c.json", {
+        "delta_ad_mhz": 0.0, "delta_cd_mhz": -10.0, "alpha_a_mhz": 0.0,
+        "chi_ac_mhz": -1.5, "kappa_c_mhz": 8.0, "n_a": 2, "n_c": 3,
+        "pulse": {"kind": "constant", "omega_c_mhz": 1.0},
+        "propagate": {"dt_ns": 0.02, "t_end_ns": 24000.0, "sample_every": 2000}})
+    out = tmp_path / "prop.csv"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 601
+    assert len(intervals) <= 3
+
+
+def test_propagate_warns_when_the_truncation_is_too_small(tmp_path, capsys):
+    # configs/propagate.json at n_c = 3 and 40 MHz: 3.76 photons at level 0
+    # against n_c/4 = 0.75; the run still writes its (truncated) result
+    with open(os.path.join(CONFIGS, "propagate.json")) as fh:
+        cfg = json.load(fh)
+    cfg["n_c"] = 3
+    cfg["pulse"]["omega_c_mhz"] = 40.0
+    cfg["propagate"] = {"dt_ns": 0.005, "t_end_ns": 200.0, "sample_every": 1000}
+    out = tmp_path / "prop.csv"
+    rc = main(["propagate", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert capsys.readouterr().err == (
+        "warning: peak steady-state photon number 3.76 >= n_c/4 = 0.75: too large for "
+        "n_c = 3; increase the resonator truncation\n")
+    assert rc == 0 and len(read_rows(out)) == 41
+
+
+def test_shipped_propagate_gives_no_truncation_warning(tmp_path, capsys):
+    # about 0.1 photon against the n_c/4 = 2.5 bound
+    out = tmp_path / "prop.csv"
+    assert main(["propagate", "--config", os.path.join(CONFIGS, "propagate.json"),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_transient_levels_above_n_a_are_a_result(tmp_path):

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from readoutmap import cli, eigenstates, liouville, spectra
+from readoutmap import cli, eigenstates, liouville, response, spectra
 from readoutmap.eigenstates import coherent_amplitudes
 from readoutmap.liouville import (AccuracyError, CollapseTerm, VectorizedState, basis_index,
                                   build_extended_hamiltonian, build_superoperator, destroy,
                                   kerr_hamiltonian, propagate, qubit_block, sector_generator,
                                   sector_indices, single_copy_operators, trace_functional,
                                   vectorize)
-from readoutmap.model import PulseSpec, SystemParams, sg_envelope
+from readoutmap.model import PulseSpec, SystemParams, constant_envelope, sg_envelope
 from readoutmap.response import solve_eta
 
 SMALL = SystemParams(delta_ad=-20.0, delta_cd=-5.0, alpha_a=-3.3, chi_ac=-1.0,
@@ -424,6 +424,45 @@ def test_propagate_zero_state_stays_zero():
     assert np.all(res.blocks == 0.0)
     assert res.max_trace_drift == 0.0
     assert res.max_hermiticity_drift == 0.0
+
+
+# a flat top from 5 to 15 ns and a zero tail after 20 ns
+SHORTCUT_PULSES = {"constant": PulseSpec("constant", 4.0),
+                   "square-gaussian": PulseSpec("square-gaussian", 4.0, tau_p=20.0, tau_r=5.0,
+                                                sigma_r=2.5)}
+
+
+@pytest.mark.parametrize("sample_every", [1, 7, 400])
+@pytest.mark.parametrize("kind", ["constant", "square-gaussian"])
+def test_constant_interval_shortcut_is_bit_identical(monkeypatch, kind, sample_every):
+    # The default run skips the envelope on provably constant sample
+    # intervals; with constant_envelope patched to None every interval takes
+    # the evaluated path. 303 steps: 7 leaves a partial last interval and 400
+    # is one interval longer than the grid.
+    p, pulse = SystemParams(-3.0, -5.0, 0.0, -1.0, 2.0, 2, 3), SHORTCUT_PULSES[kind]
+    t_end, dt, m = 30.3, 0.1, 3
+    levels = []
+
+    def spy(pulse, t0, t1):
+        levels.append(constant_envelope(pulse, t0, t1))
+        return levels[-1]
+
+    def run():
+        res = propagate(plus_state(p, resonator=1), p, pulse, t_end, dt, sample_every)
+        idx = m * np.rint(res.times / dt).astype(int)
+        return res.blocks, response.eta_at(p, pulse, t_end, dt / m, idx)
+
+    monkeypatch.setattr(liouville, "constant_envelope", spy)
+    monkeypatch.setattr(response, "constant_envelope", spy)
+    blocks, eta = run()
+    # the shortcut fires, except where the one interval holds both ramps
+    assert any(level is not None for level in levels) == (kind == "constant"
+                                                          or sample_every < 400)
+    monkeypatch.setattr(liouville, "constant_envelope", lambda *args: None)
+    monkeypatch.setattr(response, "constant_envelope", lambda *args: None)
+    ref_blocks, ref_eta = run()
+    assert np.array_equal(blocks, ref_blocks)
+    assert np.array_equal(eta, ref_eta)
 
 
 def test_propagate_rejects_negative_end_time():

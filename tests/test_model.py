@@ -6,9 +6,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from readoutmap import model
-from readoutmap.model import (PulseSpec, SystemParams, detuning_l, detuning_r,
-                              envelope_derivatives, params_from_dict, pulse_from_dict,
-                              sg_envelope, validity_margin, write_csv)
+from readoutmap.model import (PulseSpec, SystemParams, constant_envelope, detuning_l,
+                              detuning_r, envelope_derivatives, params_from_dict,
+                              pulse_from_dict, sg_envelope, truncation_error, validity_margin,
+                              write_csv)
 
 SG = PulseSpec("square-gaussian", omega_c=50.0, tau_p=1000.0, tau_r=100.0, sigma_r=50.0)
 
@@ -51,6 +52,52 @@ def test_envelope_range_and_continuity():
     for edge in (0.0, SG.tau_r, SG.tau_p - SG.tau_r, SG.tau_p):
         jump = abs(sg_envelope(edge - 1e-12, SG) - sg_envelope(edge + 1e-12, SG))
         assert jump < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["constant", "square-gaussian"]),
+       omega=st.floats(-60.0, 60.0),
+       dt=st.one_of(st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.floats(0.01, 2.0)),
+       p_half=st.integers(2, 400),  # tau_p in half-steps
+       r_frac=st.floats(0.0, 1.0),  # tau_r in half-steps, as a fraction of p_half/2
+       k=st.integers(0, 220), n=st.integers(1, 120))
+# no flat top (tau_r = tau_p/2), an interval ending exactly at the peak
+@example(kind="square-gaussian", omega=5.0, dt=0.25, p_half=200, r_frac=1.0, k=40, n=10)
+# endpoints exactly on tau_r (t0, then t1), on tau_p - tau_r (t1, then t0) and on tau_p (t0)
+@example(kind="square-gaussian", omega=5.0, dt=0.25, p_half=200, r_frac=0.4, k=20, n=10)
+@example(kind="square-gaussian", omega=5.0, dt=0.25, p_half=200, r_frac=0.4, k=10, n=10)
+@example(kind="square-gaussian", omega=5.0, dt=0.25, p_half=200, r_frac=0.4, k=70, n=10)
+@example(kind="square-gaussian", omega=5.0, dt=0.25, p_half=200, r_frac=0.4, k=80, n=10)
+@example(kind="square-gaussian", omega=-5.0, dt=0.25, p_half=200, r_frac=0.4, k=100, n=10)
+# just inside the flat top, and the first interval after tau_p (negative drive: -0.0)
+@example(kind="square-gaussian", omega=5.0, dt=0.25, p_half=200, r_frac=0.4, k=21, n=48)
+@example(kind="square-gaussian", omega=-5.0, dt=0.25, p_half=200, r_frac=0.4, k=101, n=10)
+def test_constant_envelope_is_exact_where_it_claims_a_level(kind, omega, dt, p_half, r_frac,
+                                                            k, n):
+    # propagate's sample interval k..k+n on its half-grid (2j) * (dt/2)
+    half = dt / 2.0
+    r_half = max(1, round(r_frac * (p_half // 2)))
+    if kind == "constant":
+        pulse = PulseSpec(kind, omega)
+        ramps = []
+    else:
+        tau_p, tau_r = p_half * half, r_half * half
+        pulse = PulseSpec(kind, omega, tau_p=tau_p, tau_r=tau_r, sigma_r=0.5 * tau_r)
+        ramps = [(0.0, tau_r), (tau_p - tau_r, tau_p)]
+    t0, t1 = (2 * k) * half, (2 * (k + n)) * half
+    level = constant_envelope(pulse, t0, t1)
+    # None exactly when the closed interval meets a ramp, branch points included
+    assert (level is None) == any(t0 <= hi and t1 >= lo for lo, hi in ramps)
+    if level is not None:
+        amp = pulse.omega_c * sg_envelope(np.arange(2 * k, 2 * (k + n) + 1) * half, pulse)
+        # bit for bit, signed zeros included
+        assert amp.tobytes() == np.full(amp.shape, pulse.omega_c * level).tobytes()
+
+
+def test_truncation_error_is_one_rule_at_a_quarter_of_n_c():
+    assert truncation_error(2.4999, 10) is None
+    assert "n_c/4 = 2.5" in truncation_error(2.5, 10)
+    assert "n_c = 10" in truncation_error(float("inf"), 10)
 
 
 def test_derivatives_trivial_cases():

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from readoutmap.model import PulseSpec, SystemParams
-from readoutmap.response import _rk4_linear, eta_at, max_stable_dt, solve_eta, steady_state
+from readoutmap.response import (_rk4_linear, eta_at, max_stable_dt, peak_photon, solve_eta,
+                                 steady_state)
 
 P = SystemParams(delta_ad=0.0, delta_cd=-5.0, alpha_a=0.0, chi_ac=-1.0, kappa_c=1.0,
                  n_a=2, n_c=14)
@@ -91,6 +92,17 @@ def test_eta_at_matches_the_full_trajectory(kind, omega_c, delta_cd, kappa_c, st
 def test_eta_at_rejects_indices_off_the_grid(indices):
     with pytest.raises(ValueError, match="sample indices"):
         eta_at(P, PulseSpec("constant", 7.0), t_end=10.0, dt=0.1, indices=indices)
+
+
+def test_peak_photon_is_the_largest_level_steady_state():
+    # level k sits at delta_cd + 2 chi k: -5 and -7 MHz for P, -1 and +1 for `split`
+    assert peak_photon(P, 7.0) == steady_state(P, 7.0)[1]
+    split = SystemParams(0.0, -1.0, 0.0, 1.0, 1.0, 3, 4)
+    assert peak_photon(split, 7.0) == pytest.approx(12.25 / 1.25, rel=1e-15)
+    # an undamped dressed resonance is unbounded under a drive, empty without one
+    undamped = SystemParams(0.0, 2.0, 0.0, -1.0, 0.0, 2, 4)
+    assert peak_photon(undamped, 1.0) == np.inf
+    assert peak_photon(undamped, 0.0) == 0.0
 
 
 def test_one_point_grid():
