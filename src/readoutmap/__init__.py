@@ -11,9 +11,8 @@ from .effective import (EffectiveLindblad, RatePair, adiabatic_correlations, cho
                         gambetta_rates, rates, spectrum_matrix)
 from .eigenstates import (PerturbativeEigenstate, closed_form_eigenpair, eigenstate_fidelity,
                           fidelity_sweep, perturbative_eigenstate, residual_norm)
-from .liouville import (AccuracyError, CollapseTerm, PropagationResult, VectorizedState,
-                        build_extended_hamiltonian, build_superoperator, propagate, qubit_block,
-                        sector_generator)
+from .liouville import (AccuracyError, PropagationResult, VectorizedState,
+                        build_extended_hamiltonian, propagate, qubit_block, sector_generator)
 from .model import PulseSpec, SystemParams, envelope_derivatives, sg_envelope, validity_margin
 from .response import ResonatorTrajectory, solve_eta, steady_state
 from .spectra import (CoherenceTrack, EigenPair, EigenSet, TrackingLostError, eigendecompose,
@@ -24,11 +23,11 @@ from .transient import (CorrelationSet, GeneratorSeries, adiabatic_series_A,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError", "CoherenceTrack", "CollapseTerm", "CorrelationSet",
+    "AccuracyError", "CoherenceTrack", "CorrelationSet",
     "EffectiveLindblad", "EigenPair", "EigenSet", "GeneratorSeries", "PerturbativeEigenstate",
     "PropagationResult", "PulseSpec", "RatePair", "ResonatorTrajectory", "SystemParams",
     "TrackingLostError", "VectorizedState", "adiabatic_correlations", "adiabatic_series_A",
-    "build_extended_hamiltonian", "build_superoperator", "choi_cptp_check",
+    "build_extended_hamiltonian", "choi_cptp_check",
     "closed_form_eigenpair", "correlations_timedomain", "effective_generator_timedep",
     "effective_lindblad", "effective_map_apply", "effective_spectrum", "eigendecompose",
     "eigenpair_near", "eigenstate_fidelity", "envelope_derivatives", "extract_rates",

@@ -20,14 +20,18 @@ per qubit sector; sector_indices picks out the indices of one sector.
 sector_generator is the definition of Hu: it builds one sector block directly
 from n_c-dimensional resonator operators. build_extended_hamiltonian is the
 scatter of all n_a^2 blocks into the full doubled-space matrix, the one user
-of basis_index and sector_indices; only the validation checks and the tests
+of basis_index and sector_indices; only the tests and the benchmark harness
 call it. The eigensolves, the eigenstate residuals and propagate work on the
-blocks, and propagate returns its samples as sector blocks.
+blocks, and propagate returns its samples as sector blocks. stability_bound
+is propagate's step-size rule, which cli validate applies to a config
+without propagating. The single-copy Kerr Hamiltonian and the Lindblad
+generator assembled from the flattening identities, the independent route
+the blocks are checked against, live with the tests (tests/fullspace.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +40,6 @@ from .model import PulseSpec, SystemParams, constant_envelope, sg_envelope
 
 class AccuracyError(RuntimeError):
     """Numerical result failed its accuracy gate (try a smaller step)."""
-
-
-@dataclass(frozen=True)
-class CollapseTerm:
-    """One dissipator: rate gamma (MHz, >= 0) and single-copy jump operator."""
-
-    rate: float
-    op: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("collapse rate must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -77,33 +69,8 @@ def sector_indices(params: SystemParams, n_al: int, n_ar: int) -> np.ndarray:
     return basis_index(params, n_al, n_cl, n_ar, n_cr)
 
 
-def single_copy_operators(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Qubit and resonator lowering operators over the single-copy space."""
-    a = np.kron(destroy(params.n_a), np.eye(params.n_c))
-    c = np.kron(np.eye(params.n_a), destroy(params.n_c))
-    return a, c
-
-
-def kerr_hamiltonian(params: SystemParams, omega_c_value: float) -> np.ndarray:
-    """Single-copy Kerr system-plus-drive Hamiltonian (MHz), real symmetric."""
-    a, c = single_copy_operators(params)
-    num_a = a.conj().T @ a
-    num_c = c.conj().T @ c
-    h = (params.delta_ad * num_a
-         + 0.5 * params.alpha_a * (a.conj().T @ a.conj().T @ a @ a)
-         + params.delta_cd * num_c
-         + 2.0 * params.chi_ac * (num_a @ num_c)
-         + 0.5 * omega_c_value * (c + c.conj().T))
-    return h
-
-
 def vectorize(rho: np.ndarray) -> np.ndarray:
     return np.asarray(rho, dtype=complex).reshape(-1)
-
-
-def trace_functional(dim_single: int) -> np.ndarray:
-    """Row vector w with w @ |rho> = Tr(rho)."""
-    return np.eye(dim_single, dtype=complex).reshape(-1)
 
 
 def sector_generator(params: SystemParams, n_al: int, n_ar: int,
@@ -116,10 +83,12 @@ def sector_generator(params: SystemParams, n_al: int, n_ar: int,
               + (omega_c/2)(d + d^+),
 
     with d the resonator lowering operator, n = d^+ d, h_l = h_{n_al} and
-    h_r = h_{n_ar}. The level numbers k and k(k-1) are taken from the same
-    operator products as in kerr_hamiltonian (a^+ a and a^+ a^+ a a) and the
-    terms are added in the same order, so every entry is the same float as in
-    the Kronecker doubling of kerr_hamiltonian.
+    h_r = h_{n_ar}. The level numbers k and k(k-1) are taken from the qubit
+    operator products a^+ a and a^+ a^+ a a, and the terms are added in the
+    order of the single-copy Kerr Hamiltonian
+    delta_ad a^+a + alpha_a/2 a^+a^+aa + delta_cd c^+c + 2 chi_ac a^+a c^+c
+    + omega_c/2 (c + c^+), so every entry is the same float as in the
+    Kronecker doubling of that Hamiltonian (the test reference).
     """
     n_a = params.n_a
     if not (0 <= n_al < n_a and 0 <= n_ar < n_a):
@@ -152,6 +121,23 @@ def _drive_block(n_c: int) -> np.ndarray:
     return np.kron(x, eye) - np.kron(eye, x.conj())
 
 
+def generator_blocks(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """The zero-drive sector_generator blocks of all n_a^2 qubit sectors,
+    stacked in (n_al, n_ar) row-major order, and the drive block that every
+    sector adds times the drive amplitude."""
+    static = np.array([sector_generator(params, n_al, n_ar, 0.0)
+                       for n_al in range(params.n_a) for n_ar in range(params.n_a)])
+    return static, _drive_block(params.n_c)
+
+
+def stability_bound(static: np.ndarray, drive: np.ndarray, omega_c: float) -> tuple[float, float]:
+    """propagate's step-size rule for the generator_blocks at drive omega_c:
+    (dt_max in ns, scale in MHz), with scale the largest absolute row sum of
+    Hu over all sectors and dt_max = 0.05 rad of it per step (inf at scale 0)."""
+    scale = np.max(np.sum(np.abs(static + omega_c * drive), axis=-1))
+    return (0.05 / (2.0e-3 * np.pi * scale) if scale > 0 else np.inf), scale
+
+
 def build_extended_hamiltonian(params: SystemParams, omega_c_value: float) -> np.ndarray:
     """Full Hu (MHz): the n_a^2 sector_generator blocks scattered into the
     doubled space, zeros between sectors."""
@@ -162,34 +148,6 @@ def build_extended_hamiltonian(params: SystemParams, omega_c_value: float) -> np
             idx = sector_indices(params, n_al, n_ar)
             data[np.ix_(idx, idx)] = sector_generator(params, n_al, n_ar, omega_c_value)
     return data
-
-
-def build_superoperator(h: np.ndarray, collapses: list[CollapseTerm]) -> np.ndarray:
-    """Lindblad generator assembled directly from the flattening identities.
-
-    Returns -i(kron(H, I) - kron(I, H^T))
-            + sum_j gamma_j (kron(C, C*) - 1/2 kron(C^+C, I) - 1/2 kron(I, (C^+C)^T)),
-    the action of -i[H, rho] + sum_j gamma_j D[C_j] rho on row-major vec(rho).
-    H must be Hermitian; units follow the inputs. This route never touches the
-    left/right-copy construction, so it serves as an independent cross-check.
-    """
-    h = np.asarray(h, dtype=complex)
-    m = h.shape[0]
-    if h.shape != (m, m):
-        raise ValueError("H must be square")
-    if np.max(np.abs(h - h.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
-        raise ValueError("H must be Hermitian")
-    eye = np.eye(m)
-    sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for term in collapses:
-        c = np.asarray(term.op, dtype=complex)
-        if c.shape != (m, m):
-            raise ValueError(f"collapse operator shape {c.shape} does not match H {h.shape}")
-        cdc = c.conj().T @ c
-        sup = sup + term.rate * (np.kron(c, c.conj())
-                                 - 0.5 * np.kron(cdc, eye)
-                                 - 0.5 * np.kron(eye, cdc.T))
-    return sup
 
 
 @dataclass(frozen=True)
@@ -274,12 +232,11 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     is below 1, state0.vec does not have (n_a n_c)^2 entries, an occupied
     block's off-diagonal part is not the shared jump term (or the jump term is
     not real, or the drive block not imaginary, after the rate), or dt
-    violates the matrix-scale stability bound (the largest absolute row sum
-    of Hu at the pulse amplitude, over all n_a^2 sectors whether occupied or
-    not), and AccuracyError when the trace (the sum of the traces of the
-    diagonal sectors) drifts by more than 1e-6 or the state departs from
-    Hermiticity (max |blocks[t, m, n] - blocks[t, n, m]^+| over the samples,
-    the entries of rho - rho^+) by more than 1e-6.
+    exceeds stability_bound at the pulse amplitude (over all n_a^2 sectors
+    whether occupied or not), and AccuracyError when the trace (the sum of
+    the traces of the diagonal sectors) drifts by more than 1e-6 or the state
+    departs from Hermiticity (max |blocks[t, m, n] - blocks[t, n, m]^+| over
+    the samples, the entries of rho - rho^+) by more than 1e-6.
     """
     if not dt > 0.0:
         raise ValueError(f"step size dt = {dt} ns must be > 0")
@@ -292,12 +249,8 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     if state0.vec.size != size:
         raise ValueError(f"state0.vec has {state0.vec.size} entries; n_a = {n_a}, "
                          f"n_c = {n_c} needs (n_a n_c)^2 = {size}")
-    static = np.array([sector_generator(params, n_al, n_ar, 0.0)
-                       for n_al in range(n_a) for n_ar in range(n_a)])
-    drive = _drive_block(n_c)
-
-    scale = np.max(np.sum(np.abs(static + pulse.omega_c * drive), axis=-1))
-    dt_max = 0.05 / (2.0e-3 * np.pi * scale) if scale > 0 else np.inf
+    static, drive = generator_blocks(params)
+    dt_max, scale = stability_bound(static, drive, pulse.omega_c)
     if dt > dt_max:
         raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns "
                          f"for matrix scale {scale:.4g} MHz")

@@ -179,12 +179,16 @@ def validity_margin(params: SystemParams, omega_c: float) -> float:
                           * sqrt((delta_cd + 2 chi_ac)^2 + (kappa_c/2)^2))
 
     The perturbative effective map is trustworthy when this is well below 1;
-    callers should warn at >= 1.
+    callers should warn at >= 1. Raises ValueError when qubit level 0 or 1
+    sits on its undamped dressed resonance (kappa_c = 0 and
+    delta_cd + 2 chi_ac n = 0), where the ratio has no value.
     """
     d, chi, k = params.delta_cd, params.chi_ac, params.kappa_c
     rhs = math.sqrt(d**2 + (k / 2.0) ** 2) * math.sqrt((d + 2.0 * chi) ** 2 + (k / 2.0) ** 2)
     if rhs == 0.0:
-        raise ValueError("degenerate detuning: both dressed resonances sit exactly on the drive")
+        raise ValueError(f"delta_cd = {d + 0.0:g} MHz puts qubit level {0 if d == 0.0 else 1} "
+                         f"on its undamped dressed resonance (kappa_c = 0): the validity "
+                         f"margin has no value")
     return abs(chi * omega_c) / rhs
 
 

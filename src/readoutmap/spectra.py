@@ -15,7 +15,7 @@ renormalizes the qubit frequency (Stark shift) and its negative imaginary part
 is the measurement-induced dephasing rate.
 
 eigendecompose, the full spectrum by numpy's LAPACK zgeev, is the dense
-reference that validate and the tests use.
+reference that the tests and the benchmark harness use; no command calls it.
 """
 
 from __future__ import annotations

@@ -12,14 +12,14 @@ import pytest
 from readoutmap.effective import (adiabatic_correlations, choi_cptp_check, dephasing_choi,
                                   effective_map_apply, effective_spectrum, gambetta_rates,
                                   rates, spectrum_matrix)
-from readoutmap.liouville import (CollapseTerm, VectorizedState, build_extended_hamiltonian,
-                                  build_superoperator, kerr_hamiltonian, propagate,
-                                  qubit_block, single_copy_operators, vectorize)
+from readoutmap.liouville import (VectorizedState, build_extended_hamiltonian, propagate,
+                                  qubit_block, vectorize)
 from readoutmap.model import PulseSpec, SystemParams
 from readoutmap.response import solve_eta, steady_state
 from readoutmap.spectra import extract_rates
 from readoutmap.transient import adiabatic_series_A, fourier_A
 from conftest import BENCH
+from fullspace import CollapseTerm, build_superoperator, kerr_hamiltonian, single_copy_operators
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import readoutmap
-from readoutmap import cli, liouville, model, response
+from readoutmap import liouville, model, response
 from readoutmap.cli import load_config, main
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -166,7 +166,7 @@ def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, mo
         intervals.append(np.size(t))
         return original(t, pulse)
 
-    for module in (cli, liouville, model, response):  # every module that holds the name
+    for module in (liouville, model, response):  # every module that holds the name
         monkeypatch.setattr(module, "sg_envelope", counting)
     cfg = write_config(tmp_path, "c.json", {
         "delta_ad_mhz": 0.0, "delta_cd_mhz": -10.0, "alpha_a_mhz": 0.0,
@@ -244,14 +244,106 @@ def test_byte_identical_reruns_and_no_header(tmp_path):
 
 
 def test_validate_passes(tmp_path):
-    cfg = write_config(tmp_path, "c.json", BASE)
+    # BASE with every command section: six rules, all within their bounds
+    cfg = write_config(tmp_path, "c.json", {**BASE, **FORMAT_SECTIONS})
     out = tmp_path / "report.json"
     rc = main(["validate", "--config", cfg, "--out", str(out)])
     report = json.loads(out.read_text())
     assert rc == 0
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"].values())
-    assert len(report["checks"]) >= 10
+    assert sorted(report["checks"]) == [
+        "benchmark_eig.truncation", "benchmark_eig.validity_margin", "propagate.dt",
+        "propagate.truncation", "transient.dt", "transient.validity_margin"]
+
+
+def test_validate_without_rule_sections_has_no_checks(tmp_path, capsys):
+    assert main(["validate", "--config", write_config(tmp_path, "c.json", BASE)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"passed": True, "checks": {}}
+
+
+# each shipped config: the exit code, and for each check whether it passes
+# and how its detail starts
+SHIPPED_VALIDATION = [
+    ("benchmark_eig", 1, {
+        # 4.00 photons at the strongest drive against n_c/4 = 3.5
+        "benchmark_eig.truncation": (False, "photon number 4 >= n_c/4 = 3.5: "),
+        "benchmark_eig.validity_margin": (True, "margin 0.57 at omega_c = 20.0998 MHz")}),
+    ("transient_flattop", 1, {
+        "transient.dt": (True, "dt / bound = 0.628 "),
+        "transient.validity_margin": (False, "margin 1.203 at omega_c = 50 MHz")}),
+    ("transient_crosstalk", 0, {
+        "transient.dt": (True, "dt / bound = 0.628 "),
+        "transient.validity_margin": (True, "margin 0.005448 at omega_c = 14.2 MHz")}),
+    ("propagate", 0, {
+        "propagate.dt": (True, "dt / bound = 0.344 "),
+        "propagate.truncation": (True, "photon number 0.1 < n_c/4 = 2.5")}),
+    ("rates_sweep_narrow", 0, {}),
+    ("rates_sweep_split", 0, {}),
+    ("spectrum_grid", 0, {}),
+    ("compare_gambetta", 0, {}),
+]
+
+
+@pytest.mark.parametrize("config, rc, expected", SHIPPED_VALIDATION,
+                         ids=[c for c, _, _ in SHIPPED_VALIDATION])
+def test_validate_on_the_shipped_configs(tmp_path, capsys, config, rc, expected):
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", os.path.join(CONFIGS, config + ".json"),
+                 "--out", str(out)]) == rc
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    assert report["passed"] is (rc == 0)
+    assert sorted(report["checks"]) == sorted(expected)
+    for name, (passed, detail) in expected.items():
+        assert report["checks"][name]["passed"] is passed
+        assert report["checks"][name]["detail"].startswith(detail)
+
+
+@pytest.mark.parametrize("command, config, section", [
+    ("propagate", "propagate", "propagate"),
+    ("transient", "transient_crosstalk", "transient"),
+])
+def test_validate_dt_rule_is_the_commands_rule(tmp_path, capsys, command, config, section):
+    # just below the bound validate passes and the command runs; just above,
+    # validate fails and the command stops with its stability error
+    with open(os.path.join(CONFIGS, config + ".json")) as fh:
+        payload = json.load(fh)
+    payload[section]["t_end_ns"] = 20.0
+    run = load_config(write_config(tmp_path, "c.json", payload))
+    if section == "propagate":
+        bound = liouville.stability_bound(*liouville.generator_blocks(run.params),
+                                          run.pulse.omega_c)[0]
+    else:
+        bound = response.max_stable_dt(run.params, run.pulse)
+    for factor, ok in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
+        payload[section]["dt_ns"] = bound * factor
+        cfg = write_config(tmp_path, "c.json", payload)
+        report = tmp_path / "report.json"
+        assert main(["validate", "--config", cfg, "--out", str(report)]) == (0 if ok else 1)
+        assert json.loads(report.read_text())["checks"][f"{section}.dt"]["passed"] is ok
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == \
+            (0 if ok else 1)
+        assert ("stability bound" in capsys.readouterr().err) is not ok
+
+
+def test_benchmark_eig_warns_when_the_truncation_is_too_small(tmp_path, capsys):
+    # the shipped grid reaches 4.00 photons at n_c = 14 (bound 3.5); without
+    # its last two points (at most 3.0 photons) it stays below the bound
+    with open(os.path.join(CONFIGS, "benchmark_eig.json")) as fh:
+        payload = json.load(fh)
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark-eig", "--config", os.path.join(CONFIGS, "benchmark_eig.json"),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: peak steady-state photon number 4 >= n_c/4 = 3.5: too large for "
+        "n_c = 14; increase the resonator truncation\n")
+    assert len(read_rows(out)) == 13
+    payload["benchmark_eig"]["omega_c_grid_mhz"] = payload["benchmark_eig"]["omega_c_grid_mhz"][:-2]
+    assert main(["benchmark-eig", "--config", write_config(tmp_path, "c.json", payload),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_rows(out)) == 11
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -290,6 +382,13 @@ def test_rates_sweep_through_an_undamped_resonance_is_an_error(tmp_path, capsys,
     ("propagate", {"delta_cd_mhz": 0.0, "chi_ac_mhz": -1.0,
                    "pulse": {"kind": "constant", "omega_c_mhz": 0.0},
                    "propagate": {"dt_ns": 0.5, "t_end_ns": 20.0, "sample_every": 10}}, 0, 0.0),
+    # level 1 on its resonance: the validity margin has no value
+    ("transient", {"delta_cd_mhz": 2.0, "chi_ac_mhz": -1.0,
+                   "transient": {"dt_ns": 0.5, "t_end_ns": 20.0}}, 1, 2.0),
+    ("validate", {"delta_cd_mhz": 2.0, "chi_ac_mhz": -1.0,
+                  "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0]},
+                  "transient": {"dt_ns": 0.5, "t_end_ns": 20.0},
+                  "propagate": {"dt_ns": 0.05, "t_end_ns": 20.0}}, 1, 2.0),
 ])
 def test_undamped_dressed_resonance_is_an_error(tmp_path, capsys, command, fields, level, d):
     cfg = write_config(tmp_path, "c.json", {**BASE, "kappa_c_mhz": 0.0, **fields})
@@ -299,9 +398,11 @@ def test_undamped_dressed_resonance_is_an_error(tmp_path, capsys, command, field
     assert rc == 1
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    # one error line and nothing else: no traceback, no report, no CSV
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert (f"delta_cd = {d:g} MHz puts qubit level {level} on its undamped dressed "
             f"resonance") in err
+    assert not (tmp_path / "o.csv").exists()
 
 
 STARTUP_SCRIPT = """

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from readoutmap import cli, eigenstates, liouville, response, spectra
 from readoutmap.eigenstates import coherent_amplitudes
-from readoutmap.liouville import (AccuracyError, CollapseTerm, VectorizedState, basis_index,
-                                  build_extended_hamiltonian, build_superoperator, destroy,
-                                  kerr_hamiltonian, propagate, qubit_block, sector_generator,
-                                  sector_indices, single_copy_operators, trace_functional,
-                                  vectorize)
+from readoutmap.liouville import (AccuracyError, VectorizedState, basis_index,
+                                  build_extended_hamiltonian, destroy, propagate, qubit_block,
+                                  sector_generator, sector_indices, vectorize)
 from readoutmap.model import PulseSpec, SystemParams, constant_envelope, sg_envelope
 from readoutmap.response import solve_eta
+from fullspace import (CollapseTerm, build_superoperator, kerr_hamiltonian,
+                       single_copy_operators, trace_functional)
 
 SMALL = SystemParams(delta_ad=-20.0, delta_cd=-5.0, alpha_a=-3.3, chi_ac=-1.0,
                      kappa_c=1.0, n_a=2, n_c=5)
@@ -526,7 +526,8 @@ def test_product_paths_never_build_the_full_generator(monkeypatch):
 def test_eigenvectors_never_use_the_doubled_layout(monkeypatch, tmp_path):
     # tracking and the fidelity sweep keep every vector in its qubit-sector
     # block, and propagate keeps its samples as sector blocks; only
-    # build_extended_hamiltonian (validate and the tests) needs the layout
+    # build_extended_hamiltonian (the tests and the benchmark harness) needs
+    # the layout
     def layout(*args, **kwargs):
         raise AssertionError("doubled-basis layout used")
 

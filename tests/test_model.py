@@ -158,6 +158,10 @@ def test_validity_margin():
     mid = SystemParams(0, 1.0, 0, -1.0, 2.0, 2, 2)
     expected = abs(mid.chi_ac * 7.0) / (mid.chi_ac**2 + (mid.kappa_c / 2.0) ** 2)
     assert validity_margin(mid, 7.0) == pytest.approx(expected, rel=1e-12)
+    # undamped, with qubit level 0 or 1 on its dressed resonance: no value
+    for d, level in ((0.0, 0), (2.0, 1)):
+        with pytest.raises(ValueError, match=f"level {level} on its undamped dressed resonance"):
+            validity_margin(SystemParams(0, d, 0, -1.0, 0.0, 2, 2), 1.0)
     with pytest.raises(ValueError):
         validity_margin(SystemParams(0, 0.0, 0, 0.0, 0.0, 2, 2), 1.0)
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from readoutmap import cli
 from readoutmap.effective import effective_spectrum, rates
 from readoutmap.eigenstates import closed_form_eigenpair, fidelity_sweep
 from readoutmap.liouville import (AccuracyError, basis_index, build_extended_hamiltonian,
@@ -78,9 +80,13 @@ def test_zero_drive_spectrum_matches_closed_form():
     assert max(float(np.min(np.abs(expected - e))) for e in es.eigenvalues) < 1e-10
 
 
-def test_spectrum_pairing_and_zero_mode():
-    p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 6)
-    es = eigendecompose(build_extended_hamiltonian(p, 4.0))
+@pytest.mark.parametrize("p, omega", [
+    (SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 6), 4.0),
+    # the benchmark qubit (far detuned, transmon anharmonicity) at 2 x 8
+    (SystemParams(-2005.0, -5.0, -330.0, -1.0, 1.0, 2, 8), 5.0),
+], ids=["2x6", "benchmark-qubit-2x8"])
+def test_spectrum_pairing_and_zero_mode(p, omega):
+    es = eigendecompose(build_extended_hamiltonian(p, omega))
     w = es.eigenvalues
     # closed under E -> -conj(E) (ket/bra exchange)
     worst = max(float(np.min(np.abs(w - (-np.conj(e))))) for e in w)
@@ -341,9 +347,10 @@ def test_lost_branch_is_reported_before_the_residual_gate():
         eigenpair_near(block, shift, start)
 
 
-def test_product_paths_never_run_a_full_eigensolve(monkeypatch):
-    # tracking and the fidelity sweep solve for their one pair only;
-    # eigendecompose (zgeev) is the dense reference of validate and the tests
+def test_product_paths_never_run_a_full_eigensolve(monkeypatch, tmp_path):
+    # tracking and the fidelity sweep solve for their one pair only, and
+    # validate solves nothing; eigendecompose (zgeev) is the dense reference
+    # of the tests and the benchmark harness
     def full_solve(*args, **kwargs):
         raise AssertionError("full eigendecomposition run")
 
@@ -351,6 +358,21 @@ def test_product_paths_never_run_a_full_eigensolve(monkeypatch):
     p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 6)
     assert track_coherence(p, [0.0, 0.5, 1.0], n_workers=2).eigenvalues.size == 3
     assert len(fidelity_sweep(p, [0.0, 0.5, 1.0])) == 9
+    cfg = tmp_path / "every_section.json"
+    cfg.write_text(json.dumps({
+        "delta_ad_mhz": p.delta_ad, "delta_cd_mhz": p.delta_cd, "alpha_a_mhz": p.alpha_a,
+        "chi_ac_mhz": p.chi_ac, "kappa_c_mhz": p.kappa_c, "n_a": p.n_a, "n_c": p.n_c,
+        "pulse": {"kind": "constant", "omega_c_mhz": 1.0},
+        "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 5},
+        "benchmark_eig": {"omega_c_grid_mhz": [0.0, 0.5, 1.0]},
+        "transient": {"dt_ns": 0.5, "t_end_ns": 200.0},
+        "spectrum_grid": {"photon": 1.0, "levels": 2},
+        "propagate": {"dt_ns": 0.05, "t_end_ns": 200.0, "sample_every": 400},
+        "compare_gambetta": {"delta_cd_start_mhz": -12.0, "delta_cd_stop_mhz": 8.0,
+                             "points": 5}}))
+    report = tmp_path / "report.json"
+    assert cli.main(["validate", "--config", str(cfg), "--out", str(report)]) == 0
+    assert len(json.loads(report.read_text())["checks"]) == 6
 
 
 def test_track_csv(tmp_path, bench_track):
