@@ -8,7 +8,7 @@ Subcommands map one-to-one onto plot-ready data products:
   spectrum-grid     effective spectrum over a level grid
   propagate         full master-equation coherence vs the effective map
   compare-gambetta  two-level-model dephasing vs ours, with the chi offset
-  validate          the commands' pre-flight rules on the config, as a JSON report
+  validate          every section's reader and the commands' pre-flight rules, as JSON
 
 All frequencies in configs are cyclic MHz; times are ns. Output is
 deterministic (byte-identical across reruns); --no-header drops the CSV
@@ -28,10 +28,8 @@ from . import effective, liouville, response, spectra, transient
 from .model import (PulseSpec, SystemParams, params_from_dict, pulse_from_dict, truncation_error,
                     validity_margin, write_csv)
 
-_TOP_KEYS = {"delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz",
-             "n_a", "n_c", "pulse", "out",
-             "rates_sweep", "benchmark_eig", "transient", "spectrum_grid",
-             "propagate", "compare_gambetta"}
+_PARAM_KEYS = {"delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz",
+               "n_a", "n_c"}
 
 
 @dataclass(frozen=True)
@@ -47,17 +45,14 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
-    unknown = set(raw) - _TOP_KEYS
+    unknown = set(raw) - _PARAM_KEYS - set(_READERS) - {"pulse", "out"}
     if unknown:
         raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-    params = params_from_dict({k: raw[k] for k in raw
-                               if k.endswith("_mhz") or k in ("n_a", "n_c")})
+    params = params_from_dict({k: raw[k] for k in raw if k in _PARAM_KEYS})
     if "pulse" not in raw:
         raise ValueError("config requires a 'pulse' section")
     pulse = pulse_from_dict(raw["pulse"])
-    sections = {k: raw[k] for k in raw if k in
-                ("rates_sweep", "benchmark_eig", "transient", "spectrum_grid",
-                 "propagate", "compare_gambetta")}
+    sections = {k: raw[k] for k in raw if k in _READERS}
     return RunConfig(params=params, pulse=pulse, sections=sections, out=raw.get("out"))
 
 
@@ -69,25 +64,42 @@ def _section(config: RunConfig, name: str, allowed: set[str]) -> dict:
     return sec
 
 
-def _linspace(sec: dict, start_key: str, stop_key: str, default_points: int = 101):
-    if start_key not in sec or stop_key not in sec:
-        raise ValueError(f"config section requires '{start_key}' and '{stop_key}'")
+def _sweep(config: RunConfig, name: str, default_points: int) -> np.ndarray:
+    """The delta_cd grid (MHz) of sweep section `name`."""
+    sec = _section(config, name, {"delta_cd_start_mhz", "delta_cd_stop_mhz", "points"})
+    if "delta_cd_start_mhz" not in sec or "delta_cd_stop_mhz" not in sec:
+        raise ValueError("config section requires 'delta_cd_start_mhz' and 'delta_cd_stop_mhz'")
     points = int(sec.get("points", default_points))
     if points < 1:
         raise ValueError("sweep must contain at least one point")
-    return np.linspace(float(sec[start_key]), float(sec[stop_key]), points)
+    return np.linspace(float(sec["delta_cd_start_mhz"]), float(sec["delta_cd_stop_mhz"]), points)
 
 
-def _grid_section(config: RunConfig, name: str, extra: set[str]) -> dict:
-    """Section `name` of a command that steps a time grid: it needs 'dt_ns' and 't_end_ns'."""
+def _grid_section(config: RunConfig, name: str, extra: set[str]) -> tuple[dict, float, float]:
+    """Section `name` of a command that steps a time grid, and its 'dt_ns' and 't_end_ns'."""
     sec = _section(config, name, {"dt_ns", "t_end_ns"} | extra)
     if "dt_ns" not in sec or "t_end_ns" not in sec:
         raise ValueError(f"config section '{name}' requires 'dt_ns' and 't_end_ns'")
-    return sec
+    dt, t_end = float(sec["dt_ns"]), float(sec["t_end_ns"])
+    if not t_end >= 0.0:
+        raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
+    return sec, dt, t_end
 
 
-def _omega_grid(config: RunConfig) -> np.ndarray:
-    """The benchmark_eig section's drive grid (MHz): a non-empty 1-D array."""
+def _rule(params: SystemParams, rule: str, omega: float, where: str) -> tuple[bool, str, str]:
+    """Warning rule 'validity_margin' or 'truncation' at drive omega (MHz):
+    (passed, validate's detail, the command's warning)."""
+    if rule == "validity_margin":
+        margin = validity_margin(params, omega)
+        return (margin < 1.0, f"margin {margin:.4g} at omega_c = {omega:g} MHz (warns at >= 1)",
+                f"perturbative validity margin {margin:.3f} >= 1 at {where}")
+    photon = response.peak_photon(params, omega)
+    problem = truncation_error(photon, params.n_c)
+    detail = problem or f"photon number {photon:.3g} < n_c/4 = {params.n_c / 4.0:g}"
+    return problem is None, detail, f"peak steady-state {problem}"
+
+
+def _read_benchmark_eig(config: RunConfig) -> tuple[np.ndarray, dict]:
     sec = _section(config, "benchmark_eig", {"omega_c_grid_mhz"})
     try:
         grid = np.asarray(sec.get("omega_c_grid_mhz", []), dtype=float)
@@ -96,26 +108,74 @@ def _omega_grid(config: RunConfig) -> np.ndarray:
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("config section 'benchmark_eig' requires 'omega_c_grid_mhz', "
                          "a non-empty 1-D omega_c grid")
-    return grid
+    if grid[0] != 0.0:
+        raise ValueError("omega_c grid must start at 0")
+    omega = float(np.max(np.abs(grid)))
+    return grid, {f"benchmark_eig.{rule}": _rule(config.params, rule, omega, "the strongest drive")
+                  for rule in ("validity_margin", "truncation")}
 
 
-def _warn_margin(params: SystemParams, omega: float, where: str) -> None:
-    margin = validity_margin(params, omega)
-    if margin >= 1.0:
-        print(f"warning: perturbative validity margin {margin:.3f} >= 1 at {where}",
-              file=sys.stderr)
+def _read_transient(config: RunConfig) -> tuple[tuple, dict]:
+    sec, dt, t_end = _grid_section(config, "transient", {"levels"})
+    # every entry must be a pair of qubit levels; the CSV holds the first one only
+    try:
+        levels = [(int(m), int(n)) for m, n in sec.get("levels", [[1, 0]])]
+    except (TypeError, ValueError):
+        levels = []
+    if not levels or min(min(pair) for pair in levels) < 0:
+        raise ValueError("config section 'transient': 'levels' must be a non-empty list of "
+                         "[n_al, n_ar] pairs of ints >= 0")
+    # the margin's error at an undamped resonance comes before kappa's
+    rule = _rule(config.params, "validity_margin", config.pulse.omega_c, "the pulse peak")
+    if config.params.kappa_c <= 0:
+        raise ValueError("correlations_timedomain requires kappa_c > 0")
+    if dt > 0.0 and t_end / dt <= 0.5:  # round(t_end / dt) == 0 steps
+        raise ValueError("correlations need at least two grid points: t_end is below dt/2")
+    return (dt, t_end, levels), {"transient.validity_margin": rule}
 
 
-def _warn_truncation(params: SystemParams, omega: float) -> None:
-    problem = truncation_error(response.peak_photon(params, omega), params.n_c)
-    if problem:
-        print(f"warning: peak steady-state {problem}", file=sys.stderr)
+def _read_spectrum_grid(config: RunConfig) -> tuple[tuple, dict]:
+    sec = _section(config, "spectrum_grid", {"photon", "levels"})
+    photon, levels = float(sec.get("photon", 1.0)), int(sec.get("levels", 3))
+    if levels < 1:
+        raise ValueError(f"config section 'spectrum_grid': 'levels' = {levels} must be >= 1")
+    return (photon, levels), {}
+
+
+def _read_propagate(config: RunConfig) -> tuple[tuple, dict]:
+    sec, dt, t_end = _grid_section(config, "propagate", {"sample_every"})
+    sample_every = None if sec.get("sample_every") is None else int(sec["sample_every"])
+    if sample_every is not None and sample_every < 1:
+        raise ValueError(f"sample_every = {sample_every} must be >= 1")
+    rule = _rule(config.params, "truncation", config.pulse.omega_c, "the pulse peak")
+    return (dt, t_end, sample_every), {"propagate.truncation": rule}
+
+
+def _read_compare_gambetta(config: RunConfig) -> tuple[np.ndarray, dict]:
+    grid = _sweep(config, "compare_gambetta", 100)
+    if config.params.kappa_c <= 0:
+        raise ValueError("gambetta_rates requires kappa_c > 0")
+    return grid, {}
+
+
+# section -> reader: (the parsed section, {<section>.<rule>: _rule(...)}) or the command's error
+_READERS = {"rates_sweep": lambda config: (_sweep(config, "rates_sweep", 401), {}),
+            "benchmark_eig": _read_benchmark_eig, "transient": _read_transient,
+            "spectrum_grid": _read_spectrum_grid, "propagate": _read_propagate,
+            "compare_gambetta": _read_compare_gambetta}
+
+
+def _read(config: RunConfig, name: str):
+    """Section `name` through its reader; its failed rules are warnings on stderr."""
+    values, rules = _READERS[name](config)
+    for passed, _, warning in rules.values():
+        if not passed:
+            print(f"warning: {warning}", file=sys.stderr)
+    return values
 
 
 def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    sec = _section(config, "rates_sweep",
-                   {"delta_cd_start_mhz", "delta_cd_stop_mhz", "points"})
-    grid = _linspace(sec, "delta_cd_start_mhz", "delta_cd_stop_mhz", 401)
+    grid = _read(config, "rates_sweep")
     p = config.params
     omega = config.pulse.omega_c
     rows = []
@@ -135,11 +195,8 @@ def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> 
 
 
 def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    grid = _omega_grid(config)
+    grid = _read(config, "benchmark_eig")
     p = config.params
-    strongest = float(np.max(np.abs(grid)))
-    _warn_margin(p, strongest, "the strongest drive")
-    _warn_truncation(p, strongest)
     track = spectra.track_coherence(p, grid, n_workers=threads)
     pert = [effective.rates(p, n) for n in track.photons]
     spectra.write_track_csv(out, track, p, header=header,
@@ -148,40 +205,21 @@ def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -
 
 
 def cmd_transient(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    sec = _grid_section(config, "transient", {"levels"})
-    _warn_margin(config.params, config.pulse.omega_c, "the pulse peak")
-    # every entry must be a pair of qubit levels; the CSV holds the first one only
-    try:
-        levels = [(int(m), int(n)) for m, n in sec.get("levels", [[1, 0]])]
-    except (TypeError, ValueError):
-        levels = []
-    if not levels or min(min(pair) for pair in levels) < 0:
-        raise ValueError("config section 'transient': 'levels' must be a non-empty list of "
-                         "[n_al, n_ar] pairs of ints >= 0")
-    traj = response.solve_eta(config.params, config.pulse,
-                              float(sec["t_end_ns"]), float(sec["dt_ns"]))
+    dt, t_end, levels = _read(config, "transient")
+    traj = response.solve_eta(config.params, config.pulse, t_end, dt)
     corr = transient.correlations_timedomain(traj, config.params, levels[:1])
     gen = transient.effective_generator_timedep(corr, traj, config.params, levels[:1])
     transient.write_transient_csv(out, traj, corr, gen, pair=levels[0], header=header)
 
 
 def cmd_spectrum_grid(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    sec = _section(config, "spectrum_grid", {"photon", "levels"})
-    photon = float(sec.get("photon", 1.0))
-    levels = int(sec.get("levels", 3))
-    if levels < 1:
-        raise ValueError(f"config section 'spectrum_grid': 'levels' = {levels} must be >= 1")
+    photon, levels = _read(config, "spectrum_grid")
     effective.write_spectrum_grid_csv(out, config.params, levels, photon, header=header)
 
 
 def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    sec = _grid_section(config, "propagate", {"sample_every"})
+    dt, t_end, sample_every = _read(config, "propagate")
     p, pulse = config.params, config.pulse
-    dt, t_end = float(sec["dt_ns"]), float(sec["t_end_ns"])
-    sample_every = sec.get("sample_every")
-    sample_every = int(sample_every) if sample_every is not None else None
-    _warn_truncation(p, pulse.omega_c)
-
     plus = np.zeros(p.n_a * p.n_c, dtype=complex)
     plus[0] = 1.0 / np.sqrt(2.0)
     plus[p.n_c] = 1.0 / np.sqrt(2.0)
@@ -189,14 +227,9 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
     state0 = liouville.VectorizedState(vec=liouville.vectorize(rho0))
     result = liouville.propagate(state0, p, pulse, t_end, dt, sample_every=sample_every)
 
-    # effective-map coherence on the same output grid; the response step must
-    # divide the propagation step so the grids line up exactly (an undriven,
-    # undamped, resonant resonator has no step bound: eta stays 0). eta is
-    # solved at the written samples only.
-    dt_max = response.max_stable_dt(p, pulse)
-    dt_eta = dt / np.ceil(dt / dt_max) if np.isfinite(dt_max) else dt
-    idx = np.rint(result.times / dt_eta).astype(int)
-    photon = np.abs(response.eta_at(p, pulse, t_end, dt_eta, idx)) ** 2
+    # effective-map coherence on the same output grid, eta at the written samples only
+    idx = np.rint(result.times / dt).astype(int)
+    photon = np.abs(response.eta_at(p, pulse, t_end, dt, idx)) ** 2
     qubit = liouville.qubit_block(result.blocks)
     rho_t = effective.effective_map_apply(qubit[0], p, photon, result.times)
     write_csv(out, {"t_ns": result.times, "abs_rho10_full": abs(qubit[:, 1, 0]),
@@ -204,9 +237,7 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
 
 
 def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    sec = _section(config, "compare_gambetta",
-                   {"delta_cd_start_mhz", "delta_cd_stop_mhz", "points"})
-    grid = _linspace(sec, "delta_cd_start_mhz", "delta_cd_stop_mhz", 100)
+    grid = _read(config, "compare_gambetta")
     p = config.params
     omega = config.pulse.omega_c
 
@@ -222,9 +253,8 @@ def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int
 
 
 def cmd_validate(config: RunConfig, out: str | None, header: bool, threads: int) -> int:
-    """Apply the pre-flight rules of the config's own commands to the config,
-    without running them. Each is a check {"passed", "detail"} named
-    <section>.<rule>:
+    """Run the reader of every section in the config and report, as checks
+    {"passed", "detail"} named <section>.<rule>, the rules of its commands:
 
       validity_margin  transient, benchmark_eig: below 1 (the command warns)
       truncation       propagate, benchmark_eig: below model.truncation_error's
@@ -233,39 +263,19 @@ def cmd_validate(config: RunConfig, out: str | None, header: bool, threads: int)
                        bound (the command raises); reports dt / bound
 
     Drives are the pulse peak, and benchmark_eig's strongest grid point.
-    Returns the exit code, 1 when a check fails; the commands' own
-    ValueErrors (a malformed section, an undefined margin) propagate.
+    Returns the exit code, 1 when a check fails; a reader's error propagates.
     """
-    p, pulse, sections = config.params, config.pulse, config.sections
-    checks: dict[str, dict] = {}
-
-    def record(name, passed, detail):
-        checks[name] = {"passed": bool(passed), "detail": detail}
-
-    def record_dt(name, extra, bound):
-        dt = float(_grid_section(config, name, extra)["dt_ns"])
-        record(f"{name}.dt", 0.0 < dt <= bound,
-               f"dt / bound = {dt / bound:.3g} (dt {dt:g} ns, bound {bound:.4g} ns)")
-
-    drives = {"transient": pulse.omega_c, "propagate": pulse.omega_c}
-    if "benchmark_eig" in sections:
-        drives["benchmark_eig"] = float(np.max(np.abs(_omega_grid(config))))
-    for name in ("benchmark_eig", "transient"):
-        if name in sections:
-            margin = validity_margin(p, drives[name])
-            record(f"{name}.validity_margin", margin < 1.0,
-                   f"margin {margin:.4g} at omega_c = {drives[name]:g} MHz (warns at >= 1)")
-    for name in ("benchmark_eig", "propagate"):
-        if name in sections:
-            photon = response.peak_photon(p, drives[name])
-            problem = truncation_error(photon, p.n_c)
-            record(f"{name}.truncation", problem is None,
-                   problem or f"photon number {photon:.3g} < n_c/4 = {p.n_c / 4.0:g}")
-    if "transient" in sections:
-        record_dt("transient", {"levels"}, response.max_stable_dt(p, pulse))
-    if "propagate" in sections:
-        record_dt("propagate", {"sample_every"},
-                  liouville.stability_bound(*liouville.generator_blocks(p), pulse.omega_c)[0])
+    p, pulse = config.params, config.pulse
+    read = {name: _READERS[name](config) for name in config.sections}
+    rules = {name: rule for _, section in read.values() for name, rule in section.items()}
+    for name in {"transient", "propagate"} & read.keys():
+        dt = read[name][0][0]  # the parsed section is (dt, t_end, ...)
+        bound = (response.max_stable_dt(p, pulse) if name == "transient" else
+                 liouville.stability_bound(*liouville.generator_blocks(p), pulse.omega_c)[0])
+        rules[f"{name}.dt"] = (0.0 < dt <= bound, f"dt / bound = {dt / bound:.3g} "
+                               f"(dt {dt:g} ns, bound {bound:.4g} ns)", None)
+    checks = {name: {"passed": bool(passed), "detail": detail}
+              for name, (passed, detail, _) in rules.items()}
 
     passed = all(c["passed"] for c in checks.values())
     text = json.dumps({"passed": passed, "checks": checks}, indent=2, sort_keys=True)

@@ -133,9 +133,10 @@ def generator_blocks(params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
 def stability_bound(static: np.ndarray, drive: np.ndarray, omega_c: float) -> tuple[float, float]:
     """propagate's step-size rule for the generator_blocks at drive omega_c:
     (dt_max in ns, scale in MHz), with scale the largest absolute row sum of
-    Hu over all sectors and dt_max = 0.05 rad of it per step (inf at scale 0)."""
+    Hu over all sectors and dt_max = 0.05 rad of it per step (inf if that is 0)."""
     scale = np.max(np.sum(np.abs(static + omega_c * drive), axis=-1))
-    return (0.05 / (2.0e-3 * np.pi * scale) if scale > 0 else np.inf), scale
+    rate = 2.0e-3 * np.pi * float(scale)  # a Python float: no overflow warning
+    return (0.05 / rate if rate > 0 else np.inf), scale
 
 
 def build_extended_hamiltonian(params: SystemParams, omega_c_value: float) -> np.ndarray:

@@ -87,10 +87,10 @@ def _decay_rate_per_ns(params: SystemParams) -> complex:
 
 def max_stable_dt(params: SystemParams, pulse: PulseSpec) -> float:
     """Largest allowed RK4 step: 0.05 rad of the fastest rate per step."""
-    fastest = max(abs(params.delta_cd), params.kappa_c, abs(pulse.omega_c))
-    if fastest == 0.0:
+    rate = RAD_PER_MHZ_NS * max(abs(params.delta_cd), params.kappa_c, abs(pulse.omega_c))
+    if rate == 0.0:  # no drive or decay, or rates so small that the product underflows
         return np.inf
-    return 0.05 / (RAD_PER_MHZ_NS * fastest)
+    return 0.05 / rate
 
 
 _BLOCK = 64  # steps per block of the scan in _rk4_linear

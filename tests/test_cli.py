@@ -493,13 +493,37 @@ def test_csv_format_contract(tmp_path, command):
     ("spectrum-grid", "spectrum_grid", "spectrum_grid", "levels", 0, "levels"),
     ("spectrum-grid", "spectrum_grid", "spectrum_grid", "levels", -2, "levels"),
     ("transient", "transient_flattop", "transient", "levels", [[-1, 0]], "levels"),
+    # rules the commands apply that validate must apply too: the exact error line
+    ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [1.0, 2.0],
+     "error: omega_c grid must start at 0"),
+    ("propagate", "propagate", "propagate", "sample_every", 0,
+     "error: sample_every = 0 must be >= 1"),
+    ("propagate", "propagate", "propagate", "t_end_ns", -1,
+     "error: end time t_end = -1.0 ns must be >= 0"),
+    ("transient", "transient_crosstalk", "transient", "t_end_ns", 0,
+     "error: correlations need at least two grid points: t_end is below dt/2"),
+    ("transient", "transient_crosstalk", "transient", "t_end_ns", -5,
+     "error: end time t_end = -5.0 ns must be >= 0"),
+    ("transient", "transient_crosstalk", "transient", "levels", [[-1, 0]],
+     "error: config section 'transient': 'levels' must be a non-empty list of [n_al, n_ar] "
+     "pairs of ints >= 0"),
+    ("transient", "transient_crosstalk", None, "kappa_c_mhz", 0,
+     "error: correlations_timedomain requires kappa_c > 0"),
+    ("spectrum-grid", "spectrum_grid", "spectrum_grid", "levels", 0,
+     "error: config section 'spectrum_grid': 'levels' = 0 must be >= 1"),
+    ("rates-sweep", "rates_sweep_narrow", "rates_sweep", "points", 0,
+     "error: sweep must contain at least one point"),
+    ("rates-sweep", "rates_sweep_narrow", "rates_sweep", "point", 5,
+     "error: unknown key(s) in config section 'rates_sweep': ['point']"),
+    ("compare-gambetta", "compare_gambetta", None, "kappa_c_mhz", 0,
+     "error: gambetta_rates requires kappa_c > 0"),
 ])
 def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section, key, value,
                                       names):
-    # a shipped config with one key changed
+    # a shipped config with one key changed (section None: a system key)
     with open(os.path.join(CONFIGS, config + ".json")) as fh:
         payload = json.load(fh)
-    payload[section][key] = value
+    (payload[section] if section else payload)[key] = value
     cfg = write_config(tmp_path, "c.json", payload)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert rc == 1
@@ -507,6 +531,17 @@ def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section
     errors = [ln for ln in lines if ln.startswith("error: ")]
     assert len(errors) == 1 and names in errors[0]
     assert not any("Traceback" in ln for ln in lines)
+    # validate agrees: its dt rule fails, or it stops with the command's error line
+    report = tmp_path / "report.json"
+    assert main(["validate", "--config", cfg, "--out", str(report)]) == 1
+    validate_err = capsys.readouterr().err
+    if key == "dt_ns":
+        assert json.loads(report.read_text())["checks"][f"{section}.dt"]["passed"] is False
+    else:
+        assert validate_err == errors[0] + "\n"
+        assert not report.exists()
+        # the reader rejects the section before any warning rule runs
+        assert lines == errors
 
 
 @pytest.mark.parametrize("threads", [0, -1])

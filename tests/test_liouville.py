@@ -505,6 +505,31 @@ def test_propagate_stability_bound_covers_every_sector(n_a):
         propagate(st0, p, PulseSpec("constant", omega), 2.0 * below, below)
 
 
+MAYBE_ZERO = st.just(0.0) | st.floats(-60.0, 60.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_a=st.sampled_from([2, 3]), n_c=st.integers(2, 8), delta_ad=MAYBE_ZERO,
+       delta_cd=MAYBE_ZERO, alpha=MAYBE_ZERO, chi=MAYBE_ZERO,
+       kappa=st.just(0.0) | st.floats(0.0, 30.0), omega=MAYBE_ZERO)
+# subnormal drives: the rate underflows to 0 or dt_max overflows to inf, no bound either way
+@example(n_a=2, n_c=2, delta_ad=0.0, delta_cd=0.0, alpha=0.0, chi=0.0, kappa=0.0, omega=5e-324)
+@example(n_a=2, n_c=2, delta_ad=0.0, delta_cd=0.0, alpha=0.0, chi=0.0, kappa=0.0, omega=1e-310)
+def test_propagate_step_bound_is_within_the_response_step_bound(n_a, n_c, delta_ad, delta_cd,
+                                                                alpha, chi, kappa, omega):
+    # In sector (0, 0) the qubit terms cancel. Row (n_cl, n_cr) = (1, 0) has
+    # the diagonal delta_cd - i kappa/2 and the drive entries omega/2 to (0, 0)
+    # and (1, 1): its absolute sum is at least |delta_cd| + |omega|. Row (1, 1)
+    # has the diagonal -i kappa: at least kappa. So the largest row sum is at
+    # least max(|delta_cd|, kappa, |omega|), the rate max_stable_dt divides by,
+    # and every step propagate accepts is one response step (no tolerance:
+    # both bounds are 0.05 / (2e-3 pi rate), and float sums of |entries| are
+    # monotone).
+    p = SystemParams(delta_ad, delta_cd, alpha, chi, kappa, n_a, n_c)
+    dt_max = liouville.stability_bound(*liouville.generator_blocks(p), omega)[0]
+    assert dt_max <= response.max_stable_dt(p, PulseSpec("constant", omega))
+
+
 def test_product_paths_never_build_the_full_generator(monkeypatch):
     def full_build(*args, **kwargs):
         raise AssertionError("full doubled-space generator assembled")
