@@ -10,9 +10,11 @@ Subcommands map one-to-one onto plot-ready data products:
   compare-gambetta  two-level-model dephasing vs ours, with the chi offset
   validate          every section's reader and the commands' pre-flight rules, as JSON
 
-All frequencies in configs are cyclic MHz; times are ns. Output is
-deterministic (byte-identical across reruns); --no-header drops the CSV
-header row.
+All frequencies in configs are cyclic MHz; times are ns. Every config value
+is read by model.read_section: an error in the system keys, the pulse or
+'out' exits 2 ("config error:"), one in a command's section exits 1
+("error:"), from the command and validate alike. Output is deterministic
+(byte-identical across reruns); --no-header drops the CSV header row.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import effective, liouville, response, spectra, transient
-from .model import (PulseSpec, SystemParams, params_from_dict, pulse_from_dict, truncation_error,
-                    validity_margin, write_csv)
+from .model import (PulseSpec, SystemParams, config_value, params_from_dict, pulse_from_dict,
+                    read_section, truncation_error, validity_margin, write_csv)
 
 _PARAM_KEYS = {"delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz",
                "n_a", "n_c"}
@@ -45,42 +47,30 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
-    unknown = set(raw) - _PARAM_KEYS - set(_READERS) - {"pulse", "out"}
-    if unknown:
-        raise ValueError(f"unknown config key(s): {sorted(unknown)}")
-    params = params_from_dict({k: raw[k] for k in raw if k in _PARAM_KEYS})
-    if "pulse" not in raw:
-        raise ValueError("config requires a 'pulse' section")
-    pulse = pulse_from_dict(raw["pulse"])
-    sections = {k: raw[k] for k in raw if k in _READERS}
-    return RunConfig(params=params, pulse=pulse, sections=sections, out=raw.get("out"))
+    top = read_section("config", raw, {**dict.fromkeys(_PARAM_KEYS | {"pulse"}, (None, ...)),
+                                       **dict.fromkeys(_READERS, (None, None)), "out": (str, None)})
+    params = params_from_dict({k: raw[k] for k in _PARAM_KEYS})
+    return RunConfig(params, pulse_from_dict(raw["pulse"]),
+                     {k: raw[k] for k in raw if k in _READERS}, top["out"])
 
 
-def _section(config: RunConfig, name: str, allowed: set[str]) -> dict:
-    sec = config.sections.get(name, {})
-    unknown = set(sec) - allowed
-    if unknown:
-        raise ValueError(f"unknown key(s) in config section '{name}': {sorted(unknown)}")
-    return sec
+def _section(config: RunConfig, name: str, spec: dict) -> dict:
+    return read_section(f"config section '{name}'", config.sections.get(name, {}), spec)
 
 
 def _sweep(config: RunConfig, name: str, default_points: int) -> np.ndarray:
     """The delta_cd grid (MHz) of sweep section `name`."""
-    sec = _section(config, name, {"delta_cd_start_mhz", "delta_cd_stop_mhz", "points"})
-    if "delta_cd_start_mhz" not in sec or "delta_cd_stop_mhz" not in sec:
-        raise ValueError("config section requires 'delta_cd_start_mhz' and 'delta_cd_stop_mhz'")
-    points = int(sec.get("points", default_points))
-    if points < 1:
+    ends = dict.fromkeys(("delta_cd_start_mhz", "delta_cd_stop_mhz"), (float, ...))
+    sec = _section(config, name, {**ends, "points": (int, default_points)})
+    if sec["points"] < 1:
         raise ValueError("sweep must contain at least one point")
-    return np.linspace(float(sec["delta_cd_start_mhz"]), float(sec["delta_cd_stop_mhz"]), points)
+    return np.linspace(sec["delta_cd_start_mhz"], sec["delta_cd_stop_mhz"], sec["points"])
 
 
-def _grid_section(config: RunConfig, name: str, extra: set[str]) -> tuple[dict, float, float]:
+def _grid_section(config: RunConfig, name: str, extra: dict) -> tuple[dict, float, float]:
     """Section `name` of a command that steps a time grid, and its 'dt_ns' and 't_end_ns'."""
-    sec = _section(config, name, {"dt_ns", "t_end_ns"} | extra)
-    if "dt_ns" not in sec or "t_end_ns" not in sec:
-        raise ValueError(f"config section '{name}' requires 'dt_ns' and 't_end_ns'")
-    dt, t_end = float(sec["dt_ns"]), float(sec["t_end_ns"])
+    sec = _section(config, name, {"dt_ns": (float, ...), "t_end_ns": (float, ...), **extra})
+    dt, t_end = sec["dt_ns"], sec["t_end_ns"]
     if not t_end >= 0.0:
         raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
     return sec, dt, t_end
@@ -100,14 +90,14 @@ def _rule(params: SystemParams, rule: str, omega: float, where: str) -> tuple[bo
 
 
 def _read_benchmark_eig(config: RunConfig) -> tuple[np.ndarray, dict]:
-    sec = _section(config, "benchmark_eig", {"omega_c_grid_mhz"})
+    where, key = "config section 'benchmark_eig'", "omega_c_grid_mhz"
+    values = _section(config, "benchmark_eig", {key: (None, [])})[key]
     try:
-        grid = np.asarray(sec.get("omega_c_grid_mhz", []), dtype=float)
-    except (TypeError, ValueError):  # ragged lists, strings
+        grid = np.array([config_value(where, key, x, float) for x in values])
+    except (TypeError, ValueError):  # not a list of finite numbers
         grid = np.empty(0)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("config section 'benchmark_eig' requires 'omega_c_grid_mhz', "
-                         "a non-empty 1-D omega_c grid")
+    if grid.size == 0:
+        raise ValueError(f"{where} requires '{key}', a non-empty 1-D omega_c grid")
     if grid[0] != 0.0:
         raise ValueError("omega_c grid must start at 0")
     omega = float(np.max(np.abs(grid)))
@@ -116,14 +106,16 @@ def _read_benchmark_eig(config: RunConfig) -> tuple[np.ndarray, dict]:
 
 
 def _read_transient(config: RunConfig) -> tuple[tuple, dict]:
-    sec, dt, t_end = _grid_section(config, "transient", {"levels"})
+    sec, dt, t_end = _grid_section(config, "transient", {"levels": (None, [[1, 0]])})
     # every entry must be a pair of qubit levels; the CSV holds the first one only
+    where = "config section 'transient'"
     try:
-        levels = [(int(m), int(n)) for m, n in sec.get("levels", [[1, 0]])]
+        levels = [(config_value(where, "levels", m, int), config_value(where, "levels", n, int))
+                  for m, n in sec["levels"]]
     except (TypeError, ValueError):
         levels = []
     if not levels or min(min(pair) for pair in levels) < 0:
-        raise ValueError("config section 'transient': 'levels' must be a non-empty list of "
+        raise ValueError(f"{where}: 'levels' must be a non-empty list of "
                          "[n_al, n_ar] pairs of ints >= 0")
     # the margin's error at an undamped resonance comes before kappa's
     rule = _rule(config.params, "validity_margin", config.pulse.omega_c, "the pulse peak")
@@ -135,16 +127,16 @@ def _read_transient(config: RunConfig) -> tuple[tuple, dict]:
 
 
 def _read_spectrum_grid(config: RunConfig) -> tuple[tuple, dict]:
-    sec = _section(config, "spectrum_grid", {"photon", "levels"})
-    photon, levels = float(sec.get("photon", 1.0)), int(sec.get("levels", 3))
+    sec = _section(config, "spectrum_grid", {"photon": (float, 1.0), "levels": (int, 3)})
+    photon, levels = sec["photon"], sec["levels"]
     if levels < 1:
         raise ValueError(f"config section 'spectrum_grid': 'levels' = {levels} must be >= 1")
     return (photon, levels), {}
 
 
 def _read_propagate(config: RunConfig) -> tuple[tuple, dict]:
-    sec, dt, t_end = _grid_section(config, "propagate", {"sample_every"})
-    sample_every = None if sec.get("sample_every") is None else int(sec["sample_every"])
+    sec, dt, t_end = _grid_section(config, "propagate", {"sample_every": (int, None)})
+    sample_every = sec["sample_every"]
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every = {sample_every} must be >= 1")
     rule = _rule(config.params, "truncation", config.pulse.omega_c, "the pulse peak")

@@ -44,7 +44,7 @@ def adiabatic_correlations(params: SystemParams, n_al: int, n_ar: int,
     A_ll = photon / dl(n_al), A_rr = photon / dr(n_ar),
     B_lr = C_lr = (3/2) photon / (dl(n_al) dr(n_ar)).
     """
-    if photon < 0:
+    if not photon >= 0:
         raise ValueError("photon number must be >= 0")
     dl = detuning_l(params, n_al)
     dr = detuning_r(params, n_ar)
@@ -70,7 +70,7 @@ def effective_spectrum(params: SystemParams, n_al: int | np.ndarray, n_ar: int |
     (kappa_c = 0 and delta_cd + 2 chi_ac n = 0), where the entry is singular;
     over an array the message names the lowest such level.
     """
-    if photon < 0:
+    if not photon >= 0:
         raise ValueError("photon number must be >= 0")
     d, chi, k = params.delta_cd, params.chi_ac, params.kappa_c
     half_k_sq = (k / 2.0) ** 2
@@ -153,7 +153,7 @@ def effective_lindblad(params: SystemParams, photon: float) -> EffectiveLindblad
 
     |c(1)|^2 / 2 reproduces the dephasing rate of rates().
     """
-    if photon < 0:
+    if not photon >= 0:
         raise ValueError("photon number must be >= 0")
     d, chi, k = params.delta_cd, params.chi_ac, params.kappa_c
     n = np.arange(params.n_a, dtype=float)

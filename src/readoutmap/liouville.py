@@ -237,7 +237,7 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     whether occupied or not), and AccuracyError when the trace (the sum of
     the traces of the diagonal sectors) drifts by more than 1e-6 or the state
     departs from Hermiticity (max |blocks[t, m, n] - blocks[t, n, m]^+| over
-    the samples, the entries of rho - rho^+) by more than 1e-6.
+    the samples, the entries of rho - rho^+) by more than 1e-6 (or by NaN).
     """
     if not dt > 0.0:
         raise ValueError(f"step size dt = {dt} ns must be > 0")
@@ -344,13 +344,13 @@ def propagate(state0: VectorizedState, params: SystemParams, pulse: PulseSpec,
     blocks = blocks.reshape(len(times), n_a, n_a, n_c, n_c)
     trace = np.trace(qubit_block(blocks), axis1=1, axis2=2)
     trace_drift = float(np.max(np.abs(trace - trace[0])))
-    # sector pair by pair: the temporaries stay one sector's size
-    herm_drift = max(
-        float(np.max(np.abs(blocks[:, m, n] - blocks[:, n, m].conj().transpose(0, 2, 1))))
-        for m in range(n_a) for n in range(m, n_a))
-    if trace_drift > 1e-6:
+    # sector pair by pair: the temporaries stay one sector's size; np.max keeps a NaN
+    herm_drift = float(np.max([
+        np.max(np.abs(blocks[:, m, n] - blocks[:, n, m].conj().transpose(0, 2, 1)))
+        for m in range(n_a) for n in range(m, n_a)]))
+    if not trace_drift <= 1e-6:
         raise AccuracyError(f"trace drifted by {trace_drift:.3e} (> 1e-6); reduce dt")
-    if herm_drift > 1e-6:
+    if not herm_drift <= 1e-6:
         raise AccuracyError(f"Hermiticity drifted by {herm_drift:.3e} (> 1e-6)")
     return PropagationResult(times=times, blocks=blocks, max_trace_drift=trace_drift,
                              max_hermiticity_drift=herm_drift)

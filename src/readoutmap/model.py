@@ -12,12 +12,18 @@ format: each value is printed as "%.12g" % (x + 0.0), the same text as the
 f"{x + 0.0:.12g}" of earlier versions (12 significant digits, signed zeros
 printed as 0), comma-separated with \r\n line ends; the header row goes
 through the default csv dialect.
+
+Every config value is read through read_section and config_value, which own
+the config format: JSON objects with no unknown or missing key, a finite
+number for a float key, a number of integral value for an int key.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +82,9 @@ class PulseSpec:
     sigma_r: float = 0.0
 
     def __post_init__(self):
+        for name in ("omega_c", "tau_p", "tau_r", "sigma_r"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kind not in ("constant", "square-gaussian"):
             raise ValueError(f"unknown pulse kind {self.kind!r}")
         if self.kind == "square-gaussian":
@@ -204,44 +213,49 @@ def truncation_error(photon: float, n_c: int) -> str | None:
     return None
 
 
-def params_from_dict(cfg: dict) -> SystemParams:
-    """Build SystemParams from the JSON config keys (…_mhz names)."""
-    keys = {
-        "delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz",
-        "chi_ac_mhz", "kappa_c_mhz", "n_a", "n_c",
-    }
-    unknown = set(cfg) - keys
+def config_value(where: str, key: str, value, kind):
+    """The one rule for a config value: `value` of `key` in `where` as `kind`, str (a
+    JSON string), float (a finite number) or int (integral: 14 or 14.0), else ValueError."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:  # bool is an int; NaN, infinities and huge ints fail the bound
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max and (kind is float or value % 1 == 0))
+    if not ok:
+        kinds = {float: "a finite number", int: "an integer", str: "a string"}
+        raise ValueError(f"'{key}' in {where} must be {kinds[kind]}, "
+                         f"got {json.dumps(value, default=repr)}")
+    return kind(value)
+
+
+def read_section(where: str, sec, spec: dict) -> dict:
+    """Section `sec` (`where`: "config", "config section 'pulse'", ...) read by spec
+    {key: (kind, default)}: each value through config_value (kind None passes it to a
+    reader that checks its elements), an absent key as its default, required if `...`."""
+    if not isinstance(sec, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(sec, default=repr)}")
+    unknown = sorted(set(sec) - set(spec))
     if unknown:
-        raise ValueError(f"unknown system parameter key(s): {sorted(unknown)}")
-    missing = keys - set(cfg)
+        raise ValueError(f"unknown key(s) in {where}: {unknown}")
+    missing = sorted(key for key, (_, default) in spec.items() if default is ... and key not in sec)
     if missing:
-        raise ValueError(f"missing system parameter key(s): {sorted(missing)}")
-    return SystemParams(
-        delta_ad=float(cfg["delta_ad_mhz"]),
-        delta_cd=float(cfg["delta_cd_mhz"]),
-        alpha_a=float(cfg["alpha_a_mhz"]),
-        chi_ac=float(cfg["chi_ac_mhz"]),
-        kappa_c=float(cfg["kappa_c_mhz"]),
-        n_a=int(cfg["n_a"]),
-        n_c=int(cfg["n_c"]),
-    )
+        raise ValueError(f"missing key(s) in {where}: {missing}")
+    return {key: default if key not in sec else sec[key] if kind is None
+            else config_value(where, key, sec[key], kind) for key, (kind, default) in spec.items()}
+
+
+def params_from_dict(cfg: dict) -> SystemParams:
+    """Build SystemParams from the top-level JSON config keys (…_mhz names)."""
+    floats = ("delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz")
+    spec = {**dict.fromkeys(floats, (float, ...)), "n_a": (int, ...), "n_c": (int, ...)}
+    return SystemParams(*read_section("config", cfg, spec).values())  # in field order
 
 
 def pulse_from_dict(cfg: dict) -> PulseSpec:
     """Build PulseSpec from the JSON config 'pulse' section."""
-    allowed = {"kind", "omega_c_mhz", "tau_p_ns", "tau_r_ns", "sigma_r_ns"}
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ValueError(f"unknown pulse key(s): {sorted(unknown)}")
-    if "kind" not in cfg or "omega_c_mhz" not in cfg:
-        raise ValueError("pulse section requires 'kind' and 'omega_c_mhz'")
-    return PulseSpec(
-        kind=str(cfg["kind"]),
-        omega_c=float(cfg["omega_c_mhz"]),
-        tau_p=float(cfg.get("tau_p_ns", 0.0)),
-        tau_r=float(cfg.get("tau_r_ns", 0.0)),
-        sigma_r=float(cfg.get("sigma_r_ns", 0.0)),
-    )
+    spec = {"kind": (str, ...), "omega_c_mhz": (float, ...),
+            **dict.fromkeys(("tau_p_ns", "tau_r_ns", "sigma_r_ns"), (float, 0.0))}
+    return PulseSpec(*read_section("config section 'pulse'", cfg, spec).values())  # field order
 
 
 def write_csv(path, columns: dict, header: bool = True) -> None:

@@ -517,6 +517,32 @@ def test_csv_format_contract(tmp_path, command):
      "error: unknown key(s) in config section 'rates_sweep': ['point']"),
     ("compare-gambetta", "compare_gambetta", None, "kappa_c_mhz", 0,
      "error: gambetta_rates requires kappa_c > 0"),
+    # a section value that is not of its key's kind: one error line that names the key
+    ("propagate", "propagate", "propagate", "dt_ns", None,
+     "error: 'dt_ns' in config section 'propagate' must be a finite number, got null"),
+    ("propagate", "propagate", "propagate", "t_end_ns", float("inf"),
+     "error: 't_end_ns' in config section 'propagate' must be a finite number, got Infinity"),
+    ("propagate", "propagate", "propagate", "sample_every", 2.5,
+     "error: 'sample_every' in config section 'propagate' must be an integer, got 2.5"),
+    ("propagate", "propagate", "propagate", "sample_every", True,
+     "error: 'sample_every' in config section 'propagate' must be an integer, got true"),
+    ("propagate", "propagate", "propagate", "sample_every", None,
+     "error: 'sample_every' in config section 'propagate' must be an integer, got null"),
+    ("rates-sweep", "rates_sweep_narrow", "rates_sweep", "points", None,
+     "error: 'points' in config section 'rates_sweep' must be an integer, got null"),
+    ("rates-sweep", "rates_sweep_narrow", "rates_sweep", "points", 10.9,
+     "error: 'points' in config section 'rates_sweep' must be an integer, got 10.9"),
+    ("spectrum-grid", "spectrum_grid", "spectrum_grid", "photon", None,
+     "error: 'photon' in config section 'spectrum_grid' must be a finite number, got null"),
+    ("spectrum-grid", "spectrum_grid", "spectrum_grid", "photon", float("nan"),
+     "error: 'photon' in config section 'spectrum_grid' must be a finite number, got NaN"),
+    ("transient", "transient_flattop", "transient", "levels", [[1.7, 0]],
+     "error: config section 'transient': 'levels' must be a non-empty list of [n_al, n_ar] "
+     "pairs of ints >= 0"),
+    ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [0.0, float("nan")],
+     "omega_c grid"),
+    ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [0.0, "1"],
+     "omega_c grid"),
 ])
 def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section, key, value,
                                       names):
@@ -531,17 +557,112 @@ def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section
     errors = [ln for ln in lines if ln.startswith("error: ")]
     assert len(errors) == 1 and names in errors[0]
     assert not any("Traceback" in ln for ln in lines)
-    # validate agrees: its dt rule fails, or it stops with the command's error line
+    # validate agrees: its dt rule fails on a numeric dt, or it stops with the
+    # command's error line
     report = tmp_path / "report.json"
     assert main(["validate", "--config", cfg, "--out", str(report)]) == 1
     validate_err = capsys.readouterr().err
-    if key == "dt_ns":
+    if key == "dt_ns" and isinstance(value, (int, float)):
         assert json.loads(report.read_text())["checks"][f"{section}.dt"]["passed"] is False
     else:
         assert validate_err == errors[0] + "\n"
         assert not report.exists()
         # the reader rejects the section before any warning rule runs
         assert lines == errors
+
+
+def assert_one_error_line(tmp_path, capsys, command, payload):
+    """Run `command` and validate on `payload`; both must stop with the same
+    single error line, status 1 or 2, no traceback and no output file. Returns it."""
+    cfg = write_config(tmp_path, "c.json", payload)
+    out, report = tmp_path / "o.csv", tmp_path / "report.json"
+    rc = main([command, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc in (1, 2) and err.count("\n") == 1, (rc, err)
+    assert err.startswith("error: " if rc == 1 else "config error: "), err
+    assert not out.exists()
+    assert main(["validate", "--config", cfg, "--out", str(report)]) == rc
+    assert capsys.readouterr().err == err
+    assert not report.exists()
+    return err.rstrip("\n")
+
+
+SYSTEM = {k: v for k, v in BASE.items() if k != "pulse"}
+
+
+@pytest.mark.parametrize("command, payload, line", [
+    ("propagate", {**BASE, "delta_cd_mhz": None},
+     "config error: 'delta_cd_mhz' in config must be a finite number, got null"),
+    ("rates-sweep", {**BASE, "n_c": 4.7},
+     "config error: 'n_c' in config must be an integer, got 4.7"),
+    ("rates-sweep", {**BASE, "n_a": True},
+     "config error: 'n_a' in config must be an integer, got true"),
+    ("rates-sweep", {**BASE, "n_c": 10**400},
+     "config error: 'n_c' in config must be an integer, got 1000"),
+    ("rates-sweep", {**BASE, "chi_ac_mhz": -10**400},
+     "config error: 'chi_ac_mhz' in config must be a finite number, got -1000"),
+    ("propagate", {**SYSTEM, "pulse": {"kind": "constant", "omega_c_mhz": None}},
+     "config error: 'omega_c_mhz' in config section 'pulse' must be a finite number, got null"),
+    ("propagate", {**SYSTEM, "pulse": {"kind": "constant", "omega_c_mhz": float("nan")}},
+     "config error: 'omega_c_mhz' in config section 'pulse' must be a finite number, got NaN"),
+    ("rates-sweep", {**SYSTEM, "pulse": {"kind": "constant", "omega_c_mhz": float("nan")}},
+     "config error: 'omega_c_mhz' in config section 'pulse' must be a finite number, got NaN"),
+    ("rates-sweep", {**SYSTEM, "pulse": {"kind": "constant", "omega_c_mhz": "10"}},
+     "config error: 'omega_c_mhz' in config section 'pulse' must be a finite number, "
+     "got \"10\""),
+    ("rates-sweep", {**SYSTEM, "pulse": {"kind": 5, "omega_c_mhz": 10.0}},
+     "config error: 'kind' in config section 'pulse' must be a string, got 5"),
+    ("rates-sweep", {**SYSTEM, "pulse": None},
+     "config error: config section 'pulse' must be a JSON object, got null"),
+    ("rates-sweep", {**SYSTEM, "pulse": [10.0]},
+     "config error: config section 'pulse' must be a JSON object, got [10.0]"),
+    ("rates-sweep", SYSTEM, "config error: missing key(s) in config: ['pulse']"),
+    ("rates-sweep", {**BASE, "pulse": {"omega_c_mhz": 10.0}},
+     "config error: missing key(s) in config section 'pulse': ['kind']"),
+    ("rates-sweep", {**BASE, "rates_sweep": 5},
+     "error: config section 'rates_sweep' must be a JSON object, got 5"),
+    ("rates-sweep", {**BASE, "rates_sweep": {"points": 5}},
+     "error: missing key(s) in config section 'rates_sweep': "
+     "['delta_cd_start_mhz', 'delta_cd_stop_mhz']"),
+    ("propagate", {**BASE, "propagate": {"dt_ns": 0.05}},
+     "error: missing key(s) in config section 'propagate': ['t_end_ns']"),
+    ("rates-sweep", {**BASE, "out": 5}, "config error: 'out' in config must be a string, got 5"),
+    ("rates-sweep", {**BASE, "out": 7.5},
+     "config error: 'out' in config must be a string, got 7.5"),
+    ("rates-sweep", [BASE], "config error: config must be a JSON object, got [{"),
+])
+def test_config_values_of_the_wrong_kind_are_one_error_line(tmp_path, capsys, command, payload,
+                                                           line):
+    assert assert_one_error_line(tmp_path, capsys, command, payload).startswith(line)
+
+
+SHIPPED_COMMANDS = {"benchmark_eig": "benchmark-eig", "compare_gambetta": "compare-gambetta",
+                    "propagate": "propagate", "rates_sweep_narrow": "rates-sweep",
+                    "rates_sweep_split": "rates-sweep", "spectrum_grid": "spectrum-grid",
+                    "transient_crosstalk": "transient", "transient_flattop": "transient"}
+
+
+@pytest.mark.parametrize("config", sorted(SHIPPED_COMMANDS))
+def test_every_shipped_config_key_rejects_values_of_the_wrong_kind(tmp_path, capsys, config):
+    # each scalar key, at the top level or in a section, set to a value its
+    # kind does not take (an int key, shipped as a JSON int, also takes no 2.5)
+    with open(os.path.join(CONFIGS, config + ".json")) as fh:
+        shipped = json.load(fh)
+    places = [(None, shipped)] + [(name, sec) for name, sec in shipped.items()
+                                  if isinstance(sec, dict)]
+    cases = 0
+    for section, values in places:
+        for key, good in values.items():
+            if isinstance(good, (dict, list)):
+                continue
+            bad = [None, True, "1", float("nan"), float("inf"), [1]]
+            for value in bad + [2.5] * isinstance(good, int):
+                payload = json.loads(json.dumps(shipped))
+                (payload[section] if section else payload)[key] = value
+                line = assert_one_error_line(tmp_path, capsys, SHIPPED_COMMANDS[config], payload)
+                assert key in line, (section, key, value, line)
+                cases += 1
+    assert cases >= 7 * 6 + 2  # the system keys, n_a and n_c with 2.5 too
 
 
 @pytest.mark.parametrize("threads", [0, -1])

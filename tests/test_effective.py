@@ -99,6 +99,19 @@ def test_adiabatic_correlations_values():
         adiabatic_correlations(degenerate, 1, 0, 1.0)
 
 
+@pytest.mark.parametrize("photon", [-1.0, np.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("call", [
+    lambda photon: adiabatic_correlations(GRID10, 1, 0, photon),
+    lambda photon: effective_spectrum(GRID10, 1, 0, photon),
+    lambda photon: effective_lindblad(GRID10, photon),
+    lambda photon: rates(GRID10, photon),
+], ids=["adiabatic_correlations", "effective_spectrum", "effective_lindblad", "rates"])
+def test_photon_number_must_be_a_number_at_least_zero(call, photon):
+    # a NaN photon number fails the check too, not slip past "photon < 0"
+    with pytest.raises(ValueError, match="photon number must be >= 0"):
+        call(photon)
+
+
 def test_spectrum_entry_values():
     assert effective_spectrum(GRID10, 1, 1, 10.0) == 0.0
     e10 = effective_spectrum(GRID10, 1, 0, 10.0)

@@ -276,6 +276,10 @@ def test_propagate_time_dependent_pulse_preserves_structure():
 # no flat top: every step of the 100 ns gate runs is a ramp step
 RAMPS_ONLY = PulseSpec("square-gaussian", 3.0, tau_p=100.0, tau_r=50.0, sigma_r=25.0)
 GATE_PULSES = [PulseSpec("constant", 0.0), RAMPS_ONLY]
+# the gate tests inject a 0.01i skew, and a NaN, whose drift must fail a gate too
+GATE_CASES = [pytest.param(pulse, skew, id=name + tag)
+              for skew, tag in ((0.01j, ""), (np.nan, "-nan"))
+              for pulse, name in zip(GATE_PULSES, ("constant", "ramps"))]
 
 
 def test_gate_pulse_has_ramp_steps_only():
@@ -283,15 +287,15 @@ def test_gate_pulse_has_ramp_steps_only():
     assert not np.any((amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2]))
 
 
-@pytest.mark.parametrize("pulse", GATE_PULSES, ids=["constant", "ramps"])
-def test_propagate_hermiticity_gate(monkeypatch, pulse):
+@pytest.mark.parametrize("pulse, skew", GATE_CASES)
+def test_propagate_hermiticity_gate(monkeypatch, pulse, skew):
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
 
     def skewed(params, n_al, n_ar, omega_c_value):
         block = sector_generator(params, n_al, n_ar, omega_c_value)
         if (n_al, n_ar) == (1, 0):
             # |1_a 0_c><0_a 0_c|: off-diagonal, trace-free; grows rho_10 but not rho_01
-            block[0, 0] += 0.01j
+            block[0, 0] += skew
         return block
 
     monkeypatch.setattr(liouville, "sector_generator", skewed)
@@ -302,15 +306,15 @@ def test_propagate_hermiticity_gate(monkeypatch, pulse):
         propagate(st, p, pulse, 100.0, 0.05)
 
 
-@pytest.mark.parametrize("pulse", GATE_PULSES, ids=["constant", "ramps"])
-def test_propagate_trace_gate(monkeypatch, pulse):
+@pytest.mark.parametrize("pulse, skew", GATE_CASES)
+def test_propagate_trace_gate(monkeypatch, pulse, skew):
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
 
     def skewed(params, n_al, n_ar, omega_c_value):
         block = sector_generator(params, n_al, n_ar, omega_c_value)
         if (n_al, n_ar) == (0, 0):
             # |0_a 0_c><0_a 0_c|: on the trace; grows rho_00 and with it the trace
-            block[0, 0] += 0.01j
+            block[0, 0] += skew
         return block
 
     monkeypatch.setattr(liouville, "sector_generator", skewed)

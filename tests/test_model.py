@@ -35,6 +35,15 @@ def test_pulse_validation():
     PulseSpec("square-gaussian", 50.0, tau_p=200.0, tau_r=100.0, sigma_r=50.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["omega_c", "tau_p", "tau_r", "sigma_r"])
+def test_pulse_fields_must_be_finite(field, value):
+    fields = {"omega_c": 50.0, "tau_p": 1000.0, "tau_r": 100.0, "sigma_r": 50.0, field: value}
+    for kind in ("constant", "square-gaussian"):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            PulseSpec(kind, **fields)
+
+
 def test_envelope_anchor_values():
     assert sg_envelope(0.0, SG) == 0.0
     assert sg_envelope(SG.tau_r, SG) == 1.0
