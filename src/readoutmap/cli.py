@@ -27,11 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import effective, liouville, response, spectra, transient
-from .model import (PulseSpec, SystemParams, config_value, params_from_dict, pulse_from_dict,
-                    read_section, truncation_error, validity_margin, write_csv)
-
-_PARAM_KEYS = {"delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz",
-               "n_a", "n_c"}
+from .model import (PARAM_SPEC, PulseSpec, SystemParams, config_value, params_from_dict,
+                    pulse_from_dict, read_section, truncation_error, validity_margin, write_csv)
 
 
 @dataclass(frozen=True)
@@ -47,9 +44,9 @@ class RunConfig:
 def load_config(path: str) -> RunConfig:
     with open(path) as fh:
         raw = json.load(fh)
-    top = read_section("config", raw, {**dict.fromkeys(_PARAM_KEYS | {"pulse"}, (None, ...)),
+    top = read_section("config", raw, {**dict.fromkeys([*PARAM_SPEC, "pulse"], (None, ...)),
                                        **dict.fromkeys(_READERS, (None, None)), "out": (str, None)})
-    params = params_from_dict({k: raw[k] for k in _PARAM_KEYS})
+    params = params_from_dict({k: raw[k] for k in PARAM_SPEC})
     return RunConfig(params, pulse_from_dict(raw["pulse"]),
                      {k: raw[k] for k in raw if k in _READERS}, top["out"])
 
@@ -92,12 +89,9 @@ def _rule(params: SystemParams, rule: str, omega: float, where: str) -> tuple[bo
 def _read_benchmark_eig(config: RunConfig) -> tuple[np.ndarray, dict]:
     where, key = "config section 'benchmark_eig'", "omega_c_grid_mhz"
     values = _section(config, "benchmark_eig", {key: (None, [])})[key]
-    try:
-        grid = np.array([config_value(where, key, x, float) for x in values])
-    except (TypeError, ValueError):  # not a list of finite numbers
-        grid = np.empty(0)
-    if grid.size == 0:
+    if not isinstance(values, list) or not values:
         raise ValueError(f"{where} requires '{key}', a non-empty 1-D omega_c grid")
+    grid = np.array([config_value(where, key, x, float) for x in values])
     if grid[0] != 0.0:
         raise ValueError("omega_c grid must start at 0")
     omega = float(np.max(np.abs(grid)))
@@ -173,14 +167,7 @@ def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> 
     rows = []
     for d in grid:
         pd = replace(p, delta_cd=float(d))
-        try:
-            n_ground = response.steady_state(pd, omega)[1]
-            n_excited = response.steady_state(replace(pd, delta_cd=pd.delta_cd + 2.0 * p.chi_ac),
-                                              omega)[1]
-        except ValueError:
-            level = "ground" if pd.delta_cd == 0.0 else "excited"
-            raise ValueError(f"sweep point delta_cd = {d + 0.0:g} MHz is on the undamped "
-                             f"{level}-state resonance (kappa_c = 0): no steady state") from None
+        n_ground, n_excited = (response.steady_state(pd, omega, k)[1] for k in (0, 1))
         pair = effective.rates(pd, n_ground)
         rows.append((d, pair.dephasing, pair.stark, n_ground, n_excited))
     effective.write_rates_sweep_csv(out, rows, header=header)

@@ -5,6 +5,8 @@ number basis, so this module is element-wise algebra over the level labels:
 complex spectrum entries E_{n_al,n_ar}, the Stark shift / dephasing pair for the
 |1><0| coherence, the equivalent Lindblad form (number-diagonal Hamiltonian
 and collapse operator), channel application, and a Choi positivity check.
+A function that divides by the dressed factors of some levels first applies
+model.resonance_error to them: an undamped dressed resonance is one ValueError.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, detuning_l, detuning_r, write_csv
+from .model import SystemParams, detuning_l, detuning_r, resonance_error, write_csv
 
 
 @dataclass(frozen=True)
@@ -46,10 +48,11 @@ def adiabatic_correlations(params: SystemParams, n_al: int, n_ar: int,
     """
     if not photon >= 0:
         raise ValueError("photon number must be >= 0")
+    problem = resonance_error(params, (n_al, n_ar))
+    if problem:
+        raise ValueError(problem)
     dl = detuning_l(params, n_al)
     dr = detuning_r(params, n_ar)
-    if dl == 0 or dr == 0:
-        raise ValueError("vanishing dressed detuning: correlation functions are singular")
     a_ll = photon / dl
     a_rr = photon / dr
     b_lr = 1.5 * photon / (dl * dr)
@@ -66,9 +69,9 @@ def effective_spectrum(params: SystemParams, n_al: int | np.ndarray, n_ar: int |
     the level-difference factor and the imaginary part its square, so
     E_{n,n} = 0 and E_{m,n} = -conj(E_{n,m}) hold exactly in floating point.
 
-    Raises ValueError when a level sits on its undamped dressed resonance
-    (kappa_c = 0 and delta_cd + 2 chi_ac n = 0), where the entry is singular;
-    over an array the message names the lowest such level.
+    Raises model.resonance_error's ValueError when a level is on its undamped
+    dressed resonance, where the entry is singular; over an array the message
+    names the lowest such level.
     """
     if not photon >= 0:
         raise ValueError("photon number must be >= 0")
@@ -76,14 +79,12 @@ def effective_spectrum(params: SystemParams, n_al: int | np.ndarray, n_ar: int |
     half_k_sq = (k / 2.0) ** 2
     dl = d + 2.0 * chi * n_al
     dr = d + 2.0 * chi * n_ar
-    den_l = dl * dl + half_k_sq
-    den = den_l * (dr * dr + half_k_sq)
+    den = (dl * dl + half_k_sq) * (dr * dr + half_k_sq)
     # count_nonzero, not np.any: on a scalar call's bool it is ~6x cheaper
     if np.count_nonzero(den == 0.0):
-        n = np.min(np.where(den_l == 0.0, n_al, n_ar)[den == 0.0])
-        raise ValueError(f"delta_cd = {d + 0.0:g} MHz puts qubit level {n} on its undamped "
-                         f"dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0): "
-                         f"the effective spectrum is singular")
+        raise ValueError(resonance_error(params, np.union1d(n_al, n_ar)) or
+                         f"delta_cd = {d + 0.0:g} MHz: a product of two dressed factors "
+                         f"underflows to 0, so the effective spectrum is out of float range")
     base = d**2 + half_k_sq
     diff = n_al - n_ar
     re = 2.0 * chi * base * (dl * dr + half_k_sq) * diff * photon / den
@@ -122,6 +123,9 @@ def rates(params: SystemParams, photon: float) -> RatePair:
 
 def stark_orders(params: SystemParams, photon: float) -> tuple[float, float]:
     """First- and second-order Stark contributions (their sum is rates().stark)."""
+    problem = resonance_error(params, (1,))
+    if problem:
+        raise ValueError(problem)
     d, chi, k = params.delta_cd, params.chi_ac, params.kappa_c
     first = 2.0 * chi * photon
     second = -4.0 * chi**2 * (d + 2.0 * chi) * photon / ((d + 2.0 * chi) ** 2 + (k / 2.0) ** 2)
@@ -155,6 +159,9 @@ def effective_lindblad(params: SystemParams, photon: float) -> EffectiveLindblad
     """
     if not photon >= 0:
         raise ValueError("photon number must be >= 0")
+    problem = resonance_error(params, range(params.n_a))
+    if problem:
+        raise ValueError(problem)
     d, chi, k = params.delta_cd, params.chi_ac, params.kappa_c
     n = np.arange(params.n_a, dtype=float)
     dn = d + 2.0 * chi * n

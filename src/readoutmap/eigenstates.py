@@ -25,13 +25,14 @@ the closed-form eigenvalue, solved for alone (spectra.eigenpair_near).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .effective import effective_spectrum
 from .liouville import destroy, sector_generator
-from .model import SystemParams, detuning_l, detuning_r, truncation_error, write_csv
+from .model import (SystemParams, detuning_l, detuning_r, resonance_error, truncation_error,
+                    write_csv)
 from .response import steady_state
 from .spectra import eigenpair_near
 
@@ -65,15 +66,13 @@ def closed_form_eigenpair(params: SystemParams, n_al: int, n_ar: int,
     The eigenvalue is delta_ad (n_al - n_ar) + alpha_a/2 (n_al(n_al-1) -
     n_ar(n_ar-1)) + E_{n_al,n_ar}(photon). The unit block vector is
     kron(coherent(alpha_l), conj(coherent(alpha_r))), alpha_k the steady-state
-    amplitude at the dressed detuning delta_cd + 2 chi_ac k. The pair is exact
+    amplitude of level k, response.steady_state(params, omega_c, k). The pair is exact
     for this model but for Fock truncation: its residual falls as n_c grows."""
     _, photon = steady_state(params, omega_c)
     value = (params.delta_ad * (n_al - n_ar)
              + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
              + effective_spectrum(params, n_al, n_ar, photon))
-    alpha_l, alpha_r = (
-        steady_state(replace(params, delta_cd=params.delta_cd + 2.0 * params.chi_ac * k),
-                     omega_c)[0] for k in (n_al, n_ar))
+    alpha_l, alpha_r = (steady_state(params, omega_c, k)[0] for k in (n_al, n_ar))
     vec = np.kron(coherent_amplitudes(alpha_l, params.n_c),
                   np.conj(coherent_amplitudes(alpha_r, params.n_c)))
     return complex(value), vec / np.linalg.norm(vec)
@@ -87,7 +86,9 @@ def perturbative_eigenstate(labels: tuple[int, int], params: SystemParams,
     labels the first order applies -2 chi eta (c^+ - eta*)/dl (and the mirror
     on the bra copy), the second order its half-squared iteration, and (1,1)
     additionally the cross ket-bra excitation. Requires |eta|^2 < n_c/4 so the
-    coherent tail is negligible at the truncation.
+    coherent tail is negligible at the truncation, and, for an excited label
+    at order >= 1, level 1 off its undamped dressed resonance
+    (model.resonance_error), whose dressed detuning the excitations divide by.
     """
     n_al, n_ar = labels
     if n_al not in (0, 1) or n_ar not in (0, 1):
@@ -95,7 +96,8 @@ def perturbative_eigenstate(labels: tuple[int, int], params: SystemParams,
     if order not in (0, 1, 2):
         raise ValueError(f"unsupported perturbative order {order}")
     n_c = params.n_c
-    problem = truncation_error(abs(eta) ** 2, n_c)
+    problem = truncation_error(abs(eta) ** 2, n_c) or (
+        resonance_error(params, (1,)) if order >= 1 and 1 in labels else None)
     if problem:
         raise ValueError(problem)
 

@@ -34,6 +34,10 @@ RAD_PER_MHZ_NS = 2.0e-3 * math.pi
 # rows formatted per write in write_csv; bounds its memory, not its output
 _CSV_BLOCK_ROWS = 1024
 
+# the system keys of a config, in SystemParams field order, as read_section's spec
+PARAM_SPEC = {**dict.fromkeys(("delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz",
+                               "kappa_c_mhz"), (float, ...)), "n_a": (int, ...), "n_c": (int, ...)}
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -181,6 +185,19 @@ def envelope_derivatives(t, pulse: PulseSpec, order: int):
     return float(out[0]) if scalar else out
 
 
+def resonance_error(params: SystemParams, levels) -> str | None:
+    """The one rule for an undamped dressed resonance: the message naming the lowest of
+    the qubit `levels` whose dressed factor (delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2, which
+    the closed forms divide by, is 0 (also when the square underflows), else None."""
+    half_k = params.kappa_c / 2.0
+    for n in sorted(levels):
+        d = params.delta_cd + 2.0 * params.chi_ac * n
+        if d * d + half_k * half_k == 0.0:
+            return (f"delta_cd = {params.delta_cd + 0.0:g} MHz puts qubit level {n} on its "
+                    f"undamped dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0)")
+    return None
+
+
 def validity_margin(params: SystemParams, omega_c: float) -> float:
     """Ratio of the collective interaction to the detuning gap product.
 
@@ -188,16 +205,15 @@ def validity_margin(params: SystemParams, omega_c: float) -> float:
                           * sqrt((delta_cd + 2 chi_ac)^2 + (kappa_c/2)^2))
 
     The perturbative effective map is trustworthy when this is well below 1;
-    callers should warn at >= 1. Raises ValueError when qubit level 0 or 1
-    sits on its undamped dressed resonance (kappa_c = 0 and
-    delta_cd + 2 chi_ac n = 0), where the ratio has no value.
+    callers should warn at >= 1. Raises resonance_error's ValueError when
+    qubit level 0 or 1 is on its undamped dressed resonance, where the ratio
+    has no value.
     """
+    problem = resonance_error(params, (0, 1))
+    if problem:
+        raise ValueError(problem)
     d, chi, k = params.delta_cd, params.chi_ac, params.kappa_c
     rhs = math.sqrt(d**2 + (k / 2.0) ** 2) * math.sqrt((d + 2.0 * chi) ** 2 + (k / 2.0) ** 2)
-    if rhs == 0.0:
-        raise ValueError(f"delta_cd = {d + 0.0:g} MHz puts qubit level {0 if d == 0.0 else 1} "
-                         f"on its undamped dressed resonance (kappa_c = 0): the validity "
-                         f"margin has no value")
     return abs(chi * omega_c) / rhs
 
 
@@ -246,9 +262,7 @@ def read_section(where: str, sec, spec: dict) -> dict:
 
 def params_from_dict(cfg: dict) -> SystemParams:
     """Build SystemParams from the top-level JSON config keys (…_mhz names)."""
-    floats = ("delta_ad_mhz", "delta_cd_mhz", "alpha_a_mhz", "chi_ac_mhz", "kappa_c_mhz")
-    spec = {**dict.fromkeys(floats, (float, ...)), "n_a": (int, ...), "n_c": (int, ...)}
-    return SystemParams(*read_section("config", cfg, spec).values())  # in field order
+    return SystemParams(*read_section("config", cfg, PARAM_SPEC).values())  # in field order
 
 
 def pulse_from_dict(cfg: dict) -> PulseSpec:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (RAD_PER_MHZ_NS, PulseSpec, SystemParams, constant_envelope,
-                    envelope_derivatives, sg_envelope)
+                    envelope_derivatives, resonance_error, sg_envelope)
 
 
 @dataclass(frozen=True)
@@ -50,35 +50,32 @@ class ResonatorTrajectory:
         return np.abs(self.eta) ** 2
 
 
-def steady_state(params: SystemParams, omega_c: float) -> tuple[complex, float]:
-    """Steady-state amplitude and photon number under a constant drive.
+def steady_state(params: SystemParams, omega_c: float, level: int = 0) -> tuple[complex, float]:
+    """Steady-state amplitude and photon number under a constant drive, of the
+    resonator as qubit level `level` dresses it: with d = delta_cd + 2 chi_ac level,
 
-    eta_ss = -(i/2) omega_c / (i delta_cd + kappa_c/2)
-    n_c    = (omega_c/2)^2 / (delta_cd^2 + (kappa_c/2)^2)
+    alpha = -(i/2) omega_c / (i d + kappa_c/2)
+    n     = (omega_c/2)^2 / (d^2 + (kappa_c/2)^2)
+
+    Level 0 is the bare resonator: alpha is eta_ss, where solve_eta settles.
+    Raises model.resonance_error's ValueError when the level is on its
+    undamped dressed resonance.
     """
-    denom = 1j * params.delta_cd + params.kappa_c / 2.0
-    if denom == 0:
-        raise ValueError("degenerate resonator: delta_cd = kappa_c = 0 has no steady state")
-    eta_ss = -0.5j * omega_c / denom
-    n_c = (omega_c / 2.0) ** 2 / (params.delta_cd**2 + (params.kappa_c / 2.0) ** 2)
-    return eta_ss, n_c
+    problem = resonance_error(params, (level,))
+    if problem:
+        raise ValueError(problem)
+    d, half_k = params.delta_cd + 2.0 * params.chi_ac * level, params.kappa_c / 2.0
+    return -0.5j * omega_c / (1j * d + half_k), (omega_c / 2.0) ** 2 / (d**2 + half_k**2)
 
 
 def peak_photon(params: SystemParams, omega_c: float) -> float:
-    """Largest steady-state photon number over the qubit levels k = 0..n_a-1:
+    """Largest steady_state photon number over the qubit levels k = 0..n_a-1.
 
-        max_k (omega_c/2)^2 / ((delta_cd + 2 chi_ac k)^2 + (kappa_c/2)^2),
-
-    the photon number of a drive omega_c held at each level's dressed
-    detuning. A zero denominator under a nonzero drive (an undamped dressed
-    resonance) counts as unbounded, inf.
+    A level on its undamped dressed resonance (model.resonance_error) counts
+    as unbounded, inf, under a nonzero drive, and as 0.0 without one.
     """
-    drive = (omega_c / 2.0) ** 2
-    peak = 0.0
-    for k in range(params.n_a):
-        denom = (params.delta_cd + 2.0 * params.chi_ac * k) ** 2 + (params.kappa_c / 2.0) ** 2
-        peak = max(peak, drive / denom if denom else (math.inf if drive else 0.0))
-    return peak
+    return max((math.inf if omega_c else 0.0) if resonance_error(params, (k,))
+               else steady_state(params, omega_c, k)[1] for k in range(params.n_a))
 
 
 def _decay_rate_per_ns(params: SystemParams) -> complex:

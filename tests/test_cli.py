@@ -354,8 +354,8 @@ def test_load_config_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("chi, start, stop, points", [
-    (-0.1, -2.0, 2.0, 5),  # through delta_cd = 0: the ground-state resonance
-    (-1.0, 1.0, 3.0, 3),   # through delta_cd = -2 chi: the excited-state resonance
+    (-0.1, -2.0, 2.0, 5),  # through delta_cd = 0: level 0 on its resonance
+    (-1.0, 1.0, 3.0, 3),   # through delta_cd = -2 chi: level 1 on its resonance
 ])
 def test_rates_sweep_through_an_undamped_resonance_is_an_error(tmp_path, capsys,
                                                               chi, start, stop, points):
@@ -366,11 +366,11 @@ def test_rates_sweep_through_an_undamped_resonance_is_an_error(tmp_path, capsys,
     rc = main(["rates-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    # the message names the swept point and the resonance it sits on
+    # one error line that names the swept point and the qubit level on its resonance
     grid = np.linspace(start, stop, points)
-    level, d = ("ground", 0.0) if 0.0 in grid else ("excited", -2.0 * chi)
-    assert f"delta_cd = {d:g} MHz is on the undamped {level}-state resonance" in err
+    level, d = (0, 0.0) if 0.0 in grid else (1, -2.0 * chi)
+    assert err == (f"error: delta_cd = {d:g} MHz puts qubit level {level} on its undamped "
+                   f"dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0)\n")
 
 
 @pytest.mark.parametrize("command, fields, level, d", [
@@ -389,6 +389,10 @@ def test_rates_sweep_through_an_undamped_resonance_is_an_error(tmp_path, capsys,
                   "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0]},
                   "transient": {"dt_ns": 0.5, "t_end_ns": 20.0},
                   "propagate": {"dt_ns": 0.05, "t_end_ns": 20.0}}, 1, 2.0),
+    # a sweep point whose square underflows: level 0's dressed factor is 0
+    ("rates-sweep", {"chi_ac_mhz": -1.0,
+                     "rates_sweep": {"delta_cd_start_mhz": 1e-200, "delta_cd_stop_mhz": 1e-200,
+                                     "points": 1}}, 0, 1e-200),
 ])
 def test_undamped_dressed_resonance_is_an_error(tmp_path, capsys, command, fields, level, d):
     cfg = write_config(tmp_path, "c.json", {**BASE, "kappa_c_mhz": 0.0, **fields})
@@ -485,9 +489,11 @@ def test_csv_format_contract(tmp_path, command):
     ("propagate", "propagate", "propagate", "sample_every", -3, "sample_every"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [], "omega_c grid"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [[0.0, 1.0]],
-     "omega_c grid"),
+     "error: 'omega_c_grid_mhz' in config section 'benchmark_eig' must be a finite number, "
+     "got [0.0, 1.0]"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [[0.0], 1.0],
-     "omega_c grid"),
+     "error: 'omega_c_grid_mhz' in config section 'benchmark_eig' must be a finite number, "
+     "got [0.0]"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_max_mhz", 20.1,
      "omega_c_max_mhz"),
     ("spectrum-grid", "spectrum_grid", "spectrum_grid", "levels", 0, "levels"),
@@ -540,9 +546,11 @@ def test_csv_format_contract(tmp_path, command):
      "error: config section 'transient': 'levels' must be a non-empty list of [n_al, n_ar] "
      "pairs of ints >= 0"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [0.0, float("nan")],
-     "omega_c grid"),
+     "error: 'omega_c_grid_mhz' in config section 'benchmark_eig' must be a finite number, "
+     "got NaN"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [0.0, "1"],
-     "omega_c grid"),
+     "error: 'omega_c_grid_mhz' in config section 'benchmark_eig' must be a finite number, "
+     "got \"1\""),
 ])
 def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section, key, value,
                                       names):

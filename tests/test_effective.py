@@ -26,8 +26,7 @@ def scalar_reference(params, n_al, n_ar, photon):
     if den == 0.0:
         n = n_al if dl**2 + half_k_sq == 0.0 else n_ar
         raise ValueError(f"delta_cd = {d + 0.0:g} MHz puts qubit level {n} on its undamped "
-                         f"dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0): "
-                         f"the effective spectrum is singular")
+                         f"dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0)")
     base = d**2 + half_k_sq
     diff = float(n_al - n_ar)
     re = 2.0 * chi * base * (dl * dr + half_k_sq) * diff * photon / den
@@ -79,6 +78,17 @@ def test_spectrum_matrix_names_the_lowest_singular_level(chi, singular, extra, p
     assert f"qubit level {0 if chi == 0.0 else singular} on its undamped" in text
 
 
+def test_spectrum_underflow_without_a_resonant_level_is_a_clear_error():
+    # no level's dressed factor is 0 (delta_cd^2 = 1e-200), but their product underflows
+    p = SystemParams(0.0, 1e-100, 0.0, 0.0, 0.0, 2, 2)
+    for call in (lambda: effective_spectrum(p, 1, 0, 1.0), lambda: spectrum_matrix(p, 2, 1.0)):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == ("delta_cd = 1e-100 MHz: a product of two dressed factors "
+                                  "underflows to 0, so the effective spectrum is out of float "
+                                  "range")
+
+
 def random_params(rng):
     return SystemParams(0.0, float(rng.uniform(-60, 60)), 0.0,
                         float(rng.uniform(0.05, 5.0) * rng.choice([-1.0, 1.0])),
@@ -95,7 +105,8 @@ def test_adiabatic_correlations_values():
     with pytest.raises(ValueError):
         adiabatic_correlations(GRID10, 1, 0, -1.0)
     degenerate = SystemParams(0.0, 2.0, 0.0, -1.0, 0.0, 2, 2)
-    with pytest.raises(ValueError, match="singular"):
+    with pytest.raises(ValueError, match="^delta_cd = 2 MHz puts qubit level 1 on its undamped "
+                       r"dressed resonance \(delta_cd \+ 2 chi_ac n = 0, kappa_c = 0\)$"):
         adiabatic_correlations(degenerate, 1, 0, 1.0)
 
 

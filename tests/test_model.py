@@ -1,15 +1,17 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from readoutmap import model
+from readoutmap import effective, eigenstates, model
 from readoutmap.model import (PulseSpec, SystemParams, constant_envelope, detuning_l,
                               detuning_r, envelope_derivatives, params_from_dict,
-                              pulse_from_dict, sg_envelope, truncation_error, validity_margin,
-                              write_csv)
+                              pulse_from_dict, resonance_error, sg_envelope, truncation_error,
+                              validity_margin, write_csv)
+from readoutmap.response import steady_state
 
 SG = PulseSpec("square-gaussian", omega_c=50.0, tau_p=1000.0, tau_r=100.0, sigma_r=50.0)
 
@@ -173,6 +175,61 @@ def test_validity_margin():
             validity_margin(SystemParams(0, d, 0, -1.0, 0.0, 2, 2), 1.0)
     with pytest.raises(ValueError):
         validity_margin(SystemParams(0, 0.0, 0, 0.0, 0.0, 2, 2), 1.0)
+
+
+# kappa_c = 0, chi_ac = -1: the delta_cd that puts a qubit level on its undamped dressed
+# resonance, and that level; at 1e-200 level 0's dressed detuning squares to 0
+RESONANT = {"level-0": (0.0, 0), "level-1": (2.0, 1), "level-0-underflow": (1e-200, 0)}
+
+# every call that divides by a level's dressed factor, with the levels it divides by
+DRESSED_CALLS = {
+    "steady_state": (lambda p: steady_state(p, 1.0), {0}),
+    "steady_state-level-1": (lambda p: steady_state(p, 1.0, 1), {1}),
+    "validity_margin": (lambda p: validity_margin(p, 1.0), {0, 1}),
+    "effective_spectrum": (lambda p: effective.effective_spectrum(p, 1, 0, 1.0), {0, 1}),
+    "spectrum_matrix": (lambda p: effective.spectrum_matrix(p, 3, 1.0), {0, 1, 2}),
+    "rates": (lambda p: effective.rates(p, 1.0), {0, 1}),
+    "adiabatic_correlations": (lambda p: effective.adiabatic_correlations(p, 1, 0, 1.0), {0, 1}),
+    "stark_orders": (lambda p: effective.stark_orders(p, 1.0), {1}),
+    "effective_lindblad": (lambda p: effective.effective_lindblad(p, 1.0), {0, 1, 2}),
+    "closed_form_eigenpair": (lambda p: eigenstates.closed_form_eigenpair(p, 1, 0, 1.0)[1],
+                              {0, 1}),
+    "perturbative_eigenstate": (
+        lambda p: eigenstates.perturbative_eigenstate((1, 0), p, 0.1j, 1).vector, {1}),
+    "perturbative_eigenstate-ground": (
+        lambda p: eigenstates.perturbative_eigenstate((0, 0), p, 0.1j, 2).vector, set()),
+    "fidelity_sweep": (lambda p: eigenstates.fidelity_sweep(p, [0.5], orders=(0, 1)), {0, 1}),
+}
+
+
+@pytest.mark.parametrize("case", RESONANT)
+@pytest.mark.parametrize("name", DRESSED_CALLS)
+def test_undamped_dressed_resonance_is_one_error(name, case):
+    # one ValueError with the one message, naming the resonant level, and no
+    # warning; a call that does not divide by that level returns finite values
+    call, levels = DRESSED_CALLS[name]
+    d, level = RESONANT[case]
+    p = SystemParams(0.0, d, 0.0, -1.0, 0.0, 3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if level not in levels:
+            result = call(p)
+            assert np.all(np.isfinite(np.asarray(result, dtype=complex)))
+            return
+        with pytest.raises(ValueError) as exc:
+            call(p)
+    assert str(exc.value) == (f"delta_cd = {d:g} MHz puts qubit level {level} on its undamped "
+                              f"dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0)")
+
+
+def test_resonance_error_names_the_lowest_resonant_level():
+    p = SystemParams(0.0, 2.0, 0.0, -1.0, 0.0, 3, 4)
+    assert resonance_error(p, (0, 2)) is None and resonance_error(p, ()) is None
+    assert "level 1 on" in resonance_error(p, (2, 1, 0))
+    # chi_ac = 0: every level shares delta_cd; damping lifts every resonance
+    flat = SystemParams(0.0, 0.0, 0.0, 0.0, 0.0, 3, 4)
+    assert "level 0 on" in resonance_error(flat, (2, 1, 0))
+    assert resonance_error(SystemParams(0.0, 0.0, 0.0, 0.0, 0.1, 3, 4), (0, 1)) is None
 
 
 def test_config_dict_parsing():

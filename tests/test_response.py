@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -129,6 +131,26 @@ def test_steady_state_values():
     assert n4 == pytest.approx(4.0, abs=1e-12)
     with pytest.raises(ValueError):
         steady_state(SystemParams(0, 0, 0, 0, 0, 2, 2), 1.0)
+
+
+def bits(state):
+    alpha, photon = state
+    return np.array([alpha.real, alpha.imag, photon]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(delta_cd=st.floats(-100.0, 100.0), chi=st.floats(-5.0, 5.0),
+       kappa=st.floats(1e-6, 50.0), level=st.integers(0, 6), omega=st.floats(-50.0, 50.0))
+@example(delta_cd=-0.0, chi=1.0, kappa=1.0, level=0, omega=7.0)
+def test_steady_state_of_a_level_is_the_bare_one_at_its_dressed_detuning(delta_cd, chi, kappa,
+                                                                        level, omega):
+    p = SystemParams(0.0, delta_cd, 0.0, chi, kappa, 2, 4)
+    dressed = replace(p, delta_cd=delta_cd + 2.0 * chi * level)
+    assert bits(steady_state(p, omega, level)) == bits(steady_state(dressed, omega))
+    # level 0 is the closed form at delta_cd itself, to the bit
+    bare = (-0.5j * omega / (1j * delta_cd + kappa / 2.0),
+            (omega / 2.0) ** 2 / (delta_cd**2 + (kappa / 2.0) ** 2))
+    assert bits(steady_state(p, omega)) == bits(bare)
 
 
 def test_step_drive_matches_closed_form():
