@@ -6,7 +6,7 @@ Subcommands map one-to-one onto plot-ready data products:
   benchmark-eig     exact eigenvalue sweep vs the perturbative rates
   transient         pulse response, correlation functions, generator entries
   spectrum-grid     effective spectrum over a level grid
-  propagate         full master-equation coherence vs the effective map
+  propagate         exact master-equation coherence vs the effective map
   compare-gambetta  two-level-model dephasing vs ours, with the chi offset
   validate          every section's reader and the commands' pre-flight rules, as JSON
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import effective, liouville, response, spectra, transient
+from . import effective, response, spectra, transient
 from .model import (PARAM_SPEC, PulseSpec, SystemParams, config_value, params_from_dict,
                     pulse_from_dict, read_section, truncation_error, validity_margin, write_csv)
 
@@ -107,6 +107,9 @@ def _read_transient(config: RunConfig) -> tuple[tuple, dict]:
         levels = [(config_value(where, "levels", m, int), config_value(where, "levels", n, int))
                   for m, n in sec["levels"]]
     except (TypeError, ValueError):
+        if isinstance(sec["levels"], list) and all(
+                isinstance(pair, list) and len(pair) == 2 for pair in sec["levels"]):
+            raise  # a list of pairs: config_value's line for the element it rejected
         levels = []
     if not levels or min(min(pair) for pair in levels) < 0:
         raise ValueError(f"{where}: 'levels' must be a non-empty list of "
@@ -133,8 +136,7 @@ def _read_propagate(config: RunConfig) -> tuple[tuple, dict]:
     sample_every = sec["sample_every"]
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every = {sample_every} must be >= 1")
-    rule = _rule(config.params, "truncation", config.pulse.omega_c, "the pulse peak")
-    return (dt, t_end, sample_every), {"propagate.truncation": rule}
+    return (dt, t_end, sample_every), {}
 
 
 def _read_compare_gambetta(config: RunConfig) -> tuple[np.ndarray, dict]:
@@ -143,6 +145,9 @@ def _read_compare_gambetta(config: RunConfig) -> tuple[np.ndarray, dict]:
         raise ValueError("gambetta_rates requires kappa_c > 0")
     return grid, {}
 
+
+# the qubit levels whose RK4 resonator response each command steps: dt <= max_stable_dt of each
+_STEPPED_LEVELS = {"transient": (0,), "propagate": (0, 1)}
 
 # section -> reader: (the parsed section, {<section>.<rule>: _rule(...)}) or the command's error
 _READERS = {"rates_sweep": lambda config: (_sweep(config, "rates_sweep", 401), {}),
@@ -199,19 +204,18 @@ def cmd_spectrum_grid(config: RunConfig, out: str, header: bool, threads: int) -
 def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> None:
     dt, t_end, sample_every = _read(config, "propagate")
     p, pulse = config.params, config.pulse
-    plus = np.zeros(p.n_a * p.n_c, dtype=complex)
-    plus[0] = 1.0 / np.sqrt(2.0)
-    plus[p.n_c] = 1.0 / np.sqrt(2.0)
-    rho0 = np.outer(plus, plus.conj())
-    state0 = liouville.VectorizedState(vec=liouville.vectorize(rho0))
-    result = liouville.propagate(state0, p, pulse, t_end, dt, sample_every=sample_every)
-
-    # effective-map coherence on the same output grid, eta at the written samples only
-    idx = np.rint(result.times / dt).astype(int)
+    n_steps = response._grid_steps(p, pulse, t_end, dt, _STEPPED_LEVELS["propagate"])
+    if sample_every is None:
+        sample_every = max(1, n_steps // 512)
+    idx = np.append(np.arange(0, n_steps, sample_every), n_steps)
+    times = idx * dt
+    # qubit (|0> + |1>)/sqrt(2), resonator in vacuum; both maps at the written samples only
+    rho0 = np.zeros((p.n_a, p.n_a), dtype=complex)
+    rho0[:2, :2] = (1.0 / np.sqrt(2.0)) ** 2
+    full = rho0[1, 0] * response.coherence_at(p, pulse, t_end, dt, idx, 1, 0)
     photon = np.abs(response.eta_at(p, pulse, t_end, dt, idx)) ** 2
-    qubit = liouville.qubit_block(result.blocks)
-    rho_t = effective.effective_map_apply(qubit[0], p, photon, result.times)
-    write_csv(out, {"t_ns": result.times, "abs_rho10_full": abs(qubit[:, 1, 0]),
+    rho_t = effective.effective_map_apply(rho0, p, photon, times)
+    write_csv(out, {"t_ns": times, "abs_rho10_full": abs(full),
                     "abs_rho10_eff": abs(rho_t[:, 1, 0]), "photon": photon}, header=header)
 
 
@@ -236,10 +240,10 @@ def cmd_validate(config: RunConfig, out: str | None, header: bool, threads: int)
     {"passed", "detail"} named <section>.<rule>, the rules of its commands:
 
       validity_margin  transient, benchmark_eig: below 1 (the command warns)
-      truncation       propagate, benchmark_eig: below model.truncation_error's
-                       bound (the command warns)
-      dt               transient, propagate: 0 < dt <= the command's step
-                       bound (the command raises); reports dt / bound
+      truncation       benchmark_eig: below model.truncation_error's bound (the
+                       command warns)
+      dt               transient, propagate: 0 < dt <= max_stable_dt of each level
+                       the command steps (else it raises); reports dt / bound
 
     Drives are the pulse peak, and benchmark_eig's strongest grid point.
     Returns the exit code, 1 when a check fails; a reader's error propagates.
@@ -247,10 +251,9 @@ def cmd_validate(config: RunConfig, out: str | None, header: bool, threads: int)
     p, pulse = config.params, config.pulse
     read = {name: _READERS[name](config) for name in config.sections}
     rules = {name: rule for _, section in read.values() for name, rule in section.items()}
-    for name in {"transient", "propagate"} & read.keys():
+    for name in _STEPPED_LEVELS.keys() & read.keys():
         dt = read[name][0][0]  # the parsed section is (dt, t_end, ...)
-        bound = (response.max_stable_dt(p, pulse) if name == "transient" else
-                 liouville.stability_bound(*liouville.generator_blocks(p), pulse.omega_c)[0])
+        bound = min(response.max_stable_dt(p, pulse, k) for k in _STEPPED_LEVELS[name])
         rules[f"{name}.dt"] = (0.0 < dt <= bound, f"dt / bound = {dt / bound:.3g} "
                                f"(dt {dt:g} ns, bound {bound:.4g} ns)", None)
     checks = {name: {"passed": bool(passed), "detail": detail}

@@ -14,6 +14,9 @@ few samples of a long grid are wanted, `eta_at` advances the same recurrence
 from sample to sample, one interval at a time. Derivatives are obtained from
 the ODE itself (differentiating it once and twice) rather than from the
 samples, which keeps the adiabatic derivative expansion noise-free.
+
+`coherence_at` runs the recurrences of two qubit levels' dressed resonators
+and integrates their product: the exact coherence that `propagate` writes.
 """
 
 from __future__ import annotations
@@ -78,13 +81,19 @@ def peak_photon(params: SystemParams, omega_c: float) -> float:
                else steady_state(params, omega_c, k)[1] for k in range(params.n_a))
 
 
-def _decay_rate_per_ns(params: SystemParams) -> complex:
-    return (2.0j * np.pi * params.delta_cd + np.pi * params.kappa_c) * 1.0e-3
+def _dressed_detuning(params: SystemParams, level: int) -> float:
+    # delta_cd + 2 chi_ac level (MHz); exactly delta_cd at level 0, even where 2 chi_ac overflows
+    return params.delta_cd + 2.0 * params.chi_ac * level if level else params.delta_cd
 
 
-def max_stable_dt(params: SystemParams, pulse: PulseSpec) -> float:
-    """Largest allowed RK4 step: 0.05 rad of the fastest rate per step."""
-    rate = RAD_PER_MHZ_NS * max(abs(params.delta_cd), params.kappa_c, abs(pulse.omega_c))
+def _decay_rate_per_ns(params: SystemParams, level: int = 0) -> complex:
+    return (2.0j * np.pi * _dressed_detuning(params, level) + np.pi * params.kappa_c) * 1.0e-3
+
+
+def max_stable_dt(params: SystemParams, pulse: PulseSpec, level: int = 0) -> float:
+    """Largest allowed RK4 step at qubit level `level`: 0.05 rad of the fastest rate per step."""
+    rate = RAD_PER_MHZ_NS * max(abs(_dressed_detuning(params, level)), params.kappa_c,
+                                abs(pulse.omega_c))
     if rate == 0.0:  # no drive or decay, or rates so small that the product underflows
         return np.inf
     return 0.05 / rate
@@ -155,13 +164,14 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: comple
     return u[:n + 1]
 
 
-def _grid_steps(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> int:
-    """Number of RK4 steps on [0, t_end]; ValueError for a bad or unstable grid."""
+def _grid_steps(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
+                levels=(0,)) -> int:
+    """Number of RK4 steps on [0, t_end]; ValueError for a bad grid or one unstable at `levels`."""
     if not dt > 0.0:
         raise ValueError(f"step size dt = {dt} ns must be > 0")
     if not t_end >= 0.0:
         raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
-    dt_max = max_stable_dt(params, pulse)
+    dt_max = min(max_stable_dt(params, pulse, k) for k in levels)
     if dt > dt_max:
         raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns")
     return int(round(t_end / dt))
@@ -172,6 +182,15 @@ def _drive(pulse: PulseSpec, start: int, stop: int, dt: float) -> tuple[np.ndarr
     half_grid = np.arange(2 * start, 2 * stop + 1) * (dt / 2.0)
     dr = -1.0j * np.pi * 1.0e-3 * pulse.omega_c * sg_envelope(half_grid, pulse)
     return dr[0::2], dr[1::2]
+
+
+def _sample_indices(indices, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices (ValueError off the grid 0..n_steps or out of order) and their gaps from 0."""
+    idx = np.asarray(indices, dtype=int).reshape(-1)
+    gaps = np.diff(idx, prepend=0)
+    if np.any(gaps < 0) or (idx.size and idx[-1] > n_steps):
+        raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")
+    return idx, gaps
 
 
 def eta_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
@@ -191,10 +210,7 @@ def eta_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
     or out of order.
     """
     n_steps = _grid_steps(params, pulse, t_end, dt)
-    idx = np.asarray(indices, dtype=int).reshape(-1)
-    gaps = np.diff(idx, prepend=0)
-    if np.any(gaps < 0) or (idx.size and idx[-1] > n_steps):
-        raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")
+    idx, gaps = _sample_indices(indices, n_steps)
     mu = -_decay_rate_per_ns(params)
     pw = _powers(_rk4_factor(mu, dt), int(gaps.max(initial=0)))
     sums = {}  # (n, level) -> sum_j r^(n-1-j) g[j] of an interval at constant level
@@ -211,6 +227,93 @@ def eta_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
             u = pw[n] * u + sums[n, level]
             k = stop
         out[i] = u
+    return out
+
+
+def _log1p(w: complex) -> complex:
+    """log(1 + w), accurate for small |w| (numpy's complex log1p is not; its expm1 is)."""
+    return complex(0.5 * math.log1p(w.real * (2.0 + w.real) + w.imag * w.imag),
+                   math.atan2(w.imag, 1.0 + w.real))
+
+
+def _geometric(q: complex, log_q: complex, n: int) -> complex:
+    """q + q^2 + ... + q^n, with log_q the logarithm of q."""
+    return complex(n) if log_q == 0 else q * np.expm1(n * log_q) / np.expm1(log_q)
+
+
+def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
+                 indices, m: int, n: int) -> np.ndarray:
+    """Tr_c rho_mn(t) / rho_mn(0) of the full master equation from resonator
+    vacuum, at the grid points k = indices (non-decreasing) of k*dt, k = 0..round(t_end/dt).
+
+    The resonator is linear in each qubit sector, so sector (m, n) keeps the
+    polaron form c(t)|alpha_m><alpha_n| (Gambetta et al., PRA 77, 012112 (2008)):
+
+        Tr_c rho_mn(t) = rho_mn(0) exp(-2 pi i 1e-3 [(eps_m - eps_n) t + 2 chi_ac (m - n) I(t)]),
+        I(t) = Int_0^t alpha_m alpha_n^* dt',  eps_k = delta_ad k + alpha_a k (k - 1) / 2,
+
+    with no Fock truncation. alpha_k is eta_at's RK4 recurrence at level k's dressed
+    detuning (alpha_0 = eta); I the trapezoid rule plus the Euler-Maclaurin end term
+    (dt^2/12) (g'(0) - g'(t)), g' = (alpha_m alpha_n^*)' from the ODE: O(dt^4), as RK4.
+    Both advance from index to index, as in eta_at. On an interval that
+    model.constant_envelope proves constant each is s + b r^j, so the interval's sum
+    of alpha_m alpha_n^* is four geometric sums, with no envelope evaluated; other
+    intervals (and a level whose r is exactly 1) are scanned by _rk4_linear.
+
+    Raises the ValueErrors of eta_at, dt bounded by max_stable_dt of both
+    levels, and when the coherence is not finite (its phase overflows).
+    """
+    n_steps = _grid_steps(params, pulse, t_end, dt, (m, n))
+    idx, _ = _sample_indices(indices, n_steps)
+    drive = -1.0j * np.pi * 1.0e-3 * pulse.omega_c
+    mu = [-_decay_rate_per_ns(params, k) for k in (m, n)]
+    # r - 1 of _rk4_factor, before 1 + w rounds it: the fixed points -g / w keep their digits
+    w = [a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0))) for a in (dt * mu[0], dt * mu[1])]
+    r, log_r = [1.0 + x for x in w], [_log1p(x) for x in w]
+    q, log_q = r[0] * r[1].conjugate(), log_r[0] + log_r[1].conjugate()
+    closed = w[0] != 0 and w[1] != 0  # else a recurrence has no fixed point
+    fixed, sums = {}, {}  # level -> fixed points s; interval length -> geometric sums, r^n
+
+    integrals = np.empty(idx.size, dtype=complex)
+    um = un = f_end = total = 0j  # the carries, the drive at them, sum of alpha_m alpha_n^*
+    k = 0
+    for i, stop in enumerate(idx.tolist()):
+        if stop > k:
+            steps = stop - k
+            level = constant_envelope(pulse, (2 * k) * (dt / 2.0), (2 * stop) * (dt / 2.0))
+            if closed and level is not None:
+                f_end = drive * level
+                if level not in fixed:  # s = g / (1 - r) for the constant g[j] of this level
+                    const = np.full(2, f_end)
+                    fixed[level] = [complex(_rk4_recurrence(x, const, const[1:], dt)[1][0])
+                                    / -y for x, y in zip(mu, w)]
+                if steps not in sums:
+                    sums[steps] = ([_geometric(x, y, steps) for x, y in zip(r, log_r)],
+                                   _geometric(q, log_q, steps),
+                                   [1.0 + np.expm1(steps * y) for y in log_r])
+                (sm, sn), ((gm, gn), gq, (pm, pn)) = fixed[level], sums[steps]
+                bm, bn = um - sm, un - sn
+                total += (steps * sm * sn.conjugate() + sm * (bn * gn).conjugate()
+                          + bm * sn.conjugate() * gm + bm * bn.conjugate() * gq)
+                um, un = sm + bm * pm, sn + bn * pn
+            else:
+                f, fm = _drive(pulse, k, stop, dt)
+                am = _rk4_linear(mu[0], f, fm, dt, um)[1:]
+                an = _rk4_linear(mu[1], f, fm, dt, un)[1:]
+                total += complex(np.vdot(an, am))
+                um, un, f_end = complex(am[-1]), complex(an[-1]), complex(f[-1])
+            k = stop
+        slope = ((mu[0] * um + f_end) * un.conjugate()
+                 + um * (mu[1] * un + f_end).conjugate())
+        integrals[i] = dt * (total - 0.5 * um * un.conjugate()) - dt * dt / 12.0 * slope
+
+    eps = [params.delta_ad * x + 0.5 * params.alpha_a * x * (x - 1) for x in (m, n)]
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        out = np.exp(-1.0j * RAD_PER_MHZ_NS * ((eps[0] - eps[1]) * (idx * dt)
+                                               + 2.0 * params.chi_ac * (m - n) * integrals))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"coherence of qubit levels ({m}, {n}) is not finite: "
+                         "its phase overflows")
     return out
 
 

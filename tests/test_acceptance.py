@@ -12,14 +12,14 @@ import pytest
 from readoutmap.effective import (adiabatic_correlations, choi_cptp_check, dephasing_choi,
                                   effective_map_apply, effective_spectrum, gambetta_rates,
                                   rates, spectrum_matrix)
-from readoutmap.liouville import (VectorizedState, build_extended_hamiltonian, propagate,
-                                  qubit_block, vectorize)
+from readoutmap.liouville import build_extended_hamiltonian
 from readoutmap.model import PulseSpec, SystemParams
 from readoutmap.response import solve_eta, steady_state
 from readoutmap.spectra import extract_rates
 from readoutmap.transient import adiabatic_series_A, fourier_A
 from conftest import BENCH
-from fullspace import CollapseTerm, build_superoperator, kerr_hamiltonian, single_copy_operators
+from fullspace import (CollapseTerm, build_superoperator, kerr_hamiltonian, propagate,
+                       qubit_block, single_copy_operators)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -182,8 +182,7 @@ def test_criterion_09_full_versus_effective_map():
     plus = np.zeros(p.n_a * p.n_c, dtype=complex)
     plus[0] = plus[p.n_c] = 1.0 / np.sqrt(2.0)
     rho0 = np.outer(plus, plus.conj())
-    state0 = VectorizedState(vec=vectorize(rho0))
-    result = propagate(state0, p, pulse, t_end, dt, sample_every=2000)
+    result = propagate(rho0, p, pulse, t_end, dt, sample_every=2000)
     coh_full = np.abs(qubit_block(result.blocks)[:, 1, 0])
 
     out_t = np.asarray(result.times)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import readoutmap
-from readoutmap import liouville, model, response
+from readoutmap import model, response
 from readoutmap.cli import load_config, main
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -158,15 +158,16 @@ def test_propagate_memory_is_flat_in_the_response_grid(tmp_path):
 
 
 def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, monkeypatch):
-    # 1.2 M response steps and 60 k propagate steps in 600 sample intervals,
-    # all at one constant level: one evaluated interval serves them all
+    # 1.2 M response steps in 600 sample intervals, all at one constant level:
+    # one evaluated interval serves all of eta's, and the exact coherence takes
+    # every interval in closed form
     intervals, original = [], model.sg_envelope
 
     def counting(t, pulse):
         intervals.append(np.size(t))
         return original(t, pulse)
 
-    for module in (liouville, model, response):  # every module that holds the name
+    for module in (model, response):  # every module that holds the name
         monkeypatch.setattr(module, "sg_envelope", counting)
     cfg = write_config(tmp_path, "c.json", {
         "delta_ad_mhz": 0.0, "delta_cd_mhz": -10.0, "alpha_a_mhz": 0.0,
@@ -179,20 +180,35 @@ def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, mo
     assert len(intervals) <= 3
 
 
-def test_propagate_warns_when_the_truncation_is_too_small(tmp_path, capsys):
-    # configs/propagate.json at n_c = 3 and 40 MHz: 3.76 photons at level 0
-    # against n_c/4 = 0.75; the run still writes its (truncated) result
+def test_propagate_does_not_depend_on_the_resonator_truncation(tmp_path, capsys):
+    # configs/propagate.json at 40 MHz: 3.76 photons at level 0, far beyond what
+    # n_c = 3 holds. The exact coherence has no Fock truncation, so n_c = 3 and
+    # n_c = 10 write the same bytes, and no truncation warning is given
     with open(os.path.join(CONFIGS, "propagate.json")) as fh:
         cfg = json.load(fh)
-    cfg["n_c"] = 3
     cfg["pulse"]["omega_c_mhz"] = 40.0
     cfg["propagate"] = {"dt_ns": 0.005, "t_end_ns": 200.0, "sample_every": 1000}
+    products = []
+    for n_c in (3, 10):
+        out = tmp_path / f"prop{n_c}.csv"
+        rc = main(["propagate", "--config", write_config(tmp_path, "c.json", {**cfg, "n_c": n_c}),
+                   "--out", str(out)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        products.append(out.read_bytes())
+    assert products[0] == products[1]
+    assert len(products[0].splitlines()) == 1 + 41  # the header and 41 samples
+
+
+def test_propagate_with_a_coherence_that_is_not_finite_is_an_error(tmp_path, capsys):
+    # a qubit detuning near the float limit: (eps_1 - eps_0) t overflows the
+    # phase beyond t = 1.8 ns
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE, "delta_ad_mhz": 1e308, "propagate": {"dt_ns": 0.05, "t_end_ns": 200.0}})
     out = tmp_path / "prop.csv"
-    rc = main(["propagate", "--config", write_config(tmp_path, "c.json", cfg), "--out", str(out)])
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "warning: peak steady-state photon number 3.76 >= n_c/4 = 0.75: too large for "
-        "n_c = 3; increase the resonator truncation\n")
-    assert rc == 0 and len(read_rows(out)) == 41
+        "error: coherence of qubit levels (1, 0) is not finite: its phase overflows\n")
+    assert not out.exists()
 
 
 def test_shipped_propagate_gives_no_truncation_warning(tmp_path, capsys):
@@ -244,7 +260,7 @@ def test_byte_identical_reruns_and_no_header(tmp_path):
 
 
 def test_validate_passes(tmp_path):
-    # BASE with every command section: six rules, all within their bounds
+    # BASE with every command section: five rules, all within their bounds
     cfg = write_config(tmp_path, "c.json", {**BASE, **FORMAT_SECTIONS})
     out = tmp_path / "report.json"
     rc = main(["validate", "--config", cfg, "--out", str(out)])
@@ -254,7 +270,7 @@ def test_validate_passes(tmp_path):
     assert all(c["passed"] for c in report["checks"].values())
     assert sorted(report["checks"]) == [
         "benchmark_eig.truncation", "benchmark_eig.validity_margin", "propagate.dt",
-        "propagate.truncation", "transient.dt", "transient.validity_margin"]
+        "transient.dt", "transient.validity_margin"]
 
 
 def test_validate_without_rule_sections_has_no_checks(tmp_path, capsys):
@@ -276,8 +292,8 @@ SHIPPED_VALIDATION = [
         "transient.dt": (True, "dt / bound = 0.628 "),
         "transient.validity_margin": (True, "margin 0.005448 at omega_c = 14.2 MHz")}),
     ("propagate", 0, {
-        "propagate.dt": (True, "dt / bound = 0.344 "),
-        "propagate.truncation": (True, "photon number 0.1 < n_c/4 = 2.5")}),
+        # the level-1 response at delta_cd + 2 chi = -12 MHz sets the bound
+        "propagate.dt": (True, "dt / bound = 0.0302 (dt 0.02 ns, bound 0.6631 ns)")}),
     ("rates_sweep_narrow", 0, {}),
     ("rates_sweep_split", 0, {}),
     ("spectrum_grid", 0, {}),
@@ -311,11 +327,11 @@ def test_validate_dt_rule_is_the_commands_rule(tmp_path, capsys, command, config
         payload = json.load(fh)
     payload[section]["t_end_ns"] = 20.0
     run = load_config(write_config(tmp_path, "c.json", payload))
-    if section == "propagate":
-        bound = liouville.stability_bound(*liouville.generator_blocks(run.params),
-                                          run.pulse.omega_c)[0]
-    else:
-        bound = response.max_stable_dt(run.params, run.pulse)
+    # transient steps the level-0 response, propagate the level-0 and level-1 ones
+    levels = (0, 1) if section == "propagate" else (0,)
+    bound = min(response.max_stable_dt(run.params, run.pulse, k) for k in levels)
+    if section == "propagate":  # level 1 binds: |delta_cd + 2 chi| = 12 > |delta_cd| = 10
+        assert bound < response.max_stable_dt(run.params, run.pulse)
     for factor, ok in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
         payload[section]["dt_ns"] = bound * factor
         cfg = write_config(tmp_path, "c.json", payload)
@@ -448,6 +464,27 @@ def test_startup_and_eigensolves_load_no_scipy(tmp_path):
         assert loaded[stage] == [], stage
 
 
+IMPORT_GUARD_SCRIPT = """
+import json, sys
+before = set(sys.modules)
+import readoutmap.cli
+readoutmap.cli.load_config(sys.argv[1])
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))))
+"""
+
+
+def test_startup_loads_the_standard_library_and_numpy_only(tmp_path):
+    # what every CLI call pays before its command runs (a fresh interpreter
+    # importing readoutmap.cli and loading a config) pulls in nothing else
+    cfg = write_config(tmp_path, "c.json", {**BASE, **FORMAT_SECTIONS})
+    src = os.path.dirname(os.path.dirname(readoutmap.__file__))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD_SCRIPT, cfg],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          check=True)
+    assert json.loads(proc.stdout) == ["numpy", "readoutmap"]
+
+
 FORMAT_SECTIONS = {
     "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 41},
     "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0, 2.0]},
@@ -481,7 +518,8 @@ def test_csv_format_contract(tmp_path, command):
     ("transient", "transient_flattop", "transient", "t_end_ns", 0, "t_end"),
     ("transient", "transient_flattop", "transient", "levels", [], "levels"),
     ("transient", "transient_flattop", "transient", "levels", [[1]], "levels"),
-    ("transient", "transient_flattop", "transient", "levels", [[None, 0]], "levels"),
+    ("transient", "transient_flattop", "transient", "levels", [[None, 0]],
+     "error: 'levels' in config section 'transient' must be an integer, got null"),
     ("transient", "transient_flattop", "transient", "levels", 5, "levels"),
     ("propagate", "propagate", "propagate", "dt_ns", 0, "dt"),
     ("propagate", "propagate", "propagate", "dt_ns", -0.02, "dt"),
@@ -543,14 +581,21 @@ def test_csv_format_contract(tmp_path, command):
     ("spectrum-grid", "spectrum_grid", "spectrum_grid", "photon", float("nan"),
      "error: 'photon' in config section 'spectrum_grid' must be a finite number, got NaN"),
     ("transient", "transient_flattop", "transient", "levels", [[1.7, 0]],
-     "error: config section 'transient': 'levels' must be a non-empty list of [n_al, n_ar] "
-     "pairs of ints >= 0"),
+     "error: 'levels' in config section 'transient' must be an integer, got 1.7"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [0.0, float("nan")],
      "error: 'omega_c_grid_mhz' in config section 'benchmark_eig' must be a finite number, "
      "got NaN"),
     ("benchmark-eig", "benchmark_eig", "benchmark_eig", "omega_c_grid_mhz", [0.0, "1"],
      "error: 'omega_c_grid_mhz' in config section 'benchmark_eig' must be a finite number, "
      "got \"1\""),
+    ("transient", "transient_flattop", "transient", "levels", [[1, 0], [0, "1"]],
+     "error: 'levels' in config section 'transient' must be an integer, got \"1\""),
+    ("transient", "transient_flattop", "transient", "levels", [[1, 0, 2]],
+     "error: config section 'transient': 'levels' must be a non-empty list of [n_al, n_ar] "
+     "pairs of ints >= 0"),
+    ("transient", "transient_flattop", "transient", "levels", [[1, 0], 5],
+     "error: config section 'transient': 'levels' must be a non-empty list of [n_al, n_ar] "
+     "pairs of ints >= 0"),
 ])
 def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section, key, value,
                                       names):

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fullspace
 from readoutmap import cli, eigenstates, liouville, response, spectra
 from readoutmap.eigenstates import coherent_amplitudes
-from readoutmap.liouville import (AccuracyError, VectorizedState, basis_index,
-                                  build_extended_hamiltonian, destroy, propagate, qubit_block,
-                                  sector_generator, sector_indices, vectorize)
+from readoutmap.liouville import (AccuracyError, basis_index, build_extended_hamiltonian,
+                                  destroy, sector_generator, sector_indices)
 from readoutmap.model import PulseSpec, SystemParams, constant_envelope, sg_envelope
-from readoutmap.response import solve_eta
-from fullspace import (CollapseTerm, build_superoperator, kerr_hamiltonian,
-                       single_copy_operators, trace_functional)
+from readoutmap.response import coherence_at, solve_eta
+from fullspace import (CollapseTerm, build_superoperator, kerr_hamiltonian, propagate,
+                       qubit_block, single_copy_operators, trace_functional)
 
 SMALL = SystemParams(delta_ad=-20.0, delta_cd=-5.0, alpha_a=-3.3, chi_ac=-1.0,
                      kappa_c=1.0, n_a=2, n_c=5)
@@ -66,7 +66,7 @@ def dense_rk4_reference(state0, params, pulse, t_end, dt, sample_every):
     def rhs(a, y):
         return gen_s @ y + a * (gen_d @ y)
 
-    psi = state0.vec.astype(complex).copy()
+    psi = np.asarray(state0, dtype=complex).reshape(-1)
     times, vecs = [0.0], [psi.copy()]
     for k in range(n_steps):
         k1 = rhs(amp[2 * k], psi)
@@ -84,7 +84,7 @@ def plus_state(params, resonator=0):
     """(|0> + |1>)/sqrt(2) on the qubit times Fock state |resonator>."""
     psi = np.zeros(params.n_a * params.n_c, dtype=complex)
     psi[resonator] = psi[params.n_c + resonator] = 1.0 / np.sqrt(2.0)
-    return VectorizedState(vec=vectorize(np.outer(psi, psi.conj())))
+    return np.outer(psi, psi.conj())
 
 
 def sector_blocks(vecs, params):
@@ -242,17 +242,15 @@ def test_propagate_identity_with_zero_generator():
     p = SystemParams(0, 0, 0, 0, 0, 2, 2)
     rho0 = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
     rho0 = np.kron(rho0, np.diag([1.0, 0.0])).astype(complex)
-    st = VectorizedState(vec=vectorize(rho0))
-    res = propagate(st, p, PulseSpec("constant", 0.0), 100.0, 1.0)
-    assert np.max(np.abs(res.blocks[-1] - sector_blocks(st.vec, p))) == 0.0
+    res = propagate(rho0, p, PulseSpec("constant", 0.0), 100.0, 1.0)
+    assert np.max(np.abs(res.blocks[-1] - sector_blocks(rho0.reshape(-1), p))) == 0.0
 
 
 def test_propagate_single_photon_decay():
     p = SystemParams(0, 0, 0, 0, 2.0, 2, 4)
     rho0 = np.zeros((8, 8), dtype=complex)
     rho0[1, 1] = 1.0  # |0_a, 1_c>
-    st = VectorizedState(vec=vectorize(rho0))
-    res = propagate(st, p, PulseSpec("constant", 0.0), 500.0, 0.5)
+    res = propagate(rho0, p, PulseSpec("constant", 0.0), 500.0, 0.5)
     pop = res.blocks[:, 0, 0, 1, 1].real
     exact = np.exp(-2.0 * np.pi * p.kappa_c * np.asarray(res.times) * 1e-3)
     assert np.max(np.abs(pop - exact)) < 1e-6
@@ -266,8 +264,7 @@ def test_propagate_time_dependent_pulse_preserves_structure():
     plus = np.zeros(8, dtype=complex)
     plus[0] = plus[4] = 1.0 / np.sqrt(2.0)
     rho0 = np.outer(plus, plus.conj())
-    st = VectorizedState(vec=vectorize(rho0))
-    res = propagate(st, p, pulse, 300.0, 0.05)
+    res = propagate(rho0, p, pulse, 300.0, 0.05)
     assert res.max_trace_drift < 1e-8
     assert res.max_hermiticity_drift < 1e-8
     assert abs(np.trace(qubit_block(res.blocks[-1])) - 1.0) < 1e-8
@@ -301,9 +298,8 @@ def test_propagate_hermiticity_gate(monkeypatch, pulse, skew):
     monkeypatch.setattr(liouville, "sector_generator", skewed)
     plus = np.zeros(8, dtype=complex)
     plus[0] = plus[4] = 1.0 / np.sqrt(2.0)
-    st = VectorizedState(vec=vectorize(np.outer(plus, plus.conj())))
     with pytest.raises(AccuracyError, match="Hermiticity"):
-        propagate(st, p, pulse, 100.0, 0.05)
+        propagate(np.outer(plus, plus.conj()), p, pulse, 100.0, 0.05)
 
 
 @pytest.mark.parametrize("pulse, skew", GATE_CASES)
@@ -374,15 +370,15 @@ def test_propagate_blocks_keep_the_polaron_form(pulse, t_end):
     # From resonator vacuum each sector (m, n) stays c_mn(t)|alpha_m><alpha_n|
     # (Gambetta et al., PRA 77, 012112 (2008)), alpha_k the response at
     # delta_cd + 2 chi k, with trace rho_mn(0) exp(-2 pi i 1e-3 [(eps_m - eps_n) t
-    # + 2 chi (m - n) Int alpha_m alpha_n^* dt']). Measured worst over the
-    # samples and the four sectors: rank-1 distance 6.3e-8 / 4.8e-8 and trace
-    # error 1.5e-9 / 1.4e-9 (constant / pulse); the bounds keep 10x of margin.
+    # + 2 chi (m - n) Int alpha_m alpha_n^* dt']), which response.coherence_at
+    # computes. Measured worst over the samples and the four sectors: rank-1
+    # distance 6.3e-8 / 4.8e-8 and trace error 3.2e-12 / 2.2e-13 (constant /
+    # pulse); the bounds keep 10x of margin.
     p, dt = POLARON, 0.02
     res = propagate(plus_state(p), p, pulse, t_end, dt)
     idx = np.rint(res.times / dt).astype(int)
     alpha = [solve_eta(replace(p, delta_cd=p.delta_cd + 2.0 * p.chi_ac * k), pulse, t_end, dt).eta
              for k in range(p.n_a)]
-    eps = [p.delta_ad * k + 0.5 * p.alpha_a * k * (k - 1) for k in range(p.n_a)]
     for m in range(p.n_a):
         for n in range(p.n_a):
             block = res.blocks[:, m, n]
@@ -393,11 +389,8 @@ def test_propagate_blocks_keep_the_polaron_form(pulse, t_end):
             rank1 = (np.linalg.norm(block - c[:, None, None] * fit, axis=(1, 2))
                      / np.linalg.norm(block, axis=(1, 2)))
             assert np.max(rank1) <= 7e-7
-            prod = alpha[m] * np.conj(alpha[n])
-            integral = np.concatenate(([0.0], np.cumsum(0.5 * (prod[1:] + prod[:-1]) * dt)))
-            exact = 0.5 * np.exp(-2j * np.pi * 1e-3 * ((eps[m] - eps[n]) * res.times
-                                                       + 2.0 * p.chi_ac * (m - n) * integral[idx]))
-            assert np.max(np.abs(qubit_block(block) - exact)) <= 2e-8
+            exact = 0.5 * coherence_at(p, pulse, t_end, dt, idx, m, n)
+            assert np.max(np.abs(qubit_block(block) - exact)) <= 3e-11
 
 
 @pytest.mark.parametrize("n_a, levels, pulse", [
@@ -411,8 +404,7 @@ def test_propagate_leaves_empty_sectors_zero(n_a, levels, pulse):
     # occupied sectors are levels x levels (4 of 9, or the single (0, 0))
     psi = np.zeros(n_a * p.n_c, dtype=complex)
     psi[np.array(levels) * p.n_c + 1] = 1.0 / np.sqrt(len(levels))
-    st0 = VectorizedState(vec=vectorize(np.outer(psi, psi.conj())))
-    res = assert_matches_dense_reference(st0, p, pulse, 60.0, 0.1, 45)
+    res = assert_matches_dense_reference(np.outer(psi, psi.conj()), p, pulse, 60.0, 0.1, 45)
     empty = [(n_al, n_ar) for n_al in range(n_a) for n_ar in range(n_a)
              if {n_al, n_ar} - set(levels)]
     assert len(empty) == n_a ** 2 - len(levels) ** 2
@@ -421,7 +413,7 @@ def test_propagate_leaves_empty_sectors_zero(n_a, levels, pulse):
 
 def test_propagate_zero_state_stays_zero():
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
-    zero = VectorizedState(vec=np.zeros(64, complex))
+    zero = np.zeros(64, complex)
     pulse = PulseSpec("square-gaussian", 3.0, tau_p=20.0, tau_r=5.0, sigma_r=2.5)
     res = propagate(zero, p, pulse, 30.0, 0.1, sample_every=40)
     assert res.times.tolist() == pytest.approx([0.0, 4.0, 8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 30.0])
@@ -456,13 +448,13 @@ def test_constant_interval_shortcut_is_bit_identical(monkeypatch, kind, sample_e
         idx = m * np.rint(res.times / dt).astype(int)
         return res.blocks, response.eta_at(p, pulse, t_end, dt / m, idx)
 
-    monkeypatch.setattr(liouville, "constant_envelope", spy)
+    monkeypatch.setattr(fullspace, "constant_envelope", spy)
     monkeypatch.setattr(response, "constant_envelope", spy)
     blocks, eta = run()
     # the shortcut fires, except where the one interval holds both ramps
     assert any(level is not None for level in levels) == (kind == "constant"
                                                           or sample_every < 400)
-    monkeypatch.setattr(liouville, "constant_envelope", lambda *args: None)
+    monkeypatch.setattr(fullspace, "constant_envelope", lambda *args: None)
     monkeypatch.setattr(response, "constant_envelope", lambda *args: None)
     ref_blocks, ref_eta = run()
     assert np.array_equal(blocks, ref_blocks)
@@ -485,8 +477,7 @@ def test_propagate_rejects_a_state_of_the_wrong_size():
 def test_propagate_step_bound():
     p = SystemParams(0.0, -5.0, 0.0, -1.0, 2.0, 2, 4)
     with pytest.raises(ValueError, match="stability"):
-        propagate(VectorizedState(vec=np.zeros(64, complex)),
-                  p, PulseSpec("constant", 3.0), 10.0, 5.0)
+        propagate(np.zeros(64, complex), p, PulseSpec("constant", 3.0), 10.0, 5.0)
 
 
 @pytest.mark.parametrize("n_a", [2, 3])
@@ -498,8 +489,7 @@ def test_propagate_stability_bound_covers_every_sector(n_a):
     ground = np.zeros((n_a * p.n_c,) * 2, dtype=complex)
     ground[0, 0] = 1.0
     # only the (0, 0) sector, which does not set the scale, or none at all
-    for st0 in (VectorizedState(vec=vectorize(ground)),
-                VectorizedState(vec=np.zeros(ground.size, complex))):
+    for st0 in (ground, np.zeros(ground.size, complex)):
         # the block row sums add the same entries in another order: the bound
         # may move by the rounding of a sum of a few terms, not more
         above = dt_max * (1.0 + 1e-14)
@@ -526,15 +516,15 @@ def test_propagate_step_bound_is_within_the_response_step_bound(n_a, n_c, delta_
     # and (1, 1): its absolute sum is at least |delta_cd| + |omega|. Row (1, 1)
     # has the diagonal -i kappa: at least kappa. So the largest row sum is at
     # least max(|delta_cd|, kappa, |omega|), the rate max_stable_dt divides by,
-    # and every step propagate accepts is one response step (no tolerance:
+    # and every step the stepper accepts is one response step (no tolerance:
     # both bounds are 0.05 / (2e-3 pi rate), and float sums of |entries| are
     # monotone).
     p = SystemParams(delta_ad, delta_cd, alpha, chi, kappa, n_a, n_c)
-    dt_max = liouville.stability_bound(*liouville.generator_blocks(p), omega)[0]
+    dt_max = fullspace.stability_bound(*fullspace.generator_blocks(p), omega)[0]
     assert dt_max <= response.max_stable_dt(p, PulseSpec("constant", omega))
 
 
-def test_product_paths_never_build_the_full_generator(monkeypatch):
+def test_product_paths_never_build_the_full_generator(monkeypatch, tmp_path):
     def full_build(*args, **kwargs):
         raise AssertionError("full doubled-space generator assembled")
 
@@ -550,11 +540,15 @@ def test_product_paths_never_build_the_full_generator(monkeypatch):
                   PulseSpec("square-gaussian", 2.0, tau_p=20.0, tau_r=5.0, sigma_r=2.5)):
         res = propagate(plus_state(p0), p0, pulse, 30.0, 0.1)
         assert res.max_trace_drift < 1e-9
+        config = cli.RunConfig(params=p0, pulse=pulse, out=None,
+                               sections={"propagate": {"dt_ns": 0.1, "t_end_ns": 30.0}})
+        cli.cmd_propagate(config, str(tmp_path / f"{pulse.kind}.csv"), True, 1)
 
 
 def test_eigenvectors_never_use_the_doubled_layout(monkeypatch, tmp_path):
     # tracking and the fidelity sweep keep every vector in its qubit-sector
-    # block, and propagate keeps its samples as sector blocks; only
+    # block, the test-side stepper keeps its samples as sector blocks, and the
+    # propagate command steps no resonator matrix at all; only
     # build_extended_hamiltonian (the tests and the benchmark harness) needs
     # the layout
     def layout(*args, **kwargs):
@@ -599,12 +593,12 @@ def sparse_coherence_matrix(n_a, n_c):
 def test_qubit_block_matches_summed_trace(make_rho, n_a, n_c):
     rho = make_rho(n_a, n_c)
     p = SystemParams(0.0, 0.0, 0.0, 0.0, 0.0, n_a, n_c)
-    block = qubit_block(sector_blocks(vectorize(rho), p))
+    block = qubit_block(sector_blocks(rho.reshape(-1), p))
     ref = [[sum(rho[m * n_c + j, n * n_c + j] for j in range(n_c)) for n in range(n_a)]
            for m in range(n_a)]
     assert np.allclose(block, ref, rtol=0.0, atol=1e-14)
     # any leading axes: the trace is taken over the last two only
-    stack = qubit_block(sector_blocks(np.stack([vectorize(rho), 2.0 * vectorize(rho)]), p))
+    stack = qubit_block(sector_blocks(np.stack([rho.reshape(-1), 2.0 * rho.reshape(-1)]), p))
     assert np.array_equal(stack, [block, 2.0 * block])
     if make_rho is sparse_coherence_matrix:
         assert complex(block[1, 0]) == pytest.approx(0.3 + 0.2j)

@@ -372,7 +372,8 @@ def test_product_paths_never_run_a_full_eigensolve(monkeypatch, tmp_path):
                              "points": 5}}))
     report = tmp_path / "report.json"
     assert cli.main(["validate", "--config", str(cfg), "--out", str(report)]) == 0
-    assert len(json.loads(report.read_text())["checks"]) == 6
+    # the five rules of these sections: propagate has no truncation rule
+    assert len(json.loads(report.read_text())["checks"]) == 5
 
 
 def test_track_csv(tmp_path, bench_track):
