@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, detuning_l, detuning_r, resonance_error, write_csv
+from .model import (SystemParams, detuning_l, detuning_r, overflow_error, resonance_error,
+                    write_csv)
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,14 @@ def effective_spectrum(params: SystemParams, n_al: int | np.ndarray, n_ar: int |
     dl = d + 2.0 * chi * n_al
     dr = d + 2.0 * chi * n_ar
     den = (dl * dl + half_k_sq) * (dr * dr + half_k_sq)
-    # count_nonzero, not np.any: on a scalar call's bool it is ~6x cheaper
-    if np.count_nonzero(den == 0.0):
+    # count_nonzero, not np.any: on a scalar call's bool it is ~6x cheaper; den * 0.0
+    # is NaN, so counted, where den is not finite (an overflowing dressed detuning)
+    zero = np.count_nonzero(den == 0.0)
+    if zero or np.count_nonzero(den * 0.0):
         raise ValueError(resonance_error(params, np.union1d(n_al, n_ar)) or
                          f"delta_cd = {d + 0.0:g} MHz: a product of two dressed factors "
-                         f"underflows to 0, so the effective spectrum is out of float range")
+                         f"{'underflows to 0' if zero else 'overflows'}, so the effective "
+                         f"spectrum is out of float range")
     base = d**2 + half_k_sq
     diff = n_al - n_ar
     re = 2.0 * chi * base * (dl * dr + half_k_sq) * diff * photon / den
@@ -94,6 +98,9 @@ def effective_spectrum(params: SystemParams, n_al: int | np.ndarray, n_ar: int |
 
 def spectrum_matrix(params: SystemParams, levels: int, photon: float) -> np.ndarray:
     """E_{m,n} over levels 0..levels-1 as a complex matrix."""
+    problem = overflow_error(params, range(levels))  # before numpy overflows on it
+    if problem:
+        raise ValueError(problem)
     n = np.arange(levels)
     return effective_spectrum(params, n[:, None], n[None, :], photon)
 

@@ -11,7 +11,11 @@ Every CSV the package writes goes through write_csv, which owns the output
 format: each value is printed as "%.12g" % (x + 0.0), the same text as the
 f"{x + 0.0:.12g}" of earlier versions (12 significant digits, signed zeros
 printed as 0), comma-separated with \r\n line ends; the header row goes
-through the default csv dialect.
+through the default csv dialect. The digits come from a numpy kernel
+(_format_block) that rounds each value to 12 digits in binary and reads the
+text from lookup tables; a value it cannot round with certainty (a near-tie,
+0, NaN, an infinity, or a magnitude outside [1e-11, 1e33)) is printed by
+"%.12g" % x itself.
 
 Every config value is read through read_section and config_value, which own
 the config format: JSON objects with no unknown or missing key, a finite
@@ -21,6 +25,7 @@ number for a float key, a number of integral value for an int key.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import sys
@@ -185,13 +190,33 @@ def envelope_derivatives(t, pulse: PulseSpec, order: int):
     return float(out[0]) if scalar else out
 
 
+def dressed_detuning(params: SystemParams, n: int) -> float:
+    """delta_cd + 2 chi_ac n (MHz), the resonator detuning as qubit level n dresses it;
+    exactly delta_cd at level 0, even where 2 chi_ac overflows."""
+    return params.delta_cd + 2.0 * params.chi_ac * n if n else params.delta_cd
+
+
+def overflow_error(params: SystemParams, levels) -> str | None:
+    """The one rule for a chi_ac too large for a float: the message naming chi_ac_mhz
+    and the lowest of the qubit `levels` whose dressed detuning overflows, else None."""
+    for n in sorted(levels):
+        if not math.isfinite(dressed_detuning(params, n)):
+            return (f"chi_ac_mhz = {params.chi_ac:g} overflows the dressed detuning "
+                    f"delta_cd + 2 chi_ac n of qubit level {n}")
+    return None
+
+
 def resonance_error(params: SystemParams, levels) -> str | None:
-    """The one rule for an undamped dressed resonance: the message naming the lowest of
-    the qubit `levels` whose dressed factor (delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2, which
-    the closed forms divide by, is 0 (also when the square underflows), else None."""
+    """The one rule for a dressed factor the closed forms cannot divide by: overflow_error's
+    message, else the message naming the lowest of the qubit `levels` whose dressed factor
+    (delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2 is 0 (an undamped dressed resonance, also
+    when the square underflows), else None."""
+    problem = overflow_error(params, levels)
+    if problem:
+        return problem
     half_k = params.kappa_c / 2.0
     for n in sorted(levels):
-        d = params.delta_cd + 2.0 * params.chi_ac * n
+        d = dressed_detuning(params, n)
         if d * d + half_k * half_k == 0.0:
             return (f"delta_cd = {params.delta_cd + 0.0:g} MHz puts qubit level {n} on its "
                     f"undamped dressed resonance (delta_cd + 2 chi_ac n = 0, kappa_c = 0)")
@@ -272,15 +297,128 @@ def pulse_from_dict(cfg: dict) -> PulseSpec:
     return PulseSpec(*read_section("config section 'pulse'", cfg, spec).values())  # field order
 
 
+# decimal exponents the kernel prints itself: those of 1e-11 <= |x| < 1e33 after
+# rounding to 12 digits, all with a two-digit "e±dd"
+_E_LO, _E_HI = -11, 33
+# classes per sign and separator: one per exponent and count of trailing mantissa zeros
+_E_CLASSES = (_E_HI - _E_LO + 1) * 12
+# a scaled value this close to a rounding tie may round either way; "%.12g" decides
+_TIE_MARGIN = 2.0**-10
+
+
+@functools.cache
+def _csv_tables():
+    """Lookup tables of the _format_block kernel, built on its first call.
+
+    dig, 20000 uint64 words: entry s*10000 + g holds the 4 digits of g as
+    (digit, NUL) byte pairs, its trailing zeros NUL as well if s = 1.
+    ntz, 20000 ints: entry s*10000 + g is s times the trailing zeros of the 4
+    digits of g (4 for g = 0).
+    slot, 4*_E_CLASSES x 5 uint64 words: the 40-byte text of class
+    (neg*2 + last)*_E_CLASSES + (e - _E_LO)*12 + t, for a negative value, the
+    last column, decimal exponent e and a 12-digit mantissa with t trailing
+    zeros; NUL where a digit goes or no character does. Bytes: 0 sign, 1-5 the
+    "0." and zeros of -4 <= e < 0, 8-31 the 12 (digit, point) pairs, 32-35
+    "e±dd", 36-37 the separator.
+    mul, div, one float per exponent: |x| * mul / div is |x| * 10**(11 - e) by
+    one exact power of ten, so one correctly rounded operation.
+    """
+    g = np.arange(10000)
+    digits = g[:, None] // np.array([1000, 100, 10, 1]) % 10
+    tz = sum(g % 10**k == 0 for k in (1, 2, 3, 4))
+    pairs = np.zeros((2, 10000, 8), np.uint8)
+    pairs[:, :, 0::2] = digits + ord("0")
+    pairs[1, :, 0::2] *= np.arange(4) < 4 - tz[:, None]
+    e, t, col = np.ix_(range(_E_LO, _E_HI + 1), range(12), range(40))
+    sig, pair, in_pairs = 12 - t, (col - 8) // 2, (8 <= col) & (col < 32)
+    fixed, below_one = (-4 <= e) & (e < 12), (-4 <= e) & (e < 0)
+    sci = ~fixed
+    point = np.where(fixed, (pair == e) & (sig > e + 1), (pair == 0) & (sig > 1))
+    rules = [(below_one & (col == 1), "0"), (below_one & (col == 2), "."),
+             (below_one & (3 <= col) & (col < 2 - e), "0"),
+             # fixed notation keeps its integer digits; "0" | digit is the digit
+             (in_pairs & (col % 2 == 0) & fixed & (pair <= e), "0"),
+             (in_pairs & (col % 2 == 1) & point, "."),
+             (sci & (col == 32), "e"), (sci & (col == 33) & (e < 0), "-"),
+             (sci & (col == 33) & (e >= 0), "+"), (sci & (col == 34), ord("0") + abs(e) // 10),
+             (sci & (col == 35), ord("0") + abs(e) % 10)]
+    slot = np.empty((2, 2, _E_HI - _E_LO + 1, 12, 40), np.uint8)
+    slot[:] = np.select([where for where, _ in rules],
+                        [ord(c) if isinstance(c, str) else c for _, c in rules])
+    slot[1, ..., 0] = ord("-")
+    slot[:, 0, ..., 36] = ord(",")
+    slot[:, 1, ..., 36:38] = np.frombuffer(b"\r\n", np.uint8)
+    power = np.array([float(10 ** abs(11 - e)) for e in range(_E_LO, _E_HI + 1)])
+    up = np.arange(_E_LO, _E_HI + 1) <= 11
+    return (pairs.view(np.uint64).ravel(), np.concatenate([np.zeros_like(tz), tz]),
+            slot.reshape(-1, 40).view(np.uint64), np.where(up, power, 1.0),
+            np.where(up, 1.0, power))
+
+
+def _format_block(block) -> bytes:
+    """The rows of a 2-D float block, signed zeros folded, as write_csv writes them.
+
+    A value x with 1e-11 <= |x| < 1e33 is scaled by an exact power of ten to y
+    in [1e11, 1e12), within 1.2e-4 of exact, so unless y lies within
+    _TIE_MARGIN of a tie rint(y) is the 12-digit mantissa "%.12g" prints. Its
+    text is its class slot ORed with the digit words of the mantissa, NULs
+    dropped. Any other value is printed by "%.12g" % x into its slot.
+    """
+    dig, ntz, slot, mul, div = _csv_tables()
+    x = block.ravel()
+    a = np.abs(x)
+    slow = ~((a >= 1e-11) & (a < 1e33))  # NaN compares false
+    a[slow] = 1.0
+    # ex = e - _E_LO indexes the per-exponent tables; truncation floors, and clips
+    # the -0.x that log10 may give at 1e-11 to 0
+    ex = (np.log10(a) - _E_LO).astype(np.intp)
+    y = a * mul.take(ex) / div.take(ex)
+    # log10 rounded across a power of ten: one step back (at 1e-11, rint absorbs it)
+    off = (y < 1e11) & (ex > 0) | (y >= 1e12)
+    if off.any():
+        i = np.flatnonzero(off)
+        ex[i] += np.where(y[i] < 1e11, -1, 1)
+        y[i] = a[i] * mul.take(ex[i]) / div.take(ex[i])
+    m = np.rint(y)
+    slow |= np.abs(y - m) >= 0.5 - _TIE_MARGIN
+    carry = m == 1e12  # from 999999999999.5 up: 1e11 at the next exponent
+    ex += carry
+    np.putmask(m, carry, 1e11)
+    # the three 4-digit groups; one with no nonzero digit after it drops its trailing zeros
+    g = np.empty((3, x.size), np.intp)
+    rest = m.astype(np.intp)
+    np.floor_divide(rest, 10**8, out=g[0])
+    rest -= g[0] * 10**8
+    np.floor_divide(rest, 10**4, out=g[1])
+    np.subtract(rest, g[1] * 10**4, out=g[2])
+    zero_tail = g[2] == 0
+    g[0] += (zero_tail & (g[1] == 0)) * 10000
+    g[1] += zero_tail * 10000
+    g[2] += 10000
+    t = ntz.take(g)
+    cls = ex * 12 + t[0] + t[1] + t[2] + (x < 0) * (2 * _E_CLASSES)
+    cls.reshape(block.shape)[:, -1] += _E_CLASSES
+    text = slot.take(cls, axis=0)
+    text.T[1:4] |= dig.take(g)
+    chars = text.view(np.uint8)
+    i = np.flatnonzero(slow)
+    if i.size:  # padded with spaces, which "%.12g" never prints
+        own = ("%-36.12g" * i.size % tuple(x[i].tolist())).encode()
+        chars[i, :36] = np.frombuffer(own, np.uint8).reshape(-1, 36)
+    return chars.tobytes().translate(None, b"\0 ")
+
+
 def write_csv(path, columns: dict, header: bool = True) -> None:
     """Write equal-length 1-D columns, keyed by their header names, one row per index.
 
     Each value is converted to float and printed as "%.12g" % (x + 0.0), the
     same text as f"{x + 0.0:.12g}": 12 significant digits, integers without a
     decimal point, and the + 0.0 folding signed zeros. Rows are formatted a
-    block at a time, so memory stays flat in the row count. A complex column,
-    an empty mapping, a column that is not 1-D, or columns of different
-    lengths raise ValueError before the file is opened.
+    block at a time by _format_block, which prints a value whose rounding it
+    cannot settle, or that lies outside 1e-11 <= |x| < 1e33, with "%.12g"
+    itself; memory stays flat in the row count. A complex column, an empty
+    mapping, a column that is not 1-D, or columns of different lengths raise
+    ValueError before the file is opened.
     """
     if any(np.iscomplexobj(c) for c in columns.values()):
         raise ValueError("write_csv takes real columns; write complex ones as .real and .imag")
@@ -288,10 +426,9 @@ def write_csv(path, columns: dict, header: bool = True) -> None:
     shapes = {name: col.shape for name, col in zip(columns, data)}
     if len(set(shapes.values())) != 1 or data[0].ndim != 1:
         raise ValueError(f"write_csv takes one or more 1-D columns of equal length, got {shapes}")
-    row = ",".join(["%.12g"] * len(data)) + "\r\n"
     with open(path, "w", newline="") as fh:
         if header:
             csv.writer(fh).writerow(list(columns))
         for start in range(0, len(data[0]), _CSV_BLOCK_ROWS):
             block = np.column_stack([col[start:start + _CSV_BLOCK_ROWS] for col in data]) + 0.0
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+            fh.write(_format_block(block).decode("ascii"))

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (RAD_PER_MHZ_NS, PulseSpec, SystemParams, constant_envelope,
-                    envelope_derivatives, resonance_error, sg_envelope)
+                    dressed_detuning, envelope_derivatives, overflow_error, resonance_error,
+                    sg_envelope)
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def steady_state(params: SystemParams, omega_c: float, level: int = 0) -> tuple[
     problem = resonance_error(params, (level,))
     if problem:
         raise ValueError(problem)
-    d, half_k = params.delta_cd + 2.0 * params.chi_ac * level, params.kappa_c / 2.0
+    d, half_k = dressed_detuning(params, level), params.kappa_c / 2.0
     return -0.5j * omega_c / (1j * d + half_k), (omega_c / 2.0) ** 2 / (d**2 + half_k**2)
 
 
@@ -81,18 +82,13 @@ def peak_photon(params: SystemParams, omega_c: float) -> float:
                else steady_state(params, omega_c, k)[1] for k in range(params.n_a))
 
 
-def _dressed_detuning(params: SystemParams, level: int) -> float:
-    # delta_cd + 2 chi_ac level (MHz); exactly delta_cd at level 0, even where 2 chi_ac overflows
-    return params.delta_cd + 2.0 * params.chi_ac * level if level else params.delta_cd
-
-
 def _decay_rate_per_ns(params: SystemParams, level: int = 0) -> complex:
-    return (2.0j * np.pi * _dressed_detuning(params, level) + np.pi * params.kappa_c) * 1.0e-3
+    return (2.0j * np.pi * dressed_detuning(params, level) + np.pi * params.kappa_c) * 1.0e-3
 
 
 def max_stable_dt(params: SystemParams, pulse: PulseSpec, level: int = 0) -> float:
     """Largest allowed RK4 step at qubit level `level`: 0.05 rad of the fastest rate per step."""
-    rate = RAD_PER_MHZ_NS * max(abs(_dressed_detuning(params, level)), params.kappa_c,
+    rate = RAD_PER_MHZ_NS * max(abs(dressed_detuning(params, level)), params.kappa_c,
                                 abs(pulse.omega_c))
     if rate == 0.0:  # no drive or decay, or rates so small that the product underflows
         return np.inf
@@ -173,7 +169,9 @@ def _grid_steps(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
         raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
     dt_max = min(max_stable_dt(params, pulse, k) for k in levels)
     if dt > dt_max:
-        raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns")
+        problem = overflow_error(params, levels)  # an overflowing level bounds dt by 0
+        raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns"
+                         + (f": {problem}" if problem else ""))
     return int(round(t_end / dt))
 
 

@@ -425,6 +425,30 @@ def test_undamped_dressed_resonance_is_an_error(tmp_path, capsys, command, field
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["rates-sweep", "benchmark-eig", "transient", "spectrum-grid",
+                                     "propagate", "compare-gambetta", "validate"])
+def test_an_overflowing_chi_ac_is_one_error_line_that_names_it(tmp_path, capsys, command):
+    # 2 chi_ac overflows a float: level 0 is still the bare resonator, level 1 has no number
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE, "chi_ac_mhz": 1.5e308,
+        "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 5},
+        "spectrum_grid": {"photon": 1.0, "levels": 3},
+        "compare_gambetta": {"delta_cd_start_mhz": -12.0, "delta_cd_stop_mhz": 8.0, "points": 5},
+        "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0]},
+        "transient": {"dt_ns": 0.5, "t_end_ns": 200.0},
+        "propagate": {"dt_ns": 0.05, "t_end_ns": 200.0, "sample_every": 400}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("chi_ac_mhz = 1.5e+308 overflows the dressed detuning delta_cd + 2 chi_ac n of "
+            "qubit level 1\n") in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 STARTUP_SCRIPT = """
 import json, sys
 import readoutmap, readoutmap.cli as cli
@@ -470,19 +494,21 @@ before = set(sys.modules)
 import readoutmap.cli
 readoutmap.cli.load_config(sys.argv[1])
 loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
-print(json.dumps(sorted(loaded - set(sys.stdlib_module_names))))
+print(json.dumps({"modules": sorted(loaded - set(sys.stdlib_module_names)),
+                  "csv_tables": readoutmap.model._csv_tables.cache_info().currsize}))
 """
 
 
 def test_startup_loads_the_standard_library_and_numpy_only(tmp_path):
     # what every CLI call pays before its command runs (a fresh interpreter
-    # importing readoutmap.cli and loading a config) pulls in nothing else
+    # importing readoutmap.cli and loading a config) pulls in nothing else, and
+    # leaves write_csv's formatting tables to its first call
     cfg = write_config(tmp_path, "c.json", {**BASE, **FORMAT_SECTIONS})
     src = os.path.dirname(os.path.dirname(readoutmap.__file__))
     proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD_SCRIPT, cfg],
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
                           check=True)
-    assert json.loads(proc.stdout) == ["numpy", "readoutmap"]
+    assert json.loads(proc.stdout) == {"modules": ["numpy", "readoutmap"], "csv_tables": 0}
 
 
 FORMAT_SECTIONS = {

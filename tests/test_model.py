@@ -1,5 +1,7 @@
 import csv
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from hypothesis import strategies as st
 
 from readoutmap import effective, eigenstates, model
 from readoutmap.model import (PulseSpec, SystemParams, constant_envelope, detuning_l,
-                              detuning_r, envelope_derivatives, params_from_dict,
-                              pulse_from_dict, resonance_error, sg_envelope, truncation_error,
-                              validity_margin, write_csv)
+                              detuning_r, dressed_detuning, envelope_derivatives,
+                              overflow_error, params_from_dict, pulse_from_dict, resonance_error,
+                              sg_envelope, truncation_error, validity_margin, write_csv)
 from readoutmap.response import steady_state
 
 SG = PulseSpec("square-gaussian", omega_c=50.0, tau_p=1000.0, tau_r=100.0, sigma_r=50.0)
@@ -232,6 +234,21 @@ def test_resonance_error_names_the_lowest_resonant_level():
     assert resonance_error(SystemParams(0.0, 0.0, 0.0, 0.0, 0.1, 3, 4), (0, 1)) is None
 
 
+def test_an_overflowing_chi_ac_is_named_and_level_zero_keeps_delta_cd():
+    # 2 chi_ac overflows: level 0 is the bare resonator, every other level an error
+    huge = SystemParams(0.0, -5.0, 0.0, 1.5e308, 1.0, 3, 4)
+    assert dressed_detuning(huge, 0) == -5.0 and dressed_detuning(huge, 1) == np.inf
+    assert overflow_error(huge, (0,)) is None and resonance_error(huge, (0,)) is None
+    assert steady_state(huge, 7.0, 0) == steady_state(replace(huge, chi_ac=0.0), 7.0, 0)
+    line = ("chi_ac_mhz = 1.5e+308 overflows the dressed detuning delta_cd + 2 chi_ac n of "
+            "qubit level 1")
+    assert overflow_error(huge, (2, 1, 0)) == resonance_error(huge, (0, 1)) == line
+    with pytest.raises(ValueError, match=re.escape(line)):
+        steady_state(huge, 7.0, 1)
+    with pytest.raises(ValueError, match=re.escape(line)):
+        effective.rates(huge, 1.0)
+
+
 def test_config_dict_parsing():
     cfg = {"delta_ad_mhz": -2005, "delta_cd_mhz": -5, "alpha_a_mhz": -330,
            "chi_ac_mhz": -1, "kappa_c_mhz": 1, "n_a": 2, "n_c": 14}
@@ -302,6 +319,136 @@ def test_write_csv_matches_rowwise_reference(tmp_path, kinds, n_rows, seed, edge
     rowwise_reference(tmp_path / "ref.csv", columns, header=header)
     write_csv(tmp_path / "out.csv", columns, header=header)
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def assert_rows_match_reference(tmp_path, values, n_cols: int = 4) -> None:
+    """write_csv prints `values`, n_cols a row (the last row padded with zeros), as
+    rowwise_reference does."""
+    values = np.asarray(values, dtype=float)
+    table = np.append(values, np.zeros(-len(values) % n_cols)).reshape(-1, n_cols)
+    columns = {f"c{j}": table[:, j] for j in range(n_cols)}
+    rowwise_reference(tmp_path / "ref.csv", {name: c.tolist() for name, c in columns.items()})
+    write_csv(tmp_path / "out.csv", columns)
+    out, ref = (tmp_path / "out.csv").read_bytes(), (tmp_path / "ref.csv").read_bytes()
+    if out != ref:  # name the first row that differs
+        assert out.split(b"\r\n") == ref.split(b"\r\n")
+    assert out == ref
+
+
+def with_neighbours(values, ulps: int = 3) -> np.ndarray:
+    """Each value, the `ulps` nearest floats on either side of it, and their negatives."""
+    base = np.asarray(values, dtype=float)
+    out = [base]
+    for direction in (np.inf, -np.inf):
+        near = base
+        for _ in range(ulps):
+            near = np.nextafter(near, direction)
+            out.append(near)
+    out = np.concatenate(out)
+    return np.concatenate([out, -out])
+
+
+# a 12-digit mantissa k, +-delta off the tie k + 0.5, at scale 10**j: where one
+# rounding error in the kernel's scaling would pick the wrong neighbour
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.integers(10**11, 10**12 - 1), st.floats(-3e-3, 3e-3),
+                          st.integers(-25, 25), st.booleans()), min_size=1, max_size=200))
+def test_write_csv_matches_rowwise_reference_at_near_ties(tmp_path, ties):
+    assert_rows_match_reference(tmp_path, [(-1.0 if negative else 1.0) * (k + 0.5 + delta) * 10.0**j
+                                           for k, delta, j, negative in ties])
+
+
+MANTISSAS = ["1", "1.5", "5", "1.23456789012", "1.00000000001", "9.99999999999",
+             "9.9999999999949", "9.999999999995", "9.9999999999951"]
+VALUE_CASES = {
+    # 10**j and the floats next to it, from underflow to overflow
+    "powers of ten": [float(f"1e{j}") for j in range(-330, 309)],
+    # the largest 12-digit mantissa and a half: rounds up to the next power of ten
+    "carry ties": [float(f"999999999999.5e{j}") for j in range(-340, 297)]
+    + [float(f"999999999999.4999e{j}") for j in range(-340, 297)],
+    # where the kernel hands over to "%.12g", both sides
+    "fast-range edges": [1e-11, 9.999999999995e-12, 9.99999999999e-12, 1.00000000001e-11,
+                         1e33, 9.999999999995e32, 9.99999999999e32, 1.00000000001e33],
+    # fixed notation runs from e = -4 to e = 11; e = -5 and e = 12 are exponential
+    "mode boundaries": [float(f"{m}e{e}") for e in (-6, -5, -4, -3, -1, 0, 1, 10, 11, 12, 13)
+                        for m in MANTISSAS],
+    "zeros, nan, inf and subnormals": [0.0, -0.0, float("nan"), -float("nan"), float("inf"),
+                                       -float("inf"), 5e-324, 1e-310, 2.2250738585072014e-308,
+                                       2.225073858507201e-308, 4.9406564584124654e-322],
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALUE_CASES))
+def test_write_csv_matches_rowwise_reference_at_edge_values(tmp_path, case):
+    assert_rows_match_reference(tmp_path, with_neighbours(VALUE_CASES[case]), n_cols=5)
+
+
+def test_write_csv_matches_rowwise_reference_on_a_seeded_sweep(tmp_path):
+    # 10**6 values in rows of 40: bit patterns, magnitudes across and beyond the
+    # kernel's range, near-ties, and short decimals with trailing zeros
+    rng = np.random.default_rng(20240611)
+    rows = 25_000
+    bits = rng.integers(0, 2**64, (rows, 2), dtype=np.uint64).view(np.float64)
+    wide = rng.choice([-1.0, 1.0], (rows, 14)) * 10.0 ** rng.uniform(-14.0, 36.0, (rows, 14))
+    ties = ((rng.integers(10**11, 10**12, (rows, 10)) + 0.5 + rng.uniform(-3e-3, 3e-3, (rows, 10)))
+            * 10.0 ** rng.integers(-25, 26, (rows, 10)))
+    short = rng.integers(-10**6, 10**6, (rows, 14)) / 10.0 ** rng.integers(-8, 12, (rows, 14))
+    with np.errstate(invalid="ignore"):  # signalling NaNs among the bit patterns
+        assert_rows_match_reference(tmp_path, np.hstack([bits, wide, ties, short]).ravel(),
+                                    n_cols=40)
+
+
+def test_format_tables_match_a_plain_loop():
+    dig, ntz, slot, mul, div = model._csv_tables()
+    groups = [f"{g:04d}" for g in range(10000)] + [f"{g:04d}".rstrip("0") for g in range(10000)]
+    assert dig.tobytes() == b"".join(bytes(c for ch in text.ljust(4, "\0") for c in (ord(ch), 0))
+                                     for text in groups)
+    assert ntz.tolist() == [0] * 10000 + [4 - len(text) for text in groups[10000:]]
+    reference = []
+    for negative in (0, 1):
+        for last in (0, 1):
+            for e in range(model._E_LO, model._E_HI + 1):
+                for zeros in range(12):
+                    text = bytearray(40)
+                    text[0] = ord("-") if negative else 0
+                    if -4 <= e < 12:
+                        if e < 0:
+                            text[1:2 - e] = b"0." + b"0" * (-e - 1)
+                        for k in range(e + 1):
+                            text[8 + 2 * k] = ord("0")
+                        if 0 <= e < 11 - zeros:
+                            text[9 + 2 * e] = ord(".")
+                    else:
+                        if zeros < 11:
+                            text[9] = ord(".")
+                        text[32:36] = b"e%+03d" % e
+                    text[36:38] = b"\r\n" if last else b",\0"
+                    reference.append(bytes(text))
+    assert slot.tobytes() == b"".join(reference)
+    for e, m, d in zip(range(model._E_LO, model._E_HI + 1), mul, div):
+        assert (m, d) == ((float(10 ** (11 - e)), 1.0) if e <= 11 else (1.0, float(10 ** (e - 11))))
+
+
+def test_format_kernel_needs_log10_only_to_within_one(tmp_path, monkeypatch):
+    # a floor(log10 |x|) one off either way is corrected back before rounding
+    values = with_neighbours(VALUE_CASES["mode boundaries"] + VALUE_CASES["fast-range edges"]
+                             + np.geomspace(1e-11, 9e32, 997).tolist())
+    log10 = np.log10
+    for shift in (-0.3, 0.3):
+        monkeypatch.setattr(model.np, "log10", lambda a, shift=shift: log10(a) + shift)
+        assert_rows_match_reference(tmp_path, values)
+
+
+def test_format_kernel_needs_its_scaled_value_only_within_the_tie_margin(tmp_path, monkeypatch):
+    # scaling by the rounded reciprocal of 10**(e - 11), two roundings, moves y by up
+    # to 2.3e-4 (the shipped scaling rounds once); what may round either way goes to "%.12g"
+    dig, ntz, slot, mul, div = model._csv_tables()
+    monkeypatch.setattr(model, "_csv_tables", lambda: (dig, ntz, slot, mul / div, div / div))
+    rng = np.random.default_rng(5)
+    values = ((rng.integers(10**11, 10**12, 4000) + 0.5 + rng.uniform(-3e-4, 3e-4, 4000))
+              * 10.0 ** rng.integers(-25, 26, 4000))
+    assert_rows_match_reference(tmp_path, values)
 
 
 @pytest.mark.parametrize("columns, match", [
