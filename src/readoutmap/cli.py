@@ -212,8 +212,8 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
     # qubit (|0> + |1>)/sqrt(2), resonator in vacuum; both maps at the written samples only
     rho0 = np.zeros((p.n_a, p.n_a), dtype=complex)
     rho0[:2, :2] = (1.0 / np.sqrt(2.0)) ** 2
-    full = rho0[1, 0] * response.coherence_at(p, pulse, t_end, dt, idx, 1, 0)
-    photon = np.abs(response.eta_at(p, pulse, t_end, dt, idx)) ** 2
+    coherence, _, eta = response.coherence_at(p, pulse, t_end, dt, idx, 1, 0)
+    full, photon = rho0[1, 0] * coherence, np.abs(eta) ** 2
     rho_t = effective.effective_map_apply(rho0, p, photon, times)
     write_csv(out, {"t_ns": times, "abs_rho10_full": abs(full),
                     "abs_rho10_eff": abs(rho_t[:, 1, 0]), "photon": photon}, header=header)

@@ -197,12 +197,23 @@ def dressed_detuning(params: SystemParams, n: int) -> float:
 
 
 def overflow_error(params: SystemParams, levels) -> str | None:
-    """The one rule for a chi_ac too large for a float: the message naming chi_ac_mhz
-    and the lowest of the qubit `levels` whose dressed detuning overflows, else None."""
-    for n in sorted(levels):
-        if not math.isfinite(dressed_detuning(params, n)):
+    """The one rule for system keys too large for a float, at the lowest of the qubit
+    `levels` where one overflows: the message naming chi_ac_mhz where the dressed
+    detuning delta_cd + 2 chi_ac n does, else naming the largest in magnitude of
+    delta_cd, 2 chi_ac n and kappa_c/2 where the dressed factor
+    (delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2 does; else None."""
+    half_k = params.kappa_c / 2.0
+    for n in sorted(map(int, levels)):  # Python floats: an overflow is inf, not a warning
+        d = dressed_detuning(params, n)
+        if not math.isfinite(d):
             return (f"chi_ac_mhz = {params.chi_ac:g} overflows the dressed detuning "
                     f"delta_cd + 2 chi_ac n of qubit level {n}")
+        if not math.isfinite(d * d + half_k * half_k):
+            _, key, value = max((abs(params.delta_cd), "delta_cd_mhz", params.delta_cd),
+                                (abs(2.0 * params.chi_ac * n), "chi_ac_mhz", params.chi_ac),
+                                (half_k, "kappa_c_mhz", params.kappa_c))
+            return (f"{key} = {value:g} overflows the dressed factor "
+                    f"(delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2 of qubit level {n}")
     return None
 
 

@@ -9,14 +9,16 @@ package units, time in ns, rates in cyclic MHz)
 with eta(0) = 0. A fixed-step classic RK4 on a uniform grid is used so that
 downstream correlation integrals stay grid-aligned; it is evaluated as its
 one-step recurrence u[k+1] = r*u[k] + g[k] by a blocked numpy scan
-(`_rk4_linear`, shared with the transient correlation integrals). Where only a
-few samples of a long grid are wanted, `eta_at` advances the same recurrence
-from sample to sample, one interval at a time. Derivatives are obtained from
-the ODE itself (differentiating it once and twice) rather than from the
-samples, which keeps the adiabatic derivative expansion noise-free.
+(`_rk4_linear`, shared with the transient correlation integrals). Derivatives
+are obtained from the ODE itself (differentiating it once and twice) rather
+than from the samples, which keeps the adiabatic derivative expansion
+noise-free.
 
-`coherence_at` runs the recurrences of two qubit levels' dressed resonators
-and integrates their product: the exact coherence that `propagate` writes.
+`coherence_at` is the one walk of the recurrence that advances from sample to
+sample, one interval at a time, where only a few samples of a long grid are
+wanted: it runs the recurrences of two qubit levels' dressed resonators,
+integrates their product into the exact coherence that `propagate` writes, and
+returns both sampled amplitudes with it (alpha_0 = eta at level 0).
 """
 
 from __future__ import annotations
@@ -76,8 +78,12 @@ def peak_photon(params: SystemParams, omega_c: float) -> float:
     """Largest steady_state photon number over the qubit levels k = 0..n_a-1.
 
     A level on its undamped dressed resonance (model.resonance_error) counts
-    as unbounded, inf, under a nonzero drive, and as 0.0 without one.
+    as unbounded, inf, under a nonzero drive, and as 0.0 without one. Raises
+    model.overflow_error's ValueError where a level's dressed factor overflows.
     """
+    problem = overflow_error(params, range(params.n_a))
+    if problem:
+        raise ValueError(problem)
     return max((math.inf if omega_c else 0.0) if resonance_error(params, (k,))
                else steady_state(params, omega_c, k)[1] for k in range(params.n_a))
 
@@ -98,10 +104,11 @@ def max_stable_dt(params: SystemParams, pulse: PulseSpec, level: int = 0) -> flo
 _BLOCK = 64  # steps per block of the scan in _rk4_linear
 
 
-def _rk4_factor(mu: complex, h: float) -> complex:
-    """r = 1 + a + a^2/2 + a^3/6 + a^4/24 with a = h*mu: see _rk4_recurrence."""
+def _rk4_factor_minus_one(mu: complex, h: float) -> complex:
+    """r - 1 of the RK4 factor r = 1 + a + a^2/2 + a^3/6 + a^4/24, a = h*mu (see
+    _rk4_recurrence), before adding the 1 rounds it: fixed points -g / (r - 1) keep their digits."""
     a = h * mu
-    return 1.0 + a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
+    return a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0)))
 
 
 def _rk4_recurrence(mu: complex, f: np.ndarray, fm: np.ndarray,
@@ -119,15 +126,7 @@ def _rk4_recurrence(mu: complex, f: np.ndarray, fm: np.ndarray,
     g += (4.0 + a * (2.0 + 0.5 * a)) * fm
     g += f[1:]
     g *= h / 6.0
-    return _rk4_factor(mu, h), g
-
-
-def _powers(r: complex, n: int) -> np.ndarray:
-    """r^0 .. r^n, each by one more multiplication, as the recurrence applies them."""
-    pw = np.empty(n + 1, dtype=complex)
-    pw[0] = 1.0
-    np.cumprod(np.full(n, r), out=pw[1:])
-    return pw
+    return 1.0 + _rk4_factor_minus_one(mu, h), g
 
 
 def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: complex) -> np.ndarray:
@@ -144,7 +143,9 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: comple
     r, g = _rk4_recurrence(mu, f, fm, h)
     n = g.size
     nb = -(-n // _BLOCK)
-    pw = _powers(r, _BLOCK)
+    pw = np.empty(_BLOCK + 1, dtype=complex)  # r^0 .. r^B, each by one more multiplication
+    pw[0] = 1.0
+    np.cumprod(np.full(_BLOCK, r), out=pw[1:])
     toeplitz = np.tril(pw[np.abs(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)))])
     g_blocks = np.zeros((nb, _BLOCK), dtype=complex)
     g_blocks.reshape(-1)[:n] = g
@@ -175,57 +176,16 @@ def _grid_steps(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
     return int(round(t_end / dt))
 
 
+def _drive_amplitude(pulse: PulseSpec) -> complex:
+    """Drive term -i*pi*1e-3*omega_c of the ODE at unit envelope (1/ns)."""
+    return -1.0j * np.pi * 1.0e-3 * pulse.omega_c
+
+
 def _drive(pulse: PulseSpec, start: int, stop: int, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Drive term of the ODE at the grid points start..stop and their midpoints."""
     half_grid = np.arange(2 * start, 2 * stop + 1) * (dt / 2.0)
-    dr = -1.0j * np.pi * 1.0e-3 * pulse.omega_c * sg_envelope(half_grid, pulse)
+    dr = _drive_amplitude(pulse) * sg_envelope(half_grid, pulse)
     return dr[0::2], dr[1::2]
-
-
-def _sample_indices(indices, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices (ValueError off the grid 0..n_steps or out of order) and their gaps from 0."""
-    idx = np.asarray(indices, dtype=int).reshape(-1)
-    gaps = np.diff(idx, prepend=0)
-    if np.any(gaps < 0) or (idx.size and idx[-1] > n_steps):
-        raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")
-    return idx, gaps
-
-
-def eta_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
-           indices) -> np.ndarray:
-    """eta of the RK4 trajectory on the grid k*dt, k = 0..round(t_end/dt), at
-    the grid points k = indices (non-decreasing) only.
-
-    The recurrence is advanced from one index to the next, one interval at a
-    time: the drive is evaluated on that interval alone and n steps are
-    applied as u <- r^n u + sum_j r^(n-1-j) g[j]. On an interval where
-    model.constant_envelope proves the envelope constant, every g[j] is the
-    same number, so the sum depends only on n and that level: it is computed
-    once, as on any other interval, and reused for every later interval of
-    the same length and level without evaluating the envelope (a constant
-    pulse, the flat top and the zero tail). Memory is O(largest interval), not
-    O(grid). Raises the ValueErrors of solve_eta, and for indices off the grid
-    or out of order.
-    """
-    n_steps = _grid_steps(params, pulse, t_end, dt)
-    idx, gaps = _sample_indices(indices, n_steps)
-    mu = -_decay_rate_per_ns(params)
-    pw = _powers(_rk4_factor(mu, dt), int(gaps.max(initial=0)))
-    sums = {}  # (n, level) -> sum_j r^(n-1-j) g[j] of an interval at constant level
-    out = np.empty(idx.size, dtype=complex)
-    u, k = 0.0j, 0
-    for i, stop in enumerate(idx.tolist()):
-        if stop > k:
-            n = stop - k
-            level = constant_envelope(pulse, (2 * k) * (dt / 2.0), (2 * stop) * (dt / 2.0))
-            if level is None or (n, level) not in sums:
-                # (n, None) holds the last evaluated interval only: it is always rewritten
-                _, g = _rk4_recurrence(mu, *_drive(pulse, k, stop, dt), dt)
-                sums[n, level] = np.dot(pw[n - 1::-1], g)
-            u = pw[n] * u + sums[n, level]
-            k = stop
-        out[i] = u
-    return out
 
 
 def _log1p(w: complex) -> complex:
@@ -240,9 +200,11 @@ def _geometric(q: complex, log_q: complex, n: int) -> complex:
 
 
 def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
-                 indices, m: int, n: int) -> np.ndarray:
-    """Tr_c rho_mn(t) / rho_mn(0) of the full master equation from resonator
-    vacuum, at the grid points k = indices (non-decreasing) of k*dt, k = 0..round(t_end/dt).
+                 indices, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(coherence, alpha_m, alpha_n) at the grid points k = indices (non-decreasing) of
+    k*dt, k = 0..round(t_end/dt): coherence is Tr_c rho_mn(t) / rho_mn(0) of the full
+    master equation from resonator vacuum, alpha_k the RK4 recurrence of the resonator
+    at qubit level k's dressed detuning (alpha_0 = eta of solve_eta).
 
     The resonator is linear in each qubit sector, so sector (m, n) keeps the
     polaron form c(t)|alpha_m><alpha_n| (Gambetta et al., PRA 77, 012112 (2008)):
@@ -250,29 +212,32 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
         Tr_c rho_mn(t) = rho_mn(0) exp(-2 pi i 1e-3 [(eps_m - eps_n) t + 2 chi_ac (m - n) I(t)]),
         I(t) = Int_0^t alpha_m alpha_n^* dt',  eps_k = delta_ad k + alpha_a k (k - 1) / 2,
 
-    with no Fock truncation. alpha_k is eta_at's RK4 recurrence at level k's dressed
-    detuning (alpha_0 = eta); I the trapezoid rule plus the Euler-Maclaurin end term
+    with no Fock truncation; I is the trapezoid rule plus the Euler-Maclaurin end term
     (dt^2/12) (g'(0) - g'(t)), g' = (alpha_m alpha_n^*)' from the ODE: O(dt^4), as RK4.
-    Both advance from index to index, as in eta_at. On an interval that
-    model.constant_envelope proves constant each is s + b r^j, so the interval's sum
-    of alpha_m alpha_n^* is four geometric sums, with no envelope evaluated; other
-    intervals (and a level whose r is exactly 1) are scanned by _rk4_linear.
+    Both recurrences advance from index to index, one interval at a time, so memory is
+    O(largest interval), not O(grid). On an interval that model.constant_envelope
+    proves constant each is s + b r^j about its fixed point s, so the interval's sum of
+    alpha_m alpha_n^* is four geometric sums and the carry u + b (r^n - 1), with no
+    envelope evaluated; other intervals (and a level whose r is exactly 1) are scanned
+    by _rk4_linear.
 
-    Raises the ValueErrors of eta_at, dt bounded by max_stable_dt of both
-    levels, and when the coherence is not finite (its phase overflows).
+    Raises ValueError for a bad grid, dt above max_stable_dt of either level, indices
+    off the grid or out of order, and a coherence that is not finite (its phase overflows).
     """
     n_steps = _grid_steps(params, pulse, t_end, dt, (m, n))
-    idx, _ = _sample_indices(indices, n_steps)
-    drive = -1.0j * np.pi * 1.0e-3 * pulse.omega_c
+    idx = np.asarray(indices, dtype=int).reshape(-1)
+    if np.any(np.diff(idx, prepend=0) < 0) or (idx.size and idx[-1] > n_steps):
+        raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")
+    drive = _drive_amplitude(pulse)
     mu = [-_decay_rate_per_ns(params, k) for k in (m, n)]
-    # r - 1 of _rk4_factor, before 1 + w rounds it: the fixed points -g / w keep their digits
-    w = [a * (1.0 + a * (0.5 + a * (1.0 / 6.0 + a / 24.0))) for a in (dt * mu[0], dt * mu[1])]
+    w = [_rk4_factor_minus_one(x, dt) for x in mu]
     r, log_r = [1.0 + x for x in w], [_log1p(x) for x in w]
     q, log_q = r[0] * r[1].conjugate(), log_r[0] + log_r[1].conjugate()
     closed = w[0] != 0 and w[1] != 0  # else a recurrence has no fixed point
-    fixed, sums = {}, {}  # level -> fixed points s; interval length -> geometric sums, r^n
+    fixed, sums = {}, {}  # level -> fixed points s; interval length -> geometric sums, r^n - 1
 
     integrals = np.empty(idx.size, dtype=complex)
+    alphas = np.empty((2, idx.size), dtype=complex)
     um = un = f_end = total = 0j  # the carries, the drive at them, sum of alpha_m alpha_n^*
     k = 0
     for i, stop in enumerate(idx.tolist()):
@@ -288,12 +253,12 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
                 if steps not in sums:
                     sums[steps] = ([_geometric(x, y, steps) for x, y in zip(r, log_r)],
                                    _geometric(q, log_q, steps),
-                                   [1.0 + np.expm1(steps * y) for y in log_r])
-                (sm, sn), ((gm, gn), gq, (pm, pn)) = fixed[level], sums[steps]
+                                   [np.expm1(steps * y) for y in log_r])
+                (sm, sn), ((gm, gn), gq, (em, en)) = fixed[level], sums[steps]
                 bm, bn = um - sm, un - sn
                 total += (steps * sm * sn.conjugate() + sm * (bn * gn).conjugate()
                           + bm * sn.conjugate() * gm + bm * bn.conjugate() * gq)
-                um, un = sm + bm * pm, sn + bn * pn
+                um, un = um + bm * em, un + bn * en  # not s + b r^n: |s| >> |u| cancels
             else:
                 f, fm = _drive(pulse, k, stop, dt)
                 am = _rk4_linear(mu[0], f, fm, dt, um)[1:]
@@ -301,6 +266,7 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
                 total += complex(np.vdot(an, am))
                 um, un, f_end = complex(am[-1]), complex(an[-1]), complex(f[-1])
             k = stop
+        alphas[:, i] = um, un
         slope = ((mu[0] * um + f_end) * un.conjugate()
                  + um * (mu[1] * un + f_end).conjugate())
         integrals[i] = dt * (total - 0.5 * um * un.conjugate()) - dt * dt / 12.0 * slope
@@ -312,7 +278,7 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
     if not np.all(np.isfinite(out)):
         raise ValueError(f"coherence of qubit levels ({m}, {n}) is not finite: "
                          "its phase overflows")
-    return out
+    return out, alphas[0], alphas[1]
 
 
 def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -> ResonatorTrajectory:
@@ -328,7 +294,7 @@ def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -
     n_steps = _grid_steps(params, pulse, t_end, dt)
     beta = _decay_rate_per_ns(params)
     eta = _rk4_linear(-beta, *_drive(pulse, 0, n_steps, dt), dt, 0.0)
-    drive = -1.0j * np.pi * 1.0e-3 * pulse.omega_c
+    drive = _drive_amplitude(pulse)
     times = np.arange(eta.size) * dt
     env = sg_envelope(times, pulse)
     env_d1 = envelope_derivatives(times, pulse, 1)

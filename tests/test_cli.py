@@ -159,8 +159,8 @@ def test_propagate_memory_is_flat_in_the_response_grid(tmp_path):
 
 def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, monkeypatch):
     # 1.2 M response steps in 600 sample intervals, all at one constant level:
-    # one evaluated interval serves all of eta's, and the exact coherence takes
-    # every interval in closed form
+    # the exact coherence, and the amplitudes with it, take every interval in
+    # closed form
     intervals, original = [], model.sg_envelope
 
     def counting(t, pulse):
@@ -178,6 +178,27 @@ def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, mo
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
     assert len(read_rows(out)) == 601
     assert len(intervals) <= 3
+
+
+@pytest.mark.parametrize("sample_every", [7, 50, 1000])
+def test_propagate_evaluates_each_sample_interval_once(tmp_path, monkeypatch, sample_every):
+    # one walk of the recurrences gives the coherence and the photon number:
+    # 303 steps of a pulse that ends inside the grid, so ramps, top and tail
+    calls = []
+
+    def spy(pulse, t0, t1):
+        calls.append((t0, t1))
+        return model.constant_envelope(pulse, t0, t1)
+
+    monkeypatch.setattr(response, "constant_envelope", spy)
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE, "pulse": {"kind": "square-gaussian", "omega_c_mhz": 4.0, "tau_p_ns": 20.0,
+                          "tau_r_ns": 5.0, "sigma_r_ns": 2.5},
+        "propagate": {"dt_ns": 0.1, "t_end_ns": 30.3, "sample_every": sample_every}})
+    out = tmp_path / "prop.csv"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+    intervals = len(read_rows(out)) - 1  # the samples 0, sample_every, ..., 303
+    assert len(calls) == intervals == len(set(calls))
 
 
 def test_propagate_does_not_depend_on_the_resonator_truncation(tmp_path, capsys):
@@ -447,6 +468,38 @@ def test_an_overflowing_chi_ac_is_one_error_line_that_names_it(tmp_path, capsys,
     assert ("chi_ac_mhz = 1.5e+308 overflows the dressed detuning delta_cd + 2 chi_ac n of "
             "qubit level 1\n") in err
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("key, level, commands", [
+    ("chi_ac_mhz", 1, ["rates-sweep", "benchmark-eig", "transient", "spectrum-grid", "propagate",
+                       "compare-gambetta", "validate"]),
+    # the sweeps set delta_cd themselves
+    ("delta_cd_mhz", 0, ["benchmark-eig", "transient", "spectrum-grid", "propagate", "validate"]),
+    ("kappa_c_mhz", 0, ["rates-sweep", "benchmark-eig", "transient", "spectrum-grid", "propagate",
+                        "compare-gambetta", "validate"]),
+])
+def test_an_overflowing_dressed_factor_is_one_error_line_that_names_its_key(tmp_path, capsys,
+                                                                             key, level, commands):
+    # 1e200 is a float, its square is not: (delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2 overflows
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE, key: 1e200,
+        "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 5},
+        "spectrum_grid": {"photon": 1.0, "levels": 3},
+        "compare_gambetta": {"delta_cd_start_mhz": -12.0, "delta_cd_stop_mhz": 8.0, "points": 5},
+        "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0]},
+        "transient": {"dt_ns": 0.5, "t_end_ns": 200.0},
+        "propagate": {"dt_ns": 0.05, "t_end_ns": 200.0, "sample_every": 400}})
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")])
+        assert rc == 1, command
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert (f"{key} = 1e+200 overflows the dressed factor (delta_cd + 2 chi_ac n)^2 + "
+                f"(kappa_c/2)^2 of qubit level {level}\n") in err, err
+        assert not (tmp_path / "o.csv").exists()
 
 
 STARTUP_SCRIPT = """

@@ -249,6 +249,29 @@ def test_an_overflowing_chi_ac_is_named_and_level_zero_keeps_delta_cd():
         effective.rates(huge, 1.0)
 
 
+def test_an_overflowing_dressed_factor_names_its_largest_term():
+    # every key below sqrt(max float) ~ 1.34e154 squares; each one above it is named
+    base = SystemParams(0.0, -5.0, 0.0, -1.0, 1.0, 3, 4)
+    assert overflow_error(replace(base, delta_cd=1e154, kappa_c=1e154), range(3)) is None
+
+    def line(key, value, level):
+        return (f"{key} = {value} overflows the dressed factor "
+                f"(delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2 of qubit level {level}")
+
+    assert overflow_error(replace(base, chi_ac=1e200), (2, 1, 0)) == line("chi_ac_mhz", "1e+200", 1)
+    assert overflow_error(replace(base, chi_ac=1e200), (0,)) is None
+    assert overflow_error(replace(base, delta_cd=-1e200), (1,)) == line("delta_cd_mhz", "-1e+200", 1)
+    assert overflow_error(replace(base, kappa_c=1e200), (2,)) == line("kappa_c_mhz", "1e+200", 2)
+    # the largest term is named: here 2 chi_ac n outweighs delta_cd
+    both = replace(base, delta_cd=1e200, chi_ac=1e200)
+    assert overflow_error(both, (1,)) == line("chi_ac_mhz", "1e+200", 1)
+    # numpy integer levels give the same line, and no overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert overflow_error(both, np.arange(1, 3)) == line("chi_ac_mhz", "1e+200", 1)
+    assert resonance_error(both, (1,)) == line("chi_ac_mhz", "1e+200", 1)
+
+
 def test_config_dict_parsing():
     cfg = {"delta_ad_mhz": -2005, "delta_cd_mhz": -5, "alpha_a_mhz": -330,
            "chi_ac_mhz": -1, "kappa_c_mhz": 1, "n_a": 2, "n_c": 14}

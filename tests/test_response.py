@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from readoutmap import response
 from readoutmap.effective import rates
 from readoutmap.model import PulseSpec, SystemParams
-from readoutmap.response import (_rk4_linear, coherence_at, eta_at, max_stable_dt, peak_photon,
-                                 solve_eta, steady_state)
+from readoutmap.response import (_rk4_linear, coherence_at, max_stable_dt, peak_photon, solve_eta,
+                                 steady_state)
 from fullspace import propagate, qubit_block
 
 P = SystemParams(delta_ad=0.0, delta_cd=-5.0, alpha_a=0.0, chi_ac=-1.0, kappa_c=1.0,
@@ -75,28 +75,27 @@ def test_rk4_linear_matches_stepwise_reference(n, h, h_sign, a_abs, a_phase, see
        sample_every=st.integers(1, 320))
 @example(kind="square-gaussian", omega_c=50.0, delta_cd=-5.0, kappa_c=5.0, step_frac=1.0,
          m=3, n=100, sample_every=7)      # partial last interval through both ramps
-def test_eta_at_matches_the_full_trajectory(kind, omega_c, delta_cd, kappa_c, step_frac, m, n,
-                                            sample_every):
+# a short interval against the ring-up: the closed-form carry s + (u - s) r^n cancelled
+@example(kind="constant", omega_c=60.0, delta_cd=0.0, kappa_c=0.125, step_frac=0.0625,
+         m=2, n=1, sample_every=1)
+def test_sampled_amplitudes_match_the_full_trajectory(kind, omega_c, delta_cd, kappa_c,
+                                                      step_frac, m, n, sample_every):
     p = SystemParams(0.0, delta_cd, 0.0, -1.0, kappa_c, 2, 4)
     pulse = PulseSpec("constant", omega_c)
-    dt_eta = step_frac * max_stable_dt(p, pulse)
-    t_end = n * m * dt_eta
+    dt = step_frac * min(max_stable_dt(p, pulse, k) for k in (0, 1))
+    t_end = n * m * dt
     if kind == "square-gaussian":
         # the pulse ends inside the grid, so the samples see ramps, top and tail
         pulse = PulseSpec(kind, omega_c, tau_p=0.6 * t_end, tau_r=0.15 * t_end,
                           sigma_r=0.075 * t_end)
     # propagate's sample grid: every sample_every-th step, then the last one
     idx = m * np.array(list(range(0, n, sample_every)) + [n])
-    full = solve_eta(p, pulse, t_end, dt_eta).eta
-    assert full.size == n * m + 1
-    got = eta_at(p, pulse, t_end, dt_eta, idx)
-    assert np.max(np.abs(got - full[idx])) <= 1e-12 * np.max(np.abs(full))
-
-
-@pytest.mark.parametrize("indices", [[0, 5, 3], [-1, 2], [0, 101]])
-def test_eta_at_rejects_indices_off_the_grid(indices):
-    with pytest.raises(ValueError, match="sample indices"):
-        eta_at(P, PulseSpec("constant", 7.0), t_end=10.0, dt=0.1, indices=indices)
+    _, alpha_1, alpha_0 = coherence_at(p, pulse, t_end, dt, idx, 1, 0)
+    # level 1 is the bare resonator at its dressed detuning delta_cd + 2 chi_ac
+    for got, q in ((alpha_0, p), (alpha_1, replace(p, delta_cd=delta_cd + 2.0 * p.chi_ac))):
+        full = solve_eta(q, pulse, t_end, dt).eta
+        assert full.size == n * m + 1
+        assert np.max(np.abs(got - full[idx])) <= 1e-12 * np.max(np.abs(full))
 
 
 def test_peak_photon_is_the_largest_level_steady_state():
@@ -108,6 +107,9 @@ def test_peak_photon_is_the_largest_level_steady_state():
     undamped = SystemParams(0.0, 2.0, 0.0, -1.0, 0.0, 2, 4)
     assert peak_photon(undamped, 1.0) == np.inf
     assert peak_photon(undamped, 0.0) == 0.0
+    # a dressed factor that overflows is an error, not a resonance
+    with pytest.raises(ValueError, match=r"kappa_c_mhz = 1e\+200 overflows"):
+        peak_photon(replace(P, kappa_c=1e200), 7.0)
 
 
 def test_one_point_grid():
@@ -251,7 +253,7 @@ def stepper_gap(p, pulse, t_end, dt, sample_every, pairs):
     idx = np.rint(res.times / dt).astype(int)
     qubit = qubit_block(res.blocks)
     return max(np.max(np.abs(qubit[:, m, n] - qubit[0, m, n]
-                             * coherence_at(p, pulse, t_end, dt, idx, m, n)))
+                             * coherence_at(p, pulse, t_end, dt, idx, m, n)[0]))
                for m, n in pairs)
 
 
@@ -308,10 +310,13 @@ def test_constant_intervals_in_closed_form_match_the_scanned_recurrence(monkeypa
     pairs = [(1, 0), (2, 0), (2, 1)] if p.n_a == 3 else [(1, 0)]
     closed = [coherence_at(p, pulse, t_end, dt, idx, m, n) for m, n in pairs]
     monkeypatch.setattr(response, "constant_envelope", lambda *args: None)
-    for (m, n), got in zip(pairs, closed):
-        ref = coherence_at(p, pulse, t_end, dt, idx, m, n)
-        # measured worst 5.0e-15 / 3.8e-14 / 2.0e-14 (constant / pulse / undamped)
+    for (m, n), (got, *got_alphas) in zip(pairs, closed):
+        ref, *ref_alphas = coherence_at(p, pulse, t_end, dt, idx, m, n)
+        # measured worst 5.6e-15 / 3.8e-14 / 2.0e-14 (constant / pulse / undamped)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+        # measured worst 2.8e-14 / 1.2e-13 / 1.4e-13 of max |alpha|
+        for alpha, ref_alpha in zip(got_alphas, ref_alphas):
+            assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12 * np.max(np.abs(ref_alpha))
 
 
 @settings(max_examples=100, deadline=None)
@@ -331,7 +336,7 @@ def test_coherence_decays_at_the_dephasing_rate_after_ring_up(delta_cd, chi, chi
     pulse = PulseSpec("constant", omega)
     dt = step_frac * min(max_stable_dt(p, pulse, k) for k in (0, 1))
     k1 = int(np.ceil(t_ring / dt))
-    coh = coherence_at(p, pulse, 2 * k1 * dt, dt, [k1, 2 * k1], 1, 0)
+    coh = coherence_at(p, pulse, 2 * k1 * dt, dt, [k1, 2 * k1], 1, 0)[0]
     gamma = -np.log(np.abs(coh[1] / coh[0])) / (2.0 * np.pi * 1e-3 * k1 * dt)
     alpha = [steady_state(p, omega, k)[0] for k in (0, 1)]
     assert gamma == pytest.approx(rates(p, n0).dephasing, rel=1e-11)
@@ -340,8 +345,9 @@ def test_coherence_decays_at_the_dephasing_rate_after_ring_up(delta_cd, chi, chi
 
 def test_coherence_at_checks_its_inputs():
     pulse = PulseSpec("constant", 3.0)
-    with pytest.raises(ValueError, match="sample indices"):
-        coherence_at(P, pulse, 10.0, 0.1, [0, 101], 1, 0)
+    for indices in ([0, 5, 3], [-1, 2], [0, 101]):
+        with pytest.raises(ValueError, match="sample indices"):
+            coherence_at(P, pulse, 10.0, 0.1, indices, 1, 0)
     # level 1 sits at delta_cd + 2 chi = -7 MHz: its bound is below level 0's
     dt = 0.5 * (max_stable_dt(P, pulse, 1) + max_stable_dt(P, pulse))
     coherence_at(P, pulse, 10.0, dt, [0], 0, 0)
