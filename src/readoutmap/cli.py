@@ -146,8 +146,11 @@ def _read_compare_gambetta(config: RunConfig) -> tuple[np.ndarray, dict]:
     return grid, {}
 
 
-# the qubit levels whose RK4 resonator response each command steps: dt <= max_stable_dt of each
-_STEPPED_LEVELS = {"transient": (0,), "propagate": (0, 1)}
+# section -> the qubit levels whose RK4 resonator response its command steps, from the parsed
+# section: dt <= max_stable_dt of each. transient steps eta (level 0) and the correlation
+# recurrences of the pair it writes, propagate the coherence of levels 1 and 0
+_STEPPED_LEVELS = {"transient": lambda section: sorted({0, *section[2][0]}),
+                   "propagate": lambda section: (0, 1)}
 
 # section -> reader: (the parsed section, {<section>.<rule>: _rule(...)}) or the command's error
 _READERS = {"rates_sweep": lambda config: (_sweep(config, "rates_sweep", 401), {}),
@@ -189,7 +192,9 @@ def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -
 
 
 def cmd_transient(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    dt, t_end, levels = _read(config, "transient")
+    section = dt, t_end, levels = _read(config, "transient")
+    response._grid_steps(config.params, config.pulse, t_end, dt,
+                         _STEPPED_LEVELS["transient"](section))
     traj = response.solve_eta(config.params, config.pulse, t_end, dt)
     corr = transient.correlations_timedomain(traj, config.params, levels[:1])
     gen = transient.effective_generator_timedep(corr, traj, config.params, levels[:1])
@@ -202,9 +207,9 @@ def cmd_spectrum_grid(config: RunConfig, out: str, header: bool, threads: int) -
 
 
 def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    dt, t_end, sample_every = _read(config, "propagate")
+    section = dt, t_end, sample_every = _read(config, "propagate")
     p, pulse = config.params, config.pulse
-    n_steps = response._grid_steps(p, pulse, t_end, dt, _STEPPED_LEVELS["propagate"])
+    n_steps = response._grid_steps(p, pulse, t_end, dt, _STEPPED_LEVELS["propagate"](section))
     if sample_every is None:
         sample_every = max(1, n_steps // 512)
     idx = np.append(np.arange(0, n_steps, sample_every), n_steps)
@@ -243,7 +248,8 @@ def cmd_validate(config: RunConfig, out: str | None, header: bool, threads: int)
       truncation       benchmark_eig: below model.truncation_error's bound (the
                        command warns)
       dt               transient, propagate: 0 < dt <= max_stable_dt of each level
-                       the command steps (else it raises); reports dt / bound
+                       the command steps (else it raises); reports dt / bound, and
+                       above the bound the command's error text
 
     Drives are the pulse peak, and benchmark_eig's strongest grid point.
     Returns the exit code, 1 when a check fails; a reader's error propagates.
@@ -252,10 +258,14 @@ def cmd_validate(config: RunConfig, out: str | None, header: bool, threads: int)
     read = {name: _READERS[name](config) for name in config.sections}
     rules = {name: rule for _, section in read.values() for name, rule in section.items()}
     for name in _STEPPED_LEVELS.keys() & read.keys():
-        dt = read[name][0][0]  # the parsed section is (dt, t_end, ...)
-        bound = min(response.max_stable_dt(p, pulse, k) for k in _STEPPED_LEVELS[name])
-        rules[f"{name}.dt"] = (0.0 < dt <= bound, f"dt / bound = {dt / bound:.3g} "
-                               f"(dt {dt:g} ns, bound {bound:.4g} ns)", None)
+        section = read[name][0]  # the parsed section is (dt, t_end, ...)
+        dt, levels = section[0], _STEPPED_LEVELS[name](section)
+        bound = min(response.max_stable_dt(p, pulse, k) for k in levels)
+        problem = response._step_error(p, pulse, dt, levels)
+        ratio = dt / bound if bound else np.inf  # an overflowing level bounds dt by 0
+        rules[f"{name}.dt"] = (0.0 < dt <= bound, f"dt / bound = {ratio:.3g} "
+                               f"(dt {dt:g} ns, bound {bound:.4g} ns)"
+                               + (f": {problem}" if problem else ""), None)
     checks = {name: {"passed": bool(passed), "detail": detail}
               for name, (passed, detail, _) in rules.items()}
 

@@ -9,16 +9,19 @@ package units, time in ns, rates in cyclic MHz)
 with eta(0) = 0. A fixed-step classic RK4 on a uniform grid is used so that
 downstream correlation integrals stay grid-aligned; it is evaluated as its
 one-step recurrence u[k+1] = r*u[k] + g[k] by a blocked numpy scan
-(`_rk4_linear`, shared with the transient correlation integrals). Derivatives
+(`_rk4_linear`, shared with the transient correlation integrals; leading axes
+scan a batch of trajectories at once). Derivatives
 are obtained from the ODE itself (differentiating it once and twice) rather
 than from the samples, which keeps the adiabatic derivative expansion
 noise-free.
 
-`coherence_at` is the one walk of the recurrence that advances from sample to
-sample, one interval at a time, where only a few samples of a long grid are
-wanted: it runs the recurrences of two qubit levels' dressed resonators,
-integrates their product into the exact coherence that `propagate` writes, and
-returns both sampled amplitudes with it (alpha_0 = eta at level 0).
+`coherence_at` evaluates the recurrence only at given samples of a long grid:
+it runs the recurrences of two qubit levels' dressed resonators, integrates
+their product into the exact coherence that `propagate` writes, and returns
+both sampled amplitudes with it (alpha_0 = eta at level 0). Each interval
+between samples is an affine map of the carries: constant ones in closed form,
+the others scanned together in batches of a fixed step budget, so the Python
+work is O(1) per interval and memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -115,50 +118,55 @@ def _rk4_recurrence(mu: complex, f: np.ndarray, fm: np.ndarray,
                     h: float) -> tuple[complex, np.ndarray]:
     """Classic RK4 for du/dt = mu*u + f as u[k+1] = r*u[k] + g[k]; returns r and g.
 
-    f holds the forcing at the N grid points, fm at the N-1 interval midpoints;
-    h is the signed step. With a = h*mu, one RK4 step is exactly
+    f holds the forcing at the N grid points, fm at the N-1 interval midpoints
+    (along the last axis); h is the signed step. With a = h*mu, one RK4 step is exactly
 
         r    = 1 + a + a^2/2 + a^3/6 + a^4/24,
         g[k] = (h/6) [(1 + a + a^2/2 + a^3/4) f[k] + (4 + 2a + a^2/2) fm[k] + f[k+1]].
     """
     a = h * mu
-    g = (1.0 + a * (1.0 + a * (0.5 + 0.25 * a))) * f[:-1]
+    g = (1.0 + a * (1.0 + a * (0.5 + 0.25 * a))) * f[..., :-1]
     g += (4.0 + a * (2.0 + 0.5 * a)) * fm
-    g += f[1:]
+    g += f[..., 1:]
     g *= h / 6.0
     return 1.0 + _rk4_factor_minus_one(mu, h), g
 
 
-def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: complex) -> np.ndarray:
+def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0) -> np.ndarray:
     """Classic RK4 for du/dt = mu*u + f(t) from u[0] = z0 on a uniform grid.
 
-    The trajectory is the recurrence u[k+1] = r*u[k] + g[k] of
+    f and fm run along their last axis; leading axes are a batch of
+    independent trajectories (z0 broadcasts over them) that share mu and h.
+    Each trajectory is the recurrence u[k+1] = r*u[k] + g[k] of
     `_rk4_recurrence`, scanned in blocks of B steps. Inside a block that
     starts from the carry c, u[i+1] = r^(i+1) c + sum_{j<=i} r^(i-j) g[j]:
     one product with the lower-triangular Toeplitz matrix of the powers of r
     for all blocks at once. The block-end carries c <- r^B c + (block end)
-    follow in one scalar loop. Nothing is pivoted, so the result is the
-    recurrence to rounding.
+    follow in one scalar loop per trajectory. Nothing is pivoted, so the
+    result is the recurrence to rounding.
     """
     r, g = _rk4_recurrence(mu, f, fm, h)
-    n = g.size
+    batch, n = g.shape[:-1], g.shape[-1]
+    g = g.reshape(math.prod(batch), n)
     nb = -(-n // _BLOCK)
     pw = np.empty(_BLOCK + 1, dtype=complex)  # r^0 .. r^B, each by one more multiplication
     pw[0] = 1.0
     np.cumprod(np.full(_BLOCK, r), out=pw[1:])
     toeplitz = np.tril(pw[np.abs(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)))])
-    g_blocks = np.zeros((nb, _BLOCK), dtype=complex)
-    g_blocks.reshape(-1)[:n] = g
-    u = np.empty(nb * _BLOCK + 1, dtype=complex)
-    u[0] = z0
-    blocks = u[1:].reshape(nb, _BLOCK)
+    g_blocks = np.zeros((len(g), nb, _BLOCK), dtype=complex)
+    g_blocks.reshape(len(g), -1)[:, :n] = g
+    u = np.empty((len(g), nb * _BLOCK + 1), dtype=complex)
+    z0 = np.broadcast_to(np.asarray(z0, dtype=complex), batch).reshape(-1)
+    u[:, 0] = z0
+    blocks = u[:, 1:].reshape(len(g), nb, _BLOCK)
     np.matmul(g_blocks, toeplitz.T, out=blocks)
-    carry, c, r_block = [], complex(z0), complex(pw[-1])
-    for end in blocks[:, -1].tolist():
-        carry.append(c)
-        c = r_block * c + end
-    blocks += np.array(carry, dtype=complex)[:, None] * pw[1:]
-    return u[:n + 1]
+    carry, r_block = [], complex(pw[-1])
+    for c, ends in zip(z0.tolist(), blocks[:, :, -1].tolist()):
+        for end in ends:
+            carry.append(c)
+            c = r_block * c + end
+    blocks += np.array(carry, dtype=complex).reshape(len(g), nb, 1) * pw[1:]
+    return u[:, :n + 1].reshape(*batch, n + 1)
 
 
 def _grid_steps(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
@@ -168,12 +176,23 @@ def _grid_steps(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
         raise ValueError(f"step size dt = {dt} ns must be > 0")
     if not t_end >= 0.0:
         raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
-    dt_max = min(max_stable_dt(params, pulse, k) for k in levels)
-    if dt > dt_max:
-        problem = overflow_error(params, levels)  # an overflowing level bounds dt by 0
-        raise ValueError(f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns"
-                         + (f": {problem}" if problem else ""))
+    problem = _step_error(params, pulse, dt, levels)
+    if problem:
+        raise ValueError(problem)
     return int(round(t_end / dt))
+
+
+def _step_error(params: SystemParams, pulse: PulseSpec, dt: float, levels) -> str | None:
+    """The one rule for an RK4 step dt (ns) too large at the qubit `levels`: the message
+    naming the stability bound, the smallest max_stable_dt over them, and the lowest level
+    that sets it, then model.overflow_error's where a level overflows (its bound is then
+    about 0); else None."""
+    dt_max, level = min((max_stable_dt(params, pulse, k), k) for k in levels)
+    if dt <= dt_max:
+        return None
+    problem = overflow_error(params, levels)
+    return (f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns of qubit level {level}"
+            + (f": {problem}" if problem else ""))
 
 
 def _drive_amplitude(pulse: PulseSpec) -> complex:
@@ -194,9 +213,14 @@ def _log1p(w: complex) -> complex:
                    math.atan2(w.imag, 1.0 + w.real))
 
 
-def _geometric(q: complex, log_q: complex, n: int) -> complex:
-    """q + q^2 + ... + q^n, with log_q the logarithm of q."""
-    return complex(n) if log_q == 0 else q * np.expm1(n * log_q) / np.expm1(log_q)
+def _geometric(q: complex, log_q: complex, n: np.ndarray) -> np.ndarray:
+    """q + q^2 + ... + q^n for each entry of the integer array n, with log_q the logarithm of q."""
+    if log_q == 0:
+        return n.astype(complex)
+    return q * np.expm1(n * log_q) / np.expm1(log_q)
+
+
+_BATCH = 1 << 12  # padded steps of the ramp intervals that coherence_at scans in one batch
 
 
 def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
@@ -214,12 +238,21 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
 
     with no Fock truncation; I is the trapezoid rule plus the Euler-Maclaurin end term
     (dt^2/12) (g'(0) - g'(t)), g' = (alpha_m alpha_n^*)' from the ODE: O(dt^4), as RK4.
-    Both recurrences advance from index to index, one interval at a time, so memory is
-    O(largest interval), not O(grid). On an interval that model.constant_envelope
-    proves constant each is s + b r^j about its fixed point s, so the interval's sum of
-    alpha_m alpha_n^* is four geometric sums and the carry u + b (r^n - 1), with no
-    envelope evaluated; other intervals (and a level whose r is exactly 1) are scanned
-    by _rk4_linear.
+
+    The intervals between distinct indices are taken in four passes, so each costs O(1)
+    Python work and memory is O(largest interval + _BATCH steps), not O(grid):
+    1. model.constant_envelope classifies each interval once;
+    2. the intervals it does not prove constant (all of them when the grid is shorter
+       than a level's response time 1/|mu|, r == 1 included) are scanned together from
+       zero carry, a batch of at most _BATCH padded steps per batched _rk4_linear call
+       and level: the particular solutions p;
+    3. an interval of L steps moves each carry as u + (u - s)(r^L - 1) + p[L], with s
+       the fixed point of a constant interval (there p = 0; the form does not cancel
+       where |s| >> |u|) and s = 0 on a scanned one; one scalar loop chains them;
+    4. an interval's sum of alpha_m alpha_n^* is bilinear in its start carries: four
+       geometric sums about the fixed points on a constant interval, the geometric
+       sum of r_m r_n^* and three dot products of p with the powers of r on a scanned
+       one; cumulative sums then give the integrals at every index.
 
     Raises ValueError for a bad grid, dt above max_stable_dt of either level, indices
     off the grid or out of order, and a coherence that is not finite (its phase overflows).
@@ -233,43 +266,81 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
     w = [_rk4_factor_minus_one(x, dt) for x in mu]
     r, log_r = [1.0 + x for x in w], [_log1p(x) for x in w]
     q, log_q = r[0] * r[1].conjugate(), log_r[0] + log_r[1].conjugate()
-    closed = w[0] != 0 and w[1] != 0  # else a recurrence has no fixed point
-    fixed, sums = {}, {}  # level -> fixed points s; interval length -> geometric sums, r^n - 1
+    # the sums of a constant interval run about the fixed points s = g / (1 - r), which reach
+    # |drive / mu|: on a grid shorter than a response time 1 / |mu| alpha stays far below s
+    # and those sums cancel. Such a level (as one with r == 1, no fixed point) is scanned
+    closed = min(abs(x) for x in mu) * (n_steps * dt) >= 1.0
 
-    integrals = np.empty(idx.size, dtype=complex)
-    alphas = np.empty((2, idx.size), dtype=complex)
-    um = un = f_end = total = 0j  # the carries, the drive at them, sum of alpha_m alpha_n^*
-    k = 0
-    for i, stop in enumerate(idx.tolist()):
-        if stop > k:
-            steps = stop - k
-            level = constant_envelope(pulse, (2 * k) * (dt / 2.0), (2 * stop) * (dt / 2.0))
-            if closed and level is not None:
-                f_end = drive * level
-                if level not in fixed:  # s = g / (1 - r) for the constant g[j] of this level
-                    const = np.full(2, f_end)
-                    fixed[level] = [complex(_rk4_recurrence(x, const, const[1:], dt)[1][0])
-                                    / -y for x, y in zip(mu, w)]
-                if steps not in sums:
-                    sums[steps] = ([_geometric(x, y, steps) for x, y in zip(r, log_r)],
-                                   _geometric(q, log_q, steps),
-                                   [np.expm1(steps * y) for y in log_r])
-                (sm, sn), ((gm, gn), gq, (em, en)) = fixed[level], sums[steps]
-                bm, bn = um - sm, un - sn
-                total += (steps * sm * sn.conjugate() + sm * (bn * gn).conjugate()
-                          + bm * sn.conjugate() * gm + bm * bn.conjugate() * gq)
-                um, un = um + bm * em, un + bn * en  # not s + b r^n: |s| >> |u| cancels
-            else:
-                f, fm = _drive(pulse, k, stop, dt)
-                am = _rk4_linear(mu[0], f, fm, dt, um)[1:]
-                an = _rk4_linear(mu[1], f, fm, dt, un)[1:]
-                total += complex(np.vdot(an, am))
-                um, un, f_end = complex(am[-1]), complex(an[-1]), complex(f[-1])
-            k = stop
-        alphas[:, i] = um, un
-        slope = ((mu[0] * um + f_end) * un.conjugate()
-                 + um * (mu[1] * un + f_end).conjugate())
-        integrals[i] = dt * (total - 0.5 * um * un.conjugate()) - dt * dt / 12.0 * slope
+    # 1. the intervals edges[j]..edges[j + 1]; entry j + 1 of the per-edge arrays is their end
+    edges = np.append(0, idx)
+    edges = edges[np.diff(edges, prepend=-1) > 0]  # the distinct indices, from 0
+    starts, steps = edges[:-1], np.diff(edges)
+    half = dt / 2.0
+    env = np.array([np.nan if level is None else level for level in
+                    (constant_envelope(pulse, (2 * a) * half, (2 * b) * half)
+                     for a, b in zip(starts.tolist(), edges[1:].tolist()))])
+    flat = ~np.isnan(env) & closed
+    e = np.expm1(np.multiply.outer(log_r, steps))  # r^L - 1 of each level and interval
+    gm, gn, gq = (_geometric(x, y, steps) for x, y in zip((*r, q), (*log_r, log_q)))
+    s = np.zeros((2, steps.size), dtype=complex)  # fixed points, or 0 on a scanned interval
+    f_end = np.zeros(edges.size, dtype=complex)  # the drive at each edge
+    f_end[1:][flat] = drive * env[flat]
+    for level in set(env[flat].tolist()):  # s = g / (1 - r) for the constant g[j] of this level
+        const = np.full(2, drive * level)
+        s[:, flat & (env == level)] = [[complex(_rk4_recurrence(x, const, const[1:], dt)[1][0])
+                                        / -y] for x, y in zip(mu, w)]
+
+    # 2. the scanned intervals: particular end values p[L] and sums over steps 1..L of
+    # r_m^i p_n^*[i], p_m[i] r_n^*i and p_m[i] p_n^*[i]
+    p_end = np.zeros((2, steps.size), dtype=complex)
+    sums = np.zeros((3, steps.size), dtype=complex)
+    scanned = np.flatnonzero(~flat)
+    powers = np.arange(1, int(steps[scanned].max(initial=0)) + 1)
+    rm, rn_conj = np.exp(powers * log_r[0]), np.exp(powers * log_r[1]).conj()  # r^1, r^2, ...
+    per_batch = max(1, _BATCH // (_BLOCK * max(1, -(-powers.size // _BLOCK))))  # padded rows
+    for first in range(0, scanned.size, per_batch):
+        rows = scanned[first:first + per_batch]
+        length = steps[rows]
+        widest = int(length.max())
+        t = np.arange(2 * widest + 1.0) + 2.0 * starts[rows, None]
+        t *= half
+        shape = sg_envelope(t, pulse)
+        f, fm = shape[:, 0::2], shape[:, 1::2]
+        # the scan is linear in the drive: scan the envelope, then scale the result
+        pm, pn = (_rk4_linear(x, f, fm, dt, 0.0)[:, 1:] for x in mu)
+        outside = np.arange(1, widest + 1) > length[:, None]
+        for part in (pm, pn):
+            part[outside] = 0.0
+            part *= drive
+        last = np.arange(rows.size), length - 1
+        p_end[:, rows] = pm[last], pn[last]
+        f_end[rows + 1] = drive * f[last[0], length]
+        np.conjugate(pn, out=pn)
+        sums[:, rows] = (pn @ rm[:widest], pm @ rn_conj[:widest],
+                         np.einsum("ij,ij->i", pm, pn))
+
+    # 3. the carries at every edge
+    carry_m, carry_n = [0j], [0j]
+    um = un = 0j
+    for em, en, sm, sn, dm, dn in zip(*e.tolist(), *s.tolist(), *p_end.tolist()):
+        um = um + (um - sm) * em + dm
+        un = un + (un - sn) * en + dn
+        carry_m.append(um)
+        carry_n.append(un)
+    carry = np.array([carry_m, carry_n])
+
+    # 4. each interval's sum of alpha_m alpha_n^*, from its start carries c
+    cm, cn = carry[:, :-1]
+    bm, bn = cm - s[0], cn - s[1]
+    terms = np.where(flat, steps * s[0] * s[1].conj() + s[0] * (bn * gn).conj()
+                     + bm * s[1].conj() * gm + bm * bn.conj() * gq,
+                     cm * cn.conj() * gq + cm * sums[0] + cn.conj() * sums[1] + sums[2])
+    total = np.concatenate(([0j], np.cumsum(terms)))
+
+    at = np.searchsorted(edges, idx)
+    um, un = alphas = carry[:, at]
+    slope = (mu[0] * um + f_end[at]) * un.conj() + um * (mu[1] * un + f_end[at]).conj()
+    integrals = dt * (total[at] - 0.5 * um * un.conj()) - dt * dt / 12.0 * slope
 
     eps = [params.delta_ad * x + 0.5 * params.alpha_a * x * (x - 1) for x in (m, n)]
     with np.errstate(all="ignore"):  # an overflow is reported below

@@ -1,11 +1,13 @@
 """Full-space references for the tests: the single-copy Kerr Hamiltonian
 over |n_a, n_c>, its lowering operators, the trace functional and the
-Lindblad generator assembled directly from the flattening identities; and the
-dense RK4 stepper of the doubled-space density matrix (propagate).
+Lindblad generator assembled directly from the flattening identities; the
+dense RK4 stepper of the doubled-space density matrix (propagate); and the
+per-interval walk of the exact coherence (coherence_walk).
 
 The package builds the doubled-space generator one qubit-sector block at a
 time (readoutmap.liouville.sector_generator), and propagate writes the exact
-coherence (readoutmap.response.coherence_at). Nothing here is used by them:
+coherence (readoutmap.response.coherence_at, which batches the walk's
+intervals). Nothing here is used by them:
 these are the independent routes the tests check those against. The stepper
 builds its blocks through liouville.sector_generator, looked up at call time,
 so a test can patch that function.
@@ -19,7 +21,10 @@ import numpy as np
 
 from readoutmap import liouville
 from readoutmap.liouville import AccuracyError, destroy
-from readoutmap.model import PulseSpec, SystemParams, constant_envelope, sg_envelope
+from readoutmap.model import (RAD_PER_MHZ_NS, PulseSpec, SystemParams, constant_envelope,
+                              sg_envelope)
+from readoutmap.response import (_decay_rate_per_ns, _drive, _drive_amplitude, _grid_steps, _log1p,
+                                 _rk4_factor_minus_one, _rk4_linear, _rk4_recurrence)
 
 
 @dataclass(frozen=True)
@@ -325,3 +330,75 @@ def qubit_block(blocks: np.ndarray) -> np.ndarray:
     """Resonator trace Tr_c of sector blocks (..., n_a, n_a, n_c, n_c): the
     qubit density matrices, shape (..., n_a, n_a)."""
     return np.trace(blocks, axis1=-2, axis2=-1)
+
+
+def _scalar_geometric(q: complex, log_q: complex, n: int) -> complex:
+    """q + q^2 + ... + q^n, with log_q the logarithm of q."""
+    return complex(n) if log_q == 0 else q * np.expm1(n * log_q) / np.expm1(log_q)
+
+
+def coherence_walk(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
+                   indices, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-interval walk that response.coherence_at batches, as its oracle: the
+    same (coherence, alpha_m, alpha_n), with both recurrences advanced from index to
+    index, one interval at a time. On an interval that constant_envelope proves
+    constant each is s + b r^j about its fixed point s, so the interval's sum of
+    alpha_m alpha_n^* is four geometric sums and the carry u + b (r^n - 1); every
+    other interval (and every one on a grid shorter than a level's response time
+    1/|mu|) is scanned by response._rk4_linear from the carry.
+    """
+    n_steps = _grid_steps(params, pulse, t_end, dt, (m, n))
+    idx = np.asarray(indices, dtype=int).reshape(-1)
+    if np.any(np.diff(idx, prepend=0) < 0) or (idx.size and idx[-1] > n_steps):
+        raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")
+    drive = _drive_amplitude(pulse)
+    mu = [-_decay_rate_per_ns(params, k) for k in (m, n)]
+    w = [_rk4_factor_minus_one(x, dt) for x in mu]
+    r, log_r = [1.0 + x for x in w], [_log1p(x) for x in w]
+    q, log_q = r[0] * r[1].conjugate(), log_r[0] + log_r[1].conjugate()
+    closed = min(abs(x) for x in mu) * (n_steps * dt) >= 1.0  # as in coherence_at
+    fixed, sums = {}, {}  # level -> fixed points s; interval length -> geometric sums, r^n - 1
+
+    integrals = np.empty(idx.size, dtype=complex)
+    alphas = np.empty((2, idx.size), dtype=complex)
+    um = un = f_end = total = 0j  # the carries, the drive at them, sum of alpha_m alpha_n^*
+    k = 0
+    for i, stop in enumerate(idx.tolist()):
+        if stop > k:
+            steps = stop - k
+            level = constant_envelope(pulse, (2 * k) * (dt / 2.0), (2 * stop) * (dt / 2.0))
+            if closed and level is not None:
+                f_end = drive * level
+                if level not in fixed:  # s = g / (1 - r) for the constant g[j] of this level
+                    const = np.full(2, f_end)
+                    fixed[level] = [complex(_rk4_recurrence(x, const, const[1:], dt)[1][0])
+                                    / -y for x, y in zip(mu, w)]
+                if steps not in sums:
+                    sums[steps] = ([_scalar_geometric(x, y, steps) for x, y in zip(r, log_r)],
+                                   _scalar_geometric(q, log_q, steps),
+                                   [np.expm1(steps * y) for y in log_r])
+                (sm, sn), ((gm, gn), gq, (em, en)) = fixed[level], sums[steps]
+                bm, bn = um - sm, un - sn
+                total += (steps * sm * sn.conjugate() + sm * (bn * gn).conjugate()
+                          + bm * sn.conjugate() * gm + bm * bn.conjugate() * gq)
+                um, un = um + bm * em, un + bn * en  # not s + b r^n: |s| >> |u| cancels
+            else:
+                f, fm = _drive(pulse, k, stop, dt)
+                am = _rk4_linear(mu[0], f, fm, dt, um)[1:]
+                an = _rk4_linear(mu[1], f, fm, dt, un)[1:]
+                total += complex(np.vdot(an, am))
+                um, un, f_end = complex(am[-1]), complex(an[-1]), complex(f[-1])
+            k = stop
+        alphas[:, i] = um, un
+        slope = ((mu[0] * um + f_end) * un.conjugate()
+                 + um * (mu[1] * un + f_end).conjugate())
+        integrals[i] = dt * (total - 0.5 * um * un.conjugate()) - dt * dt / 12.0 * slope
+
+    eps = [params.delta_ad * x + 0.5 * params.alpha_a * x * (x - 1) for x in (m, n)]
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        out = np.exp(-1.0j * RAD_PER_MHZ_NS * ((eps[0] - eps[1]) * (idx * dt)
+                                               + 2.0 * params.chi_ac * (m - n) * integrals))
+    if not np.all(np.isfinite(out)):
+        raise ValueError(f"coherence of qubit levels ({m}, {n}) is not finite: "
+                         "its phase overflows")
+    return out, alphas[0], alphas[1]

@@ -157,6 +157,50 @@ def test_propagate_memory_is_flat_in_the_response_grid(tmp_path):
     assert peak < 16 * 1_200_001 / 4
 
 
+def test_pulsed_propagate_memory_is_flat_in_the_response_grid(tmp_path):
+    # 1.2 M response steps whose ramps span the grid, in 600 sample intervals that are
+    # all scanned: they go through the recurrence a fixed budget of steps at a time, so
+    # no array of the grid's length (16 bytes a step) is ever allocated
+    cfg = write_config(tmp_path, "c.json", {
+        "delta_ad_mhz": 0.0, "delta_cd_mhz": -10.0, "alpha_a_mhz": 0.0,
+        "chi_ac_mhz": -1.5, "kappa_c_mhz": 8.0, "n_a": 2, "n_c": 3,
+        "pulse": {"kind": "square-gaussian", "omega_c_mhz": 1.0, "tau_p_ns": 24000.0,
+                  "tau_r_ns": 12000.0, "sigma_r_ns": 6000.0},
+        "propagate": {"dt_ns": 0.02, "t_end_ns": 24000.0, "sample_every": 2000}})
+    out = tmp_path / "prop.csv"
+    tracemalloc.start()
+    try:
+        assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_rows(out)) == 601
+    assert peak < 16 * 1_200_001 / 4
+
+
+@pytest.mark.parametrize("sample_every", [250, 50])
+def test_pulsed_propagate_scans_its_ramps_in_one_batch(tmp_path, monkeypatch, sample_every):
+    # a propagate-pulse-like grid: 5000 steps, ramps of 1000 steps at both ends of the
+    # pulse. Its scanned intervals (11 of 250 steps, or 43 of 50) fit one batch, so the
+    # recurrence runs once per qubit level however many sample intervals there are
+    calls, original = [], response._rk4_linear
+
+    def spy(mu, f, fm, h, z0):
+        calls.append(np.shape(f))
+        return original(mu, f, fm, h, z0)
+
+    monkeypatch.setattr(response, "_rk4_linear", spy)
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE, "pulse": {"kind": "square-gaussian", "omega_c_mhz": 10.0, "tau_p_ns": 80.0,
+                          "tau_r_ns": 20.0, "sigma_r_ns": 10.0},
+        "propagate": {"dt_ns": 0.02, "t_end_ns": 100.0, "sample_every": sample_every}})
+    out = tmp_path / "prop.csv"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+    assert len(read_rows(out)) == 1 + 5000 // sample_every
+    rows = {250: 11, 50: 43}[sample_every]
+    assert calls == [(rows, sample_every + 1)] * 2
+
+
 def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, monkeypatch):
     # 1.2 M response steps in 600 sample intervals, all at one constant level:
     # the exact coherence, and the amplitudes with it, take every interval in
@@ -310,7 +354,8 @@ SHIPPED_VALIDATION = [
         "transient.dt": (True, "dt / bound = 0.628 "),
         "transient.validity_margin": (False, "margin 1.203 at omega_c = 50 MHz")}),
     ("transient_crosstalk", 0, {
-        "transient.dt": (True, "dt / bound = 0.628 "),
+        # the level-1 recurrences of the written pair (1, 0), at delta_cd + 2 chi = -52 MHz
+        "transient.dt": (True, "dt / bound = 0.653 (dt 0.1 ns, bound 0.153 ns)"),
         "transient.validity_margin": (True, "margin 0.005448 at omega_c = 14.2 MHz")}),
     ("propagate", 0, {
         # the level-1 response at delta_cd + 2 chi = -12 MHz sets the bound
@@ -337,6 +382,54 @@ def test_validate_on_the_shipped_configs(tmp_path, capsys, config, rc, expected)
         assert report["checks"][name]["detail"].startswith(detail)
 
 
+def test_transient_checks_its_step_at_the_levels_of_its_pair(tmp_path, capsys):
+    # level 0 allows dt = 1.5 ns (|delta_cd| = 5 MHz), but the written pair (2, 0) runs
+    # its recurrences at delta_cd + 4 chi = -325 MHz: at dt 1.5 ns they overflow
+    # (re_e reached 7e40 while the photon number stayed below 0.011)
+    payload = {"delta_ad_mhz": -2005.0, "delta_cd_mhz": -5.0, "alpha_a_mhz": -330.0,
+               "chi_ac_mhz": -80.0, "kappa_c_mhz": 5.0, "n_a": 3, "n_c": 14,
+               "pulse": {"kind": "square-gaussian", "omega_c_mhz": 1.0, "tau_p_ns": 400.0,
+                         "tau_r_ns": 100.0, "sigma_r_ns": 50.0},
+               "transient": {"dt_ns": 1.5, "t_end_ns": 300.0, "levels": [[2, 0]]}}
+    run = load_config(write_config(tmp_path, "c.json", payload))
+    bound = response.max_stable_dt(run.params, run.pulse, 2)
+    assert bound < 1.5 < response.max_stable_dt(run.params, run.pulse)
+    for dt, ok in ((1.5, False), (bound * (1.0 + 1e-9), False), (bound * (1.0 - 1e-9), True)):
+        payload["transient"] = {"dt_ns": dt, "t_end_ns": 300.0 if dt == 1.5 else 20.0,
+                                "levels": [[2, 0]]}
+        cfg, out = write_config(tmp_path, "c.json", payload), tmp_path / "t.csv"
+        assert main(["transient", "--config", cfg, "--out", str(out)]) == (0 if ok else 1)
+        err = capsys.readouterr().err
+        assert out.exists() is ok
+        report = tmp_path / "report.json"
+        assert main(["validate", "--config", cfg, "--out", str(report)]) == (0 if ok else 1)
+        assert capsys.readouterr().err == ""
+        check = json.loads(report.read_text())["checks"]["transient.dt"]
+        assert check["passed"] is ok
+        if not ok:
+            line = f"step size {dt} ns exceeds stability bound {bound:.4g} ns of qubit level 2"
+            assert err == f"error: {line}\n"
+            assert check["detail"].endswith(f"ns): {line}")
+
+
+@pytest.mark.parametrize("chi", [1e200, 1.5e308], ids=["dressed-factor", "detuning"])
+def test_validate_dt_detail_names_an_overflowing_key(tmp_path, capsys, chi):
+    # the level-1 bound of an overflowing chi_ac is about 0 (1e200) or 0 (1.5e308):
+    # validate's failed dt check ends with the command's error text, which names the key
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE, "chi_ac_mhz": chi, "propagate": {"dt_ns": 0.02, "t_end_ns": 20.0}})
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step size 0.02 ns exceeds stability bound ")
+    assert f"of qubit level 1: chi_ac_mhz = {chi:g} overflows the dressed " in err
+    report = tmp_path / "report.json"
+    assert main(["validate", "--config", cfg, "--out", str(report)]) == 1
+    assert capsys.readouterr().err == ""
+    check = json.loads(report.read_text())["checks"]["propagate.dt"]
+    assert check["passed"] is False
+    assert check["detail"].endswith("ns): " + err[len("error: "):].rstrip("\n"))
+
+
 @pytest.mark.parametrize("command, config, section", [
     ("propagate", "propagate", "propagate"),
     ("transient", "transient_crosstalk", "transient"),
@@ -348,11 +441,11 @@ def test_validate_dt_rule_is_the_commands_rule(tmp_path, capsys, command, config
         payload = json.load(fh)
     payload[section]["t_end_ns"] = 20.0
     run = load_config(write_config(tmp_path, "c.json", payload))
-    # transient steps the level-0 response, propagate the level-0 and level-1 ones
-    levels = (0, 1) if section == "propagate" else (0,)
-    bound = min(response.max_stable_dt(run.params, run.pulse, k) for k in levels)
-    if section == "propagate":  # level 1 binds: |delta_cd + 2 chi| = 12 > |delta_cd| = 10
-        assert bound < response.max_stable_dt(run.params, run.pulse)
+    # propagate steps the level-0 and level-1 responses; transient the level-0 one and
+    # those of its written pair, here (1, 0)
+    bound = min(response.max_stable_dt(run.params, run.pulse, k) for k in (0, 1))
+    # level 1 binds: |delta_cd + 2 chi| = 12 > |delta_cd| = 10 (propagate), 52 > 50 (transient)
+    assert bound < response.max_stable_dt(run.params, run.pulse)
     for factor, ok in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
         payload[section]["dt_ns"] = bound * factor
         cfg = write_config(tmp_path, "c.json", payload)

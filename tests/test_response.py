@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from readoutmap import response
 from readoutmap.effective import rates
-from readoutmap.model import PulseSpec, SystemParams
+from readoutmap.model import RAD_PER_MHZ_NS, PulseSpec, SystemParams
 from readoutmap.response import (_rk4_linear, coherence_at, max_stable_dt, peak_photon, solve_eta,
                                  steady_state)
-from fullspace import propagate, qubit_block
+from fullspace import coherence_walk, propagate, qubit_block
 
 P = SystemParams(delta_ad=0.0, delta_cd=-5.0, alpha_a=0.0, chi_ac=-1.0, kappa_c=1.0,
                  n_a=2, n_c=14)
@@ -62,6 +62,26 @@ def test_rk4_linear_matches_stepwise_reference(n, h, h_sign, a_abs, a_phase, see
     got = _rk4_linear(mu, f, fm, h, z0)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 5), n=st.integers(1, 300), a_abs=st.floats(0.0, 0.05),
+       a_phase=st.floats(0.0, 2.0 * np.pi), seed=st.integers(0, 2**32 - 1))
+def test_rk4_linear_scans_a_batch_of_trajectories(rows, n, a_abs, a_phase, seed):
+    # leading axes are independent trajectories with their own z0 and the same mu, h
+    rng = np.random.default_rng(seed)
+    h = 0.1
+    mu = a_abs * np.exp(1j * a_phase) / h
+    f = rng.normal(size=(rows, 2, n)) + 1j * rng.normal(size=(rows, 2, n))
+    fm = rng.normal(size=(rows, 2, n - 1)) + 1j * rng.normal(size=(rows, 2, n - 1))
+    z0 = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
+    got = _rk4_linear(mu, f, fm, h, z0)
+    assert got.shape == (rows, 2, n)
+    for i in np.ndindex(rows, 2):
+        ref = rk4_reference(mu, f[i], fm[i], h, z0[i])
+        assert np.max(np.abs(got[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # a scalar z0 starts every trajectory
+    assert np.array_equal(_rk4_linear(mu, f, fm, h, 0.0)[..., 0], np.zeros((rows, 2)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -299,6 +319,10 @@ CLOSED_FORM_CASES = {
     "undamped": (SystemParams(0.0, -10.0, 0.0, -1.0, 0.0, 2, 4),
                  PulseSpec("square-gaussian", 10.0, tau_p=400.0, tau_r=100.0, sigma_r=50.0),
                  900.0, 0.02, 250),
+    # undamped and 6e-8 MHz off resonance at level 0: the fixed point (|s| ~ 1e8) is far
+    # beyond alpha on this grid, where sums about it cancelled to 2e-7 relative
+    "near-resonant": (SystemParams(0.0, 6e-8, 0.0, -1.0, 0.0, 2, 4), PulseSpec("constant", 28.6),
+                      40.0, 0.1, 7),
 }
 
 
@@ -317,6 +341,56 @@ def test_constant_intervals_in_closed_form_match_the_scanned_recurrence(monkeypa
         # measured worst 2.8e-14 / 1.2e-13 / 1.4e-13 of max |alpha|
         for alpha, ref_alpha in zip(got_alphas, ref_alphas):
             assert np.max(np.abs(alpha - ref_alpha)) <= 1e-12 * np.max(np.abs(ref_alpha))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["constant", "square-gaussian"]),
+       delta_cd=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+       kappa_c=st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+       omega_c=st.floats(0.5, 40.0),
+       step_frac=st.floats(0.05, 1.0),   # step as a fraction of the pair's bound
+       n_steps=st.integers(1, 2500),
+       cuts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+       last=st.booleans(),               # the grid's end is a sample, or a partial interval
+       pair=st.sampled_from([(1, 0), (2, 0), (2, 1), (0, 0)]))
+# level 0 on its undamped resonance: r == 1 exactly, so all 6 intervals, of mixed
+# lengths up to 760 steps, are scanned, 5 to a batch
+@example(kind="square-gaussian", delta_cd=0.0, kappa_c=0.0, omega_c=10.0, step_frac=1.0,
+         n_steps=2000, cuts=[0.1, 0.1, 0.35, 0.5, 0.52, 0.9], last=True, pair=(1, 0))
+# about 120 ramp intervals of 6 or 7 steps, 64 to a batch, between flat top and tail
+@example(kind="square-gaussian", delta_cd=-5.0, kappa_c=5.0, omega_c=30.0, step_frac=0.5,
+         n_steps=2500, cuts=[i / 400.0 for i in range(400)] + [0.5, 0.5], last=False,
+         pair=(2, 0))
+def test_batched_coherence_matches_the_per_interval_walk(kind, delta_cd, kappa_c, omega_c,
+                                                         step_frac, n_steps, cuts, last, pair):
+    # coherence_at scans its ramp intervals in batches and chains the carries as affine
+    # maps; the oracle walks the same recurrences from index to index. Measured worst
+    # over 6000 draws: 1.0e-13 of max |alpha| and 2.1e-14 (1 + |x|) relative for the
+    # coherence, both on undamped ring-ups, where the batch is the closer of the two to
+    # an extended-precision run of the recurrence.
+    p = SystemParams(-3.0, delta_cd, -2.0, -1.0, kappa_c, 3, 4)
+    pulse = PulseSpec("constant", omega_c)
+    dt = step_frac * min(max_stable_dt(p, pulse, k) for k in pair)
+    t_end = n_steps * dt
+    if kind == "square-gaussian":
+        pulse = PulseSpec(kind, omega_c, tau_p=0.6 * t_end, tau_r=0.15 * t_end,
+                          sigma_r=0.075 * t_end)
+    idx = np.sort(np.round(np.array(cuts) * n_steps).astype(int))
+    if last:
+        idx = np.append(idx, n_steps)
+    got = coherence_at(p, pulse, t_end, dt, idx, *pair)
+    ref = coherence_walk(p, pulse, t_end, dt, idx, *pair)
+    scale = [np.max(np.abs(x), initial=0.0) for x in ref[1:]]
+    for alpha, ref_alpha, top in zip(got[1:], ref[1:], scale):
+        assert np.max(np.abs(alpha - ref_alpha), initial=0.0) <= 3e-13 * top
+    # the coherence is exp(-i x) with |x| up to 2 pi 1e-3 (|eps_m - eps_n| t +
+    # 2 |chi| |m - n| |I|), |I| <= t max|alpha_m| max|alpha_n|: the error of x scales with it
+    m, n = pair
+    eps = [p.delta_ad * k + 0.5 * p.alpha_a * k * (k - 1) for k in pair]
+    exponent = RAD_PER_MHZ_NS * idx * dt * (abs(eps[0] - eps[1])
+                                            + 2.0 * abs(p.chi_ac * (m - n)) * scale[0] * scale[1])
+    kept = np.abs(ref[0]) > 1e-250  # not near the subnormals, whose digits run out
+    assert np.all(np.abs(got[0][kept] / ref[0][kept] - 1.0) <= 1e-13 * (1.0 + exponent[kept]))
 
 
 @settings(max_examples=100, deadline=None)
