@@ -64,6 +64,27 @@ def _sweep(config: RunConfig, name: str, default_points: int) -> np.ndarray:
     return np.linspace(sec["delta_cd_start_mhz"], sec["delta_cd_stop_mhz"], sec["points"])
 
 
+def _dressed_factor(params: SystemParams, delta_cd, n) -> np.ndarray:
+    """(delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2 over arrays by effective_spectrum's
+    arithmetic: 0, inf or NaN where a closed form cannot divide by it."""
+    half_k = params.kappa_c / 2.0
+    dressed = delta_cd + 2.0 * params.chi_ac * n
+    return dressed * dressed + half_k * half_k
+
+
+def _sweep_rule(config: RunConfig, grid: np.ndarray, row) -> None:
+    """Raise the error that row(params, omega_c, d), a sweep command's computation at
+    delta_cd = d, raises at the first point of grid it rejects. The command divides by
+    the dressed factors of levels 0 and 1 and by their product (model.resonance_error,
+    effective.effective_spectrum), so only the points where one of them is 0 or not
+    finite, found over the whole grid at once, are run."""
+    p = config.params
+    with np.errstate(all="ignore"):
+        den = _dressed_factor(p, grid, 1) * _dressed_factor(p, grid, 0)
+    for d in grid[~np.isfinite(den) | (den == 0.0)]:
+        row(p, config.pulse.omega_c, d)
+
+
 def _grid_section(config: RunConfig, name: str, extra: dict) -> tuple[dict, float, float]:
     """Section `name` of a command that steps a time grid, and its 'dt_ns' and 't_end_ns'."""
     sec = _section(config, name, {"dt_ns": (float, ...), "t_end_ns": (float, ...), **extra})
@@ -128,6 +149,14 @@ def _read_spectrum_grid(config: RunConfig) -> tuple[tuple, dict]:
     photon, levels = sec["photon"], sec["levels"]
     if levels < 1:
         raise ValueError(f"config section 'spectrum_grid': 'levels' = {levels} must be >= 1")
+    # every entry divides by the product of two of the levels' dressed factors: the
+    # matrix, built only where the smallest or largest product is 0 or not finite,
+    # raises the command's error
+    with np.errstate(all="ignore"):
+        factor = _dressed_factor(config.params, config.params.delta_cd, np.arange(levels))
+        extremes = np.array([factor.min(), factor.max()]) ** 2
+    if not (photon >= 0 and np.all(np.isfinite(extremes)) and extremes[0] > 0):
+        effective.spectrum_matrix(config.params, levels, photon)
     return (photon, levels), {}
 
 
@@ -143,6 +172,13 @@ def _read_compare_gambetta(config: RunConfig) -> tuple[np.ndarray, dict]:
     grid = _sweep(config, "compare_gambetta", 100)
     if config.params.kappa_c <= 0:
         raise ValueError("gambetta_rates requires kappa_c > 0")
+    _sweep_rule(config, grid, _gambetta_row)
+    return grid, {}
+
+
+def _read_rates_sweep(config: RunConfig) -> tuple[np.ndarray, dict]:
+    grid = _sweep(config, "rates_sweep", 401)
+    _sweep_rule(config, grid, _rates_row)
     return grid, {}
 
 
@@ -153,10 +189,9 @@ _STEPPED_LEVELS = {"transient": lambda section: sorted({0, *section[2][0]}),
                    "propagate": lambda section: (0, 1)}
 
 # section -> reader: (the parsed section, {<section>.<rule>: _rule(...)}) or the command's error
-_READERS = {"rates_sweep": lambda config: (_sweep(config, "rates_sweep", 401), {}),
-            "benchmark_eig": _read_benchmark_eig, "transient": _read_transient,
-            "spectrum_grid": _read_spectrum_grid, "propagate": _read_propagate,
-            "compare_gambetta": _read_compare_gambetta}
+_READERS = {"rates_sweep": _read_rates_sweep, "benchmark_eig": _read_benchmark_eig,
+            "transient": _read_transient, "spectrum_grid": _read_spectrum_grid,
+            "propagate": _read_propagate, "compare_gambetta": _read_compare_gambetta}
 
 
 def _read(config: RunConfig, name: str):
@@ -168,16 +203,17 @@ def _read(config: RunConfig, name: str):
     return values
 
 
+def _rates_row(p: SystemParams, omega: float, d) -> tuple:
+    """rates-sweep at delta_cd = d: (d, dephasing, stark, n_ground, n_excited)."""
+    pd = replace(p, delta_cd=float(d))
+    n_ground, n_excited = (response.steady_state(pd, omega, k)[1] for k in (0, 1))
+    pair = effective.rates(pd, n_ground)
+    return d, pair.dephasing, pair.stark, n_ground, n_excited
+
+
 def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> None:
     grid = _read(config, "rates_sweep")
-    p = config.params
-    omega = config.pulse.omega_c
-    rows = []
-    for d in grid:
-        pd = replace(p, delta_cd=float(d))
-        n_ground, n_excited = (response.steady_state(pd, omega, k)[1] for k in (0, 1))
-        pair = effective.rates(pd, n_ground)
-        rows.append((d, pair.dephasing, pair.stark, n_ground, n_excited))
+    rows = [_rates_row(config.params, config.pulse.omega_c, d) for d in grid]
     effective.write_rates_sweep_csv(out, rows, header=header)
 
 
@@ -224,18 +260,19 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
                     "abs_rho10_eff": abs(rho_t[:, 1, 0]), "photon": photon}, header=header)
 
 
+def _gambetta_row(p: SystemParams, omega: float, d) -> tuple:
+    """compare-gambetta at delta_cd = d: our dephasing, the two-level model's, and the
+    two-level model's at delta_cd + chi_ac."""
+    pd = replace(p, delta_cd=float(d))
+    ours = effective.rates(pd, response.steady_state(pd, omega)[1]).dephasing
+    shifted = replace(pd, delta_cd=pd.delta_cd + p.chi_ac)
+    return ours, effective.gambetta_rates(pd, omega), effective.gambetta_rates(shifted, omega)
+
+
 def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int) -> None:
     grid = _read(config, "compare_gambetta")
-    p = config.params
-    omega = config.pulse.omega_c
-
-    def point(d):
-        pd = replace(p, delta_cd=float(d))
-        ours = effective.rates(pd, response.steady_state(pd, omega)[1]).dephasing
-        shifted = replace(pd, delta_cd=pd.delta_cd + p.chi_ac)
-        return ours, effective.gambetta_rates(pd, omega), effective.gambetta_rates(shifted, omega)
-
-    ours, theirs, shifted = zip(*[point(d) for d in grid])
+    ours, theirs, shifted = zip(*[_gambetta_row(config.params, config.pulse.omega_c, d)
+                                  for d in grid])
     write_csv(out, {"delta_cd_mhz": grid, "gamma_phi_mhz": ours, "gamma_phi_gambetta_mhz": theirs,
                     "gamma_phi_gambetta_shifted_mhz": shifted}, header=header)
 

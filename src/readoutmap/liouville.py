@@ -90,10 +90,20 @@ def sector_generator(params: SystemParams, n_al: int, n_ar: int,
                 + 2.0 * params.chi_ac * (num_a[k] * num_c)
                 + 0.5 * omega_c_value * (d + d.conj().T))
 
-    return (np.kron(h(n_al), eye) - np.kron(eye, h(n_ar).conj())
-            + 1j * params.kappa_c * (np.kron(d, d.conj())
-                                     - 0.5 * np.kron(num_c, eye)
-                                     - 0.5 * np.kron(eye, num_c.T)))
+    # the Kronecker doubling written straight into one block [n_cl, n_cr, n_cl', n_cr']:
+    # h_l where n_cr = n_cr', -h_r* where n_cl = n_cl', the jump kron(d, d*) on
+    # (n_cl + 1, n_cr + 1), the number terms on the diagonal; every other product
+    # in the doubling is an exact zero
+    n_c = params.n_c
+    num = num_c.diagonal().real
+    jump = d.diagonal(1)
+    block = np.zeros((n_c,) * 4, dtype=complex)
+    np.einsum("ijkj->jik", block)[...] = h(n_al)
+    np.einsum("ijil->ijl", block)[...] -= h(n_ar).conj()
+    np.einsum("ijij->ij", block[:-1, :-1, 1:, 1:])[...] = (
+        1j * params.kappa_c * np.outer(jump, jump))
+    np.einsum("ijij->ij", block)[...] += 1j * params.kappa_c * (-0.5 * num[:, None] - 0.5 * num)
+    return block.reshape(n_c ** 2, n_c ** 2)
 
 
 def build_extended_hamiltonian(params: SystemParams, omega_c_value: float) -> np.ndarray:

@@ -8,11 +8,13 @@ eigenpair has a closed form (eigenstates.closed_form_eigenpair, the polaron
 picture) that is exact up to Fock truncation. A drive sweep therefore solves
 for that one pair only: inverse iteration (eigenpair_near) on the block,
 shifted by the closed-form eigenvalue and started from the closed-form vector,
-with one dense numpy factorization per point. numpy releases the GIL for it,
-so the points of a threaded sweep overlap. Each tracked vector must still
-overlap the previous grid point's (continuation check); its real part
-renormalizes the qubit frequency (Stark shift) and its negative imaginary part
-is the measurement-induced dephasing rate.
+with one LU solve per step, stopped by the stall or a rounding-level
+residual; from the closed-form start one step is usually enough. numpy
+releases the GIL in the solve, so the points of a threaded sweep overlap.
+Each tracked vector must still overlap the previous grid point's
+(continuation check); its real part renormalizes the qubit frequency (Stark
+shift) and its negative imaginary part is the measurement-induced dephasing
+rate.
 
 eigendecompose, the full spectrum by numpy's LAPACK zgeev, is the dense
 reference that the tests and the benchmark harness use; no command calls it.
@@ -69,8 +71,9 @@ class CoherenceTrack:
     vectors: list[np.ndarray]
 
 
-# inverse iteration: iteration cap, and the change of the phase-aligned unit
-# iterate below which it has stopped changing (in units of eps * sqrt(dim))
+# inverse iteration: iteration cap, and the rounding level in units of eps * sqrt(dim):
+# the change of the phase-aligned unit iterate below which it has stopped changing,
+# and (times |M|_F) the Rayleigh residual at which it has converged
 MAX_ITERATIONS = 50
 STALL = 4.0
 
@@ -102,51 +105,45 @@ def eigendecompose(op: np.ndarray) -> EigenSet:
     return EigenSet(eigenvalues=w, eigenvectors=v, residuals=residuals)
 
 
-def _scaled_inverse(mat: np.ndarray, shift: complex, scale: float) -> np.ndarray:
-    """(mat - shift*I)^-1 divided by its largest entry magnitude.
-
-    Inverse iteration needs only its direction, and the scaling keeps
-    inv @ v from overflowing when shift is within rounding of an eigenvalue.
-    A shift that is an eigenvalue to the last bit (a Fock state at zero
-    drive), so that the inverse does not exist or overflows, is moved off it
-    by one rounding step of |M|; the iteration still finds that eigenvector."""
-    shifted = mat.copy()
-    np.fill_diagonal(shifted, mat.diagonal() - shift)
-    try:
-        inv = np.linalg.inv(shifted)
-    except np.linalg.LinAlgError:
-        inv = None
-    if inv is None or not np.all(np.isfinite(inv)):
-        np.fill_diagonal(shifted, mat.diagonal() - (shift + np.spacing(scale)))
-        inv = np.linalg.inv(shifted)
-    inv /= np.max(np.abs(inv))
-    return inv
-
-
 def _inverse_iteration(op: np.ndarray, shift: complex, start: np.ndarray) -> EigenPair:
-    """The eigenpair nearest shift, ungated: op - shift*I is inverted once and
-    applied to the unit iterate, phase-aligned to its predecessor, until the
-    iterate stops changing or MAX_ITERATIONS is reached."""
+    """The eigenpair nearest shift, ungated. Each step takes one LU solve of
+    (op - shift*I) w = v (numpy's solve) and the next iterate is the unit w,
+    phase-aligned to v. It stops when the iterate's Rayleigh residual is at
+    rounding level (STALL * eps * sqrt(dim) * |op|_F), when the iterate stops
+    changing, or after MAX_ITERATIONS steps. w is scaled by its largest entry
+    magnitude before it is normalized, so its norm cannot overflow when shift
+    is within rounding of an eigenvalue. A shift that is an eigenvalue to the
+    last bit (a Fock state at zero drive), so that the solve fails or
+    overflows, is moved off it by one rounding step of |op|; the iteration
+    still finds that eigenvector."""
     mat = _finite(op)
     scale = float(np.linalg.norm(mat))
-    inv = _scaled_inverse(mat, shift, scale)
+    shifted = mat.copy()
+    np.fill_diagonal(shifted, mat.diagonal() - shift)
     v = np.asarray(start, dtype=complex)
     v = v / np.linalg.norm(v)
-    stall = STALL * np.finfo(float).eps * np.sqrt(v.size)
+    rounding = STALL * np.finfo(float).eps * np.sqrt(v.size)
     for _ in range(MAX_ITERATIONS):
-        w = inv @ v
+        try:
+            w = np.linalg.solve(shifted, v)
+        except np.linalg.LinAlgError:
+            w = None
+        if w is None or not np.all(np.isfinite(w)):
+            np.fill_diagonal(shifted, mat.diagonal() - (shift + np.spacing(scale)))
+            w = np.linalg.solve(shifted, v)
+        w /= np.max(np.abs(w))
         w /= np.linalg.norm(w)
         phase = np.vdot(v, w)
         if phase != 0:
             w *= phase.conjugate() / abs(phase)
         change = np.linalg.norm(w - v)
         v = w
-        if change <= stall:
+        mv = mat @ v
+        value = complex(np.vdot(v, mv))
+        residual = float(np.linalg.norm(mv - value * v))
+        if change <= rounding or residual <= rounding * scale:
             break
-    mv = mat @ v
-    value = complex(np.vdot(v, mv))
-    return EigenPair(value=value, vector=v, residual=float(np.linalg.norm(mv - value * v)),
-                     scale=scale)
+    return EigenPair(value=value, vector=v, residual=residual, scale=scale)
 
 
 def _accept(pair: EigenPair, anchor: np.ndarray, where: str) -> float:
@@ -164,9 +161,10 @@ def eigenpair_near(op: np.ndarray, shift: complex, start: np.ndarray) -> EigenPa
     """The one eigenpair of op whose eigenvalue is nearest shift, by inverse
     iteration from start.
 
-    op - shift*I is factored once (an exact eigenvalue as shift is stepped
-    off by one rounding unit of |op|). The eigenvalue is the Rayleigh quotient
-    of the converged unit vector. Raises ValueError on non-finite entries,
+    Each step is one LU solve of op - shift*I, stopped by the stall or a
+    rounding-level residual (an exact eigenvalue as shift is stepped off by
+    one rounding unit of |op|). The eigenvalue is the Rayleigh quotient of the
+    converged unit vector. Raises ValueError on non-finite entries,
     TrackingLostError when the pair found overlaps start by 0.5 or less
     (|start^H v| / |start|: it is another branch than the one start guessed),
     and then AccuracyError when the residual exceeds 1e-8 |op|_F, e.g. for a

@@ -796,6 +796,38 @@ def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section
         assert lines == errors
 
 
+# the configs of the commands whose readers find the dressed factors their closed forms
+# divide by, over the whole sweep grid or level range: benchmark-eig's and transient's
+# readers meet the same rules through their warning rules, and propagate's validate
+# names an overflowing key in its failed dt check
+DRESSED_CONFIGS = ["rates_sweep_narrow", "rates_sweep_split", "spectrum_grid", "compare_gambetta"]
+
+
+@pytest.mark.parametrize("config, change", [
+    *[pytest.param(config, {key: 1e200}, id=f"{config}-{key}") for config in DRESSED_CONFIGS
+      for key, (kind, _) in model.PARAM_SPEC.items() if kind is float],
+    # undamped sweeps through delta_cd = 0, level 0 on its resonance
+    *[pytest.param(config, {"kappa_c_mhz": 0.0}, id=f"{config}-undamped")
+      for config in ("rates_sweep_narrow", "rates_sweep_split")],
+    pytest.param("spectrum_grid", {"spectrum_grid": {"photon": -1.0, "levels": 3}},
+                 id="spectrum_grid-negative-photon"),
+])
+def test_validate_stops_where_the_command_stops(tmp_path, capsys, config, change):
+    with open(os.path.join(CONFIGS, config + ".json")) as fh:
+        payload = {**json.load(fh), **change}
+    command = next(k for k in payload
+                   if k in ("rates_sweep", "spectrum_grid", "compare_gambetta")).replace("_", "-")
+    cfg = write_config(tmp_path, "c.json", payload)
+
+    def errors(argv):
+        rc = main([*argv, "--config", cfg, "--out", str(tmp_path / "o")])
+        return rc, [ln for ln in capsys.readouterr().err.splitlines() if ln.startswith("error:")]
+
+    rc, lines = errors([command])
+    assert errors(["validate"]) == (rc, lines)
+    assert len(lines) == rc
+
+
 def assert_one_error_line(tmp_path, capsys, command, payload):
     """Run `command` and validate on `payload`; both must stop with the same
     single error line, status 1 or 2, no traceback and no output file. Returns it."""

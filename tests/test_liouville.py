@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -150,6 +151,10 @@ def test_generator_has_no_entries_between_qubit_sectors(n_a, n_c, freqs, kappa, 
 @given(n_a=st.sampled_from([2, 3]), n_c=st.integers(2, 6),
        freqs=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
        kappa=st.floats(0.0, 10.0), omega=st.floats(-20.0, 20.0))
+# the 2 x 14 benchmark point, undriven, at 5 MHz and at about 4 photons
+@example(n_a=2, n_c=14, freqs=[-2005.0, -5.0, -330.0, -1.0], kappa=1.0, omega=0.0)
+@example(n_a=2, n_c=14, freqs=[-2005.0, -5.0, -330.0, -1.0], kappa=1.0, omega=5.0)
+@example(n_a=2, n_c=14, freqs=[-2005.0, -5.0, -330.0, -1.0], kappa=1.0, omega=20.0998)
 def test_sector_generator_matches_independent_route(n_a, n_c, freqs, kappa, omega):
     p = SystemParams(*freqs, kappa_c=kappa, n_a=n_a, n_c=n_c)
     _, c = single_copy_operators(p)
@@ -166,6 +171,21 @@ def test_sector_generator_matches_independent_route(n_a, n_c, freqs, kappa, omeg
             assert np.array_equal(full[idx], block)
             assert np.array_equal(kron[idx], block)
     assert np.array_equal(full, kron)
+
+
+def test_sector_generator_writes_its_block_in_place():
+    # one block-sized array and n_c-sized operators: at 2 x 14 the call peaks at 1.24
+    # blocks' bytes (the Kronecker products of the doubling peaked at 4.0)
+    p = SystemParams(-2005.0, -5.0, -330.0, -1.0, 1.0, n_a=2, n_c=14)
+    sector_generator(p, 1, 0, 20.0998)
+    tracemalloc.start()
+    try:
+        block = sector_generator(p, 1, 0, 20.0998)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert block.nbytes == 196 * 196 * 16
+    assert peak <= 2 * block.nbytes
 
 
 def test_sector_generator_rejects_labels_outside_the_qubit():

@@ -12,7 +12,7 @@ from readoutmap.eigenstates import closed_form_eigenpair, fidelity_sweep
 from readoutmap.liouville import (AccuracyError, basis_index, build_extended_hamiltonian,
                                   sector_generator, sector_indices)
 from readoutmap.model import SystemParams
-from readoutmap.spectra import (TrackingLostError, _inverse_iteration, eigendecompose,
+from readoutmap.spectra import (STALL, TrackingLostError, _inverse_iteration, eigendecompose,
                                 eigenpair_near, extract_rates, track_coherence, write_track_csv)
 from conftest import BENCH, PHOTON_TARGETS, omega_for_photon
 
@@ -347,14 +347,41 @@ def test_lost_branch_is_reported_before_the_residual_gate():
         eigenpair_near(block, shift, start)
 
 
+def test_weak_drive_tracking_takes_one_solve_per_point(monkeypatch):
+    # from the closed-form start the first iterate's residual is already at rounding
+    # level, so no second solve is taken only to see the iterate stop changing
+    calls, solve = [], np.linalg.solve
+
+    def spy(a, b):
+        calls.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    grid = [0.0] + [omega_for_photon(BENCH, n) for n in (0.05, 0.1, 0.2, 0.35, 0.5)]
+    assert track_coherence(BENCH, grid, n_workers=2).eigenvalues.size == 6
+    assert calls == [(196, 196)] * 5
+
+
+def test_strongest_shipped_drive_ends_at_a_rounding_level_residual():
+    # 20.0998 MHz, about 4 photons, the last point of configs/benchmark_eig.json (whose
+    # system is BENCH) takes three solves. The full-inverse iteration gave
+    # -2010.7234629755892 - 0.1612859065454586j there; the solves are within 7e-13 MHz
+    # of it with 1 and 2 BLAS threads
+    shift, start = closed_form_eigenpair(BENCH, 1, 0, 20.0998)
+    pair = eigenpair_near(sector_generator(BENCH, 1, 0, 20.0998), shift, start)
+    assert pair.residual <= STALL * np.finfo(float).eps * np.sqrt(start.size) * pair.scale
+    assert abs(pair.value - (-2010.7234629755892 - 0.1612859065454586j)) <= 5e-12
+
+
 def test_product_paths_never_run_a_full_eigensolve(monkeypatch, tmp_path):
-    # tracking and the fidelity sweep solve for their one pair only, and
-    # validate solves nothing; eigendecompose (zgeev) is the dense reference
-    # of the tests and the benchmark harness
+    # tracking and the fidelity sweep solve for their one pair only, by one LU
+    # solve per step, and validate solves nothing; eigendecompose (zgeev) is the
+    # dense reference of the tests and the benchmark harness
     def full_solve(*args, **kwargs):
-        raise AssertionError("full eigendecomposition run")
+        raise AssertionError("full eigendecomposition or inverse run")
 
     monkeypatch.setattr(np.linalg, "eig", full_solve)
+    monkeypatch.setattr(np.linalg, "inv", full_solve)
     p = SystemParams(-20.0, -5.0, -3.3, -1.0, 1.0, 2, 6)
     assert track_coherence(p, [0.0, 0.5, 1.0], n_workers=2).eigenvalues.size == 3
     assert len(fidelity_sweep(p, [0.0, 0.5, 1.0])) == 9
