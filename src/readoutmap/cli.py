@@ -10,6 +10,11 @@ Subcommands map one-to-one onto plot-ready data products:
   compare-gambetta  two-level-model dephasing vs ours, with the chi offset
   validate          every section's reader and the commands' pre-flight rules, as JSON
 
+One parser reads every command: `readoutmap <command> --config PATH [--out PATH]
+[--threads N] [--no-header]`, the options before or after the command. A usage
+error (no or unknown command, no --config, a --threads that is not an int)
+exits 2 with argparse's usage line and message.
+
 All frequencies in configs are cyclic MHz; times are ns. Every config value
 is read by model.read_section: an error in the system keys, the pulse or
 'out' exits 2 ("config error:"), one in a command's section exits 1
@@ -329,13 +334,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="readoutmap",
                                      description="dispersive-readout effective map toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_COMMANDS) + ["validate"]:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="JSON config path")
-        sp.add_argument("--out", default=None, help="output path")
-        sp.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-        sp.add_argument("--no-header", action="store_true", help="omit CSV header rows")
+    parser.add_argument("command", choices=[*_COMMANDS, "validate"], help="data product")
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default=None, help="output path")
+    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
+    parser.add_argument("--no-header", action="store_true", help="omit CSV header rows")
     args = parser.parse_args(argv)
 
     try:

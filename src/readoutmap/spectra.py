@@ -23,7 +23,7 @@ reference that the tests and the benchmark harness use; no command calls it.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,11 +61,14 @@ class EigenPair:
 class CoherenceTrack:
     """|1><0| coherence eigenvalue followed over a drive-amplitude grid.
 
+    eigenvalues are delta_ad + E', with E' the eigenvalue solved at delta_ad = 0;
+    stark is Re E', kept apart so that its digits do not depend on |delta_ad|.
     vectors are unit eigenvectors of the (1, 0) sector block, ordered
     (n_cl, n_cr) row-major like liouville.sector_generator."""
 
     omega_c: np.ndarray
     eigenvalues: np.ndarray
+    stark: np.ndarray
     overlaps: np.ndarray
     photons: np.ndarray
     vectors: list[np.ndarray]
@@ -181,6 +184,11 @@ def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> C
     and solved: Hu conserves n_al and n_ar, so the |1><0| eigenvector has no
     weight outside that block. Every vector stays in that block's basis.
 
+    The bare qubit splitting enters that block only as delta_ad * I, so the
+    block is solved in the frame delta_ad = 0 and delta_ad is added to the
+    eigenvalue afterwards: the Stark shift and the dephasing keep their
+    digits at any |delta_ad|.
+
     The grid must start at omega_c = 0, where the eigenvector is the exact
     basis state |0_cl, 0_cr> (block entry 0) with eigenvalue delta_ad. Each
     other point is solved on its own by eigenpair_near's inverse iteration,
@@ -198,16 +206,18 @@ def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> C
 
     from .eigenstates import closed_form_eigenpair  # eigenstates imports this module
 
+    frame = replace(params, delta_ad=0.0)
+
     def solve(omega):
-        shift, start = closed_form_eigenpair(params, 1, 0, omega)
-        return _inverse_iteration(sector_generator(params, 1, 0, omega), shift, start)
+        shift, start = closed_form_eigenpair(frame, 1, 0, omega)
+        return _inverse_iteration(sector_generator(frame, 1, 0, omega), shift, start)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         pairs = list(pool.map(solve, grid[1:]))
 
     seed = np.zeros(params.n_c ** 2, dtype=complex)
     seed[0] = 1.0
-    eigenvalues = [complex(params.delta_ad)]
+    eigenvalues = [0j]  # in the frame
     overlaps = [1.0]
     vectors = [seed]
     for omega, pair in zip(grid[1:], pairs):
@@ -216,15 +226,15 @@ def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> C
         vectors.append(pair.vector)
 
     photons = np.array([steady_state(params, w)[1] for w in grid])
-    return CoherenceTrack(omega_c=grid, eigenvalues=np.asarray(eigenvalues),
+    shifts = np.asarray(eigenvalues)
+    return CoherenceTrack(omega_c=grid, eigenvalues=params.delta_ad + shifts, stark=shifts.real,
                           overlaps=np.asarray(overlaps), photons=photons, vectors=vectors)
 
 
 def extract_rates(track: CoherenceTrack, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point (stark, gamma_phi) in MHz from the tracked eigenvalue."""
-    stark = track.eigenvalues.real - params.delta_ad
-    gamma_phi = -track.eigenvalues.imag
-    return stark, gamma_phi
+    """Per-point (stark, gamma_phi) in MHz from the tracked eigenvalue: the
+    track's offset-free Re E - delta_ad, and -Im E (params is not read)."""
+    return track.stark, -track.eigenvalues.imag
 
 
 def write_track_csv(path, track: CoherenceTrack, params: SystemParams, header: bool = True,

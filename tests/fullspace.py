@@ -1,7 +1,8 @@
 """Full-space references for the tests: the single-copy Kerr Hamiltonian
 over |n_a, n_c>, its lowering operators, the trace functional and the
 Lindblad generator assembled directly from the flattening identities; the
-dense RK4 stepper of the doubled-space density matrix (propagate); and the
+dense RK4 stepper of the doubled-space density matrix (propagate); the
+one-step-at-a-time RK4 of a scalar linear ODE (rk4_reference); and the
 per-interval walk of the exact coherence (coherence_walk).
 
 The package builds the doubled-space generator one qubit-sector block at a
@@ -335,6 +336,23 @@ def qubit_block(blocks: np.ndarray) -> np.ndarray:
 def _scalar_geometric(q: complex, log_q: complex, n: int) -> complex:
     """q + q^2 + ... + q^n, with log_q the logarithm of q."""
     return complex(n) if log_q == 0 else q * np.expm1(n * log_q) / np.expm1(log_q)
+
+
+def rk4_reference(mu, f, fm, h, z0):
+    """Classic RK4 for du/dt = mu*u + f, one step at a time (the reference of
+    response._rk4_linear): f at the grid points, fm at the interval midpoints,
+    signed step h."""
+    u = np.empty(len(f), dtype=complex)
+    z = complex(z0)
+    u[0] = z
+    for k in range(len(f) - 1):
+        k1 = mu * z + f[k]
+        k2 = mu * (z + 0.5 * h * k1) + fm[k]
+        k3 = mu * (z + 0.5 * h * k2) + fm[k]
+        k4 = mu * (z + h * k3) + f[k + 1]
+        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u[k + 1] = z
+    return u
 
 
 def coherence_walk(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -47,6 +48,56 @@ def test_empty_sweep_is_an_error(tmp_path, capsys):
     rc = main(["rates-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "point" in capsys.readouterr().err
+
+
+COMMANDS = ["rates-sweep", "benchmark-eig", "transient", "spectrum-grid", "propagate",
+            "compare-gambetta", "validate"]
+
+
+def test_main_builds_one_parser(tmp_path, monkeypatch):
+    built, original = [], argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cfg = write_config(tmp_path, "c.json", {**BASE, "spectrum_grid": {}})
+    assert main(["spectrum-grid", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+    assert built == ["readoutmap"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command, --config"),
+    (["bogus", "--config", "c.json"], "argument command: invalid choice: 'bogus'"),
+    (["propagate"], "the following arguments are required: --config"),
+    (["propagate", "--config", "c.json", "--threads", "z"],
+     "argument --threads: invalid int value: 'z'"),
+])
+def test_usage_errors_exit_2_with_the_usage_line(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("usage: readoutmap ")
+    assert lines[-1].startswith(f"readoutmap: error: {message}")
+    assert not any("Traceback" in ln for ln in lines)
+
+
+def test_help_exits_0_and_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in COMMANDS)
+
+
+def test_options_may_come_before_the_command(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {**BASE, "spectrum_grid": {}})
+    after, before = tmp_path / "after.csv", tmp_path / "before.csv"
+    assert main(["spectrum-grid", "--config", cfg, "--out", str(after), "--no-header"]) == 0
+    assert main(["--no-header", "--out", str(before), "--config", cfg, "spectrum-grid"]) == 0
+    assert before.read_bytes() == after.read_bytes()
 
 
 def test_rates_sweep_single_peak(tmp_path):
@@ -474,6 +525,24 @@ def test_benchmark_eig_warns_when_the_truncation_is_too_small(tmp_path, capsys):
                  "--out", str(out)]) == 0
     assert capsys.readouterr().err == ""
     assert len(read_rows(out)) == 11
+
+
+def test_benchmark_eig_rates_do_not_depend_on_the_qubit_splitting(tmp_path, capsys):
+    # the (1, 0) block carries delta_ad only as delta_ad * I: solved without it, the
+    # Stark shift and the dephasing are the same strings at any delta_ad, up to 1e200,
+    # where the block's Frobenius norm would overflow
+    with open(os.path.join(CONFIGS, "benchmark_eig.json")) as fh:
+        payload = json.load(fh)
+    rates = []
+    for delta_ad in (-2005.0, 1e12, 1e200):
+        out = tmp_path / "bench.csv"
+        cfg = write_config(tmp_path, "c.json", {**payload, "delta_ad_mhz": delta_ad})
+        assert main(["benchmark-eig", "--config", cfg, "--out", str(out)]) == 0
+        assert "error" not in capsys.readouterr().err
+        rows = read_rows(out)
+        assert [float(row["re_E_mhz"]) for row in rows[:1]] == [delta_ad]
+        rates.append([(row["stark_mhz"], row["gamma_phi_mhz"]) for row in rows])
+    assert len(rates[0]) == 13 and rates[1] == rates[0] and rates[2] == rates[0]
 
 
 def test_load_config_roundtrip(tmp_path):

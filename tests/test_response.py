@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from readoutmap.effective import rates
 from readoutmap.model import RAD_PER_MHZ_NS, PulseSpec, SystemParams
 from readoutmap.response import (_rk4_linear, coherence_at, max_stable_dt, peak_photon, solve_eta,
                                  steady_state)
-from fullspace import coherence_walk, propagate, qubit_block
+from fullspace import coherence_walk, propagate, qubit_block, rk4_reference
 
 P = SystemParams(delta_ad=0.0, delta_cd=-5.0, alpha_a=0.0, chi_ac=-1.0, kappa_c=1.0,
                  n_a=2, n_c=14)
@@ -23,20 +24,16 @@ def step_response(params, omega_c, t_ns):
     return eta_ss * (1.0 - np.exp(-beta * np.asarray(t_ns)))
 
 
-def rk4_reference(mu, f, fm, h, z0):
-    """Classic RK4 for du/dt = mu*u + f, one step at a time (independent oracle):
-    f at the grid points, fm at the interval midpoints, signed step h."""
-    u = np.empty(len(f), dtype=complex)
-    z = complex(z0)
-    u[0] = z
-    for k in range(len(f) - 1):
-        k1 = mu * z + f[k]
-        k2 = mu * (z + 0.5 * h * k1) + fm[k]
-        k3 = mu * (z + 0.5 * h * k2) + fm[k]
-        k4 = mu * (z + h * k3) + f[k + 1]
-        z = z + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        u[k + 1] = z
-    return u
+B = response._BLOCK  # steps per block of the scan
+
+
+def at_block_edges(test):
+    """Examples with grids of B-2 .. B+1 and 2B steps (n = grid points), both step signs:
+    a grid that ends one step before, on, or one step after a block edge."""
+    for n in (B - 1, B, B + 1, B + 2, 2 * B + 1):
+        for sign in (1.0, -1.0):
+            test = example(n=n, h=0.1, h_sign=sign, a_abs=0.05, a_phase=2.0, seed=n)(test)
+    return test
 
 
 @settings(max_examples=150, deadline=None)
@@ -51,6 +48,7 @@ def rk4_reference(mu, f, fm, h, z0):
 # long grids, so the block-end carry crosses many block boundaries
 @example(n=5000, h=0.1, h_sign=1.0, a_abs=0.05, a_phase=0.0, seed=2)     # growing kernel
 @example(n=5000, h=0.1, h_sign=1.0, a_abs=0.05, a_phase=np.pi, seed=3)   # decaying kernel
+@at_block_edges
 def test_rk4_linear_matches_stepwise_reference(n, h, h_sign, a_abs, a_phase, seed):
     rng = np.random.default_rng(seed)
     h = h_sign * h
@@ -67,6 +65,8 @@ def test_rk4_linear_matches_stepwise_reference(n, h, h_sign, a_abs, a_phase, see
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 5), n=st.integers(1, 300), a_abs=st.floats(0.0, 0.05),
        a_phase=st.floats(0.0, 2.0 * np.pi), seed=st.integers(0, 2**32 - 1))
+@example(rows=5, n=2 * B + 1, a_abs=0.05, a_phase=1.0, seed=4)  # whole blocks
+@example(rows=3, n=3 * B - 4, a_abs=0.05, a_phase=4.0, seed=5)  # a last block 3 short
 def test_rk4_linear_scans_a_batch_of_trajectories(rows, n, a_abs, a_phase, seed):
     # leading axes are independent trajectories with their own z0 and the same mu, h
     rng = np.random.default_rng(seed)
@@ -82,6 +82,23 @@ def test_rk4_linear_scans_a_batch_of_trajectories(rows, n, a_abs, a_phase, seed)
         assert np.max(np.abs(got[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
     # a scalar z0 starts every trajectory
     assert np.array_equal(_rk4_linear(mu, f, fm, h, 0.0)[..., 0], np.zeros((rows, 2)))
+
+
+@pytest.mark.parametrize("shape", [(14001,), (16, 251)])
+def test_rk4_linear_peak_memory_is_a_few_outputs(shape):
+    # the scan holds g, one padded copy of it with the carries, and the output:
+    # measured peaks 2.3x and 2.5x the output's bytes
+    rng = np.random.default_rng(6)
+    f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    fm = 0.5 * (f[..., :-1] + f[..., 1:])
+    tracemalloc.start()
+    try:
+        out = _rk4_linear(-0.01 + 0.05j, f, fm, 0.1, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == shape
+    assert peak <= 4 * out.nbytes
 
 
 @settings(max_examples=60, deadline=None)
