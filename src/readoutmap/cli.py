@@ -227,7 +227,7 @@ def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -
     p = config.params
     track = spectra.track_coherence(p, grid, n_workers=threads)
     pert = [effective.rates(p, n) for n in track.photons]
-    spectra.write_track_csv(out, track, p, header=header,
+    spectra.write_track_csv(out, track, header=header,
                             extra_cols={"gamma_phi_pert_mhz": [r.dephasing for r in pert],
                                         "stark_pert_mhz": [r.stark for r in pert]})
 

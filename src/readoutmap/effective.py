@@ -105,18 +105,6 @@ def spectrum_matrix(params: SystemParams, levels: int, photon: float) -> np.ndar
     return effective_spectrum(params, n[:, None], n[None, :], photon)
 
 
-def generator_eigenvalue(params: SystemParams, n_al: int, n_ar: int, photon: float) -> complex:
-    """Same eigenvalue assembled term by term from the effective generator:
-    first-order shift, level-dressed second-order terms, and the cross term.
-    Used as an internal cross-check of the closed forms."""
-    chi, k = params.chi_ac, params.kappa_c
-    dl = detuning_l(params, n_al)
-    dr = detuning_r(params, n_ar)
-    return (2.0 * chi * photon * (n_al - n_ar)
-            - 4.0 * chi**2 * photon * (n_al**2 / dl - n_ar**2 / dr)
-            + 4.0j * chi**2 * k * photon * n_al * n_ar / (dl * dr))
-
-
 def rates(params: SystemParams, photon: float) -> RatePair:
     """Stark shift and dephasing of the |1><0| coherence at the given photon
     number: the real and negative imaginary parts of E_{1,0}.

@@ -20,7 +20,8 @@ conserves n_al and n_ar, so a (n_al, n_ar) ansatz and its exact partner live
 in that one qubit sector: every vector here is a block vector over
 (n_cl, n_cr), the basis of that sector's n_c^2 x n_c^2 block
 (liouville.sector_generator). The exact partner is the block's eigenvector at
-the closed-form eigenvalue, solved for alone (spectra.eigenpair_near).
+the closed-form eigenvalue, solved for alone (spectra.eigenpair_near, each step
+n_c small solves over the block's ket levels n_cl).
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
     Raises TrackingLostError when its overlap with the ansatz drops to 0.5
     (the ansatz is too far from exact)."""
     block, shift = _sector(params, state.n_al, state.n_ar, omega_c)
-    return eigenpair_near(block, shift, state.vector).vector
+    return eigenpair_near(block, shift, state.vector, _levels=params.n_c).vector
 
 
 def eigenstate_fidelity(state: PerturbativeEigenstate, params: SystemParams,
@@ -196,7 +197,7 @@ def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int]
         eta_ss, _ = steady_state(params, omega)
         states = [perturbative_eigenstate(labels, params, eta_ss, o) for o in orders]
         block, lam = _sector(params, *labels, omega)
-        exact = eigenpair_near(block, lam, states[-1].vector).vector
+        exact = eigenpair_near(block, lam, states[-1].vector, _levels=params.n_c).vector
         for state in states:
             rows.append({
                 "omega_c_mhz": float(omega),

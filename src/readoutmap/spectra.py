@@ -8,9 +8,24 @@ eigenpair has a closed form (eigenstates.closed_form_eigenpair, the polaron
 picture) that is exact up to Fock truncation. A drive sweep therefore solves
 for that one pair only: inverse iteration (eigenpair_near) on the block,
 shifted by the closed-form eigenvalue and started from the closed-form vector,
-with one LU solve per step, stopped by the stall or a rounding-level
-residual; from the closed-form start one step is usually enough. numpy
-releases the GIL in the solve, so the points of a threaded sweep overlap.
+stopped by the stall or a rounding-level residual; from the closed-form start
+one step is usually enough.
+
+Each step solves the shifted block as the block-tridiagonal matrix it is. The
+drive moves n_cl by +-1, the jump lowers n_cl and n_cr together and -h_r*
+keeps n_cl, so in the (n_cl, n_cr) order every n_c x n_c block between ket
+levels more than one apart is an exact zero, and a solve is n_c small LU
+solves (_block_solve): O(n_c^4) work in place of the dense O(n_c^6). There is
+no pivoting between the blocks. At kappa_c > 0 its backward error stays at
+rounding level; at kappa_c = 0 the block is Hermitian and a Schur complement
+can come near singular, so it has a longer tail (measured up to 3e-12
+normwise), which the iteration's residual gate sees like any other error.
+Also at kappa_c = 0 a diagonal sector's eigenvalue 0 is n_c-fold degenerate:
+the iteration returns some eigenvector of that eigenspace, at a rounding-level
+residual, and which one depends on how the block is solved. The small solves
+are short numpy calls that hold the GIL most of the time, so the threads of a
+sweep hardly overlap.
+
 Each tracked vector must still overlap the previous grid point's
 (continuation check); its real part renormalizes the qubit frequency (Stark
 shift) and its negative imaginary part is the measurement-induced dephasing
@@ -108,9 +123,40 @@ def eigendecompose(op: np.ndarray) -> EigenSet:
     return EigenSet(eigenvalues=w, eigenvectors=v, residuals=residuals)
 
 
-def _inverse_iteration(op: np.ndarray, shift: complex, start: np.ndarray) -> EigenPair:
-    """The eigenpair nearest shift, ungated. Each step takes one LU solve of
-    (op - shift*I) w = v (numpy's solve) and the next iterate is the unit w,
+def _block_solve(mat: np.ndarray, shift: complex, v: np.ndarray, levels: int) -> np.ndarray:
+    """w with (mat - shift*I) w = v, for mat block tridiagonal over levels x levels
+    equal m x m blocks: B[i, j], the block from level i to level j of mat - shift*I,
+    is zero for |i - j| > 1.
+
+    Block LU with no pivoting between blocks, eliminated from the last level down to
+    the first, so that the near-singular pivot of a shift at an eigenvalue is met in
+    the last small solve. From S_{l-1} = B[l-1, l-1] and y_{l-1} = v_{l-1} (l = levels):
+    X_i = S_i^-1 [B[i, i-1] | y_i], S_{i-1} = B[i-1, i-1] - B[i-1, i] X_i[:, :m] and
+    y_{i-1} = v_{i-1} - B[i-1, i] X_i[:, m]; then w_0 = S_0^-1 y_0 and
+    w_i = X_i[:, m] - X_i[:, :m] w_{i-1}. Each S^-1 is numpy's LU solve with partial
+    pivoting within its block. The blocks are views of mat. levels = 1 is any square
+    matrix: the loop is empty and the one solve is of the whole shifted matrix."""
+    m = v.size // levels
+    b = mat.reshape(levels, m, levels, m)
+    y = v.reshape(levels, m)
+    lam = np.diag(np.full(m, shift))
+    s, rhs, xs = b[-1, :, -1] - lam, y[-1], []
+    for i in range(levels - 1, 0, -1):
+        x = np.linalg.solve(s, np.concatenate((b[i, :, i - 1], rhs[:, None]), axis=1))
+        t = b[i - 1, :, i] @ x
+        s, rhs = b[i - 1, :, i - 1] - lam - t[:, :m], y[i - 1] - t[:, m]
+        xs.append(x)
+    w = [np.linalg.solve(s, rhs)]
+    for x in reversed(xs):
+        w.append(x[:, m] - x[:, :m] @ w[-1])
+    return np.concatenate(w)
+
+
+def _inverse_iteration(op: np.ndarray, shift: complex, start: np.ndarray,
+                       levels: int = 1) -> EigenPair:
+    """The eigenpair nearest shift, ungated. Each step solves (op - shift*I) w = v
+    (_block_solve over levels diagonal blocks; a sector block of Hu is block
+    tridiagonal over its n_c ket levels n_cl) and the next iterate is the unit w,
     phase-aligned to v. It stops when the iterate's Rayleigh residual is at
     rounding level (STALL * eps * sqrt(dim) * |op|_F), when the iterate stops
     changing, or after MAX_ITERATIONS steps. w is scaled by its largest entry
@@ -121,19 +167,16 @@ def _inverse_iteration(op: np.ndarray, shift: complex, start: np.ndarray) -> Eig
     still finds that eigenvector."""
     mat = _finite(op)
     scale = float(np.linalg.norm(mat))
-    shifted = mat.copy()
-    np.fill_diagonal(shifted, mat.diagonal() - shift)
     v = np.asarray(start, dtype=complex)
     v = v / np.linalg.norm(v)
     rounding = STALL * np.finfo(float).eps * np.sqrt(v.size)
     for _ in range(MAX_ITERATIONS):
         try:
-            w = np.linalg.solve(shifted, v)
+            w = _block_solve(mat, shift, v, levels)
         except np.linalg.LinAlgError:
             w = None
         if w is None or not np.all(np.isfinite(w)):
-            np.fill_diagonal(shifted, mat.diagonal() - (shift + np.spacing(scale)))
-            w = np.linalg.solve(shifted, v)
+            w = _block_solve(mat, shift + np.spacing(scale), v, levels)
         w /= np.max(np.abs(w))
         w /= np.linalg.norm(w)
         phase = np.vdot(v, w)
@@ -160,19 +203,23 @@ def _accept(pair: EigenPair, anchor: np.ndarray, where: str) -> float:
     return overlap
 
 
-def eigenpair_near(op: np.ndarray, shift: complex, start: np.ndarray) -> EigenPair:
+def eigenpair_near(op: np.ndarray, shift: complex, start: np.ndarray, *,
+                   _levels: int = 1) -> EigenPair:
     """The one eigenpair of op whose eigenvalue is nearest shift, by inverse
     iteration from start.
 
-    Each step is one LU solve of op - shift*I, stopped by the stall or a
+    Each step is one solve of op - shift*I, stopped by the stall or a
     rounding-level residual (an exact eigenvalue as shift is stepped off by
-    one rounding unit of |op|). The eigenvalue is the Rayleigh quotient of the
-    converged unit vector. Raises ValueError on non-finite entries,
+    one rounding unit of |op|). The solve is one LU solve of the whole matrix;
+    the sector callers (eigenstates) pass _levels = n_c, and the solve is then
+    n_c small LU solves of the block-tridiagonal sector block (_block_solve).
+    The eigenvalue is the Rayleigh quotient of the converged unit vector.
+    Raises ValueError on non-finite entries,
     TrackingLostError when the pair found overlaps start by 0.5 or less
     (|start^H v| / |start|: it is another branch than the one start guessed),
     and then AccuracyError when the residual exceeds 1e-8 |op|_F, e.g. for a
     shift midway between two eigenvalues, where the iterate never settles."""
-    pair = _inverse_iteration(op, shift, start)
+    pair = _inverse_iteration(op, shift, start, _levels)
     _accept(pair, start / np.linalg.norm(start), f" near eigenvalue {complex(shift):.6g}")
     return pair
 
@@ -210,7 +257,8 @@ def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> C
 
     def solve(omega):
         shift, start = closed_form_eigenpair(frame, 1, 0, omega)
-        return _inverse_iteration(sector_generator(frame, 1, 0, omega), shift, start)
+        return _inverse_iteration(sector_generator(frame, 1, 0, omega), shift, start,
+                                  params.n_c)
 
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         pairs = list(pool.map(solve, grid[1:]))
@@ -231,17 +279,17 @@ def track_coherence(params: SystemParams, omega_c_grid, n_workers: int = 1) -> C
                           overlaps=np.asarray(overlaps), photons=photons, vectors=vectors)
 
 
-def extract_rates(track: CoherenceTrack, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+def extract_rates(track: CoherenceTrack) -> tuple[np.ndarray, np.ndarray]:
     """Per-point (stark, gamma_phi) in MHz from the tracked eigenvalue: the
-    track's offset-free Re E - delta_ad, and -Im E (params is not read)."""
+    track's offset-free Re E - delta_ad, and -Im E."""
     return track.stark, -track.eigenvalues.imag
 
 
-def write_track_csv(path, track: CoherenceTrack, params: SystemParams, header: bool = True,
+def write_track_csv(path, track: CoherenceTrack, header: bool = True,
                     extra_cols: dict[str, np.ndarray] | None = None) -> None:
     """Columns: omega_c_mhz, n_c_photons, re_E_mhz, im_E_mhz, stark_mhz,
     gamma_phi_mhz, overlap (plus any extra columns appended in order)."""
-    stark, gamma = extract_rates(track, params)
+    stark, gamma = extract_rates(track)
     columns = {"omega_c_mhz": track.omega_c, "n_c_photons": track.photons,
                "re_E_mhz": track.eigenvalues.real, "im_E_mhz": track.eigenvalues.imag,
                "stark_mhz": stark, "gamma_phi_mhz": gamma, "overlap": track.overlaps}

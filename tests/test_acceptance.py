@@ -100,7 +100,7 @@ def test_criterion_04_gambetta_equivalence():
 
 def test_criterion_05_eigenvalue_benchmark(bench_track):
     track, elapsed = bench_track
-    _, gamma = extract_rates(track, BENCH)
+    _, gamma = extract_rates(track)
     photons = track.photons
     ratios = gamma[1:] / np.array([rates(BENCH, n).dephasing for n in photons[1:]])
     low = photons[1:] <= 0.5

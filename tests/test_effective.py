@@ -5,12 +5,24 @@ from hypothesis import strategies as st
 
 from readoutmap.effective import (adiabatic_correlations, choi_cptp_check, dephasing_choi,
                                   effective_lindblad, effective_map_apply, effective_spectrum,
-                                  gambetta_rates, generator_eigenvalue, rates, spectrum_matrix,
-                                  stark_orders, write_rates_sweep_csv, write_spectrum_grid_csv)
-from readoutmap.model import SystemParams
+                                  gambetta_rates, rates, spectrum_matrix, stark_orders,
+                                  write_rates_sweep_csv, write_spectrum_grid_csv)
+from readoutmap.model import SystemParams, detuning_l, detuning_r
 
 BENCH = SystemParams(-2005.0, -5.0, -330.0, -1.0, 1.0, 2, 14)
 GRID10 = SystemParams(0.0, -5.0, 0.0, -1.0, 1.0, 3, 2)  # spectrum-grid working point
+
+
+def generator_eigenvalue(params, n_al, n_ar, photon):
+    """E_{n_al,n_ar} assembled term by term from the effective generator:
+    first-order shift, level-dressed second-order terms, and the cross term
+    (an independent cross-check of the closed form)."""
+    chi, k = params.chi_ac, params.kappa_c
+    dl = detuning_l(params, n_al)
+    dr = detuning_r(params, n_ar)
+    return (2.0 * chi * photon * (n_al - n_ar)
+            - 4.0 * chi**2 * photon * (n_al**2 / dl - n_ar**2 / dr)
+            + 4.0j * chi**2 * k * photon * n_al * n_ar / (dl * dr))
 
 
 def scalar_reference(params, n_al, n_ar, photon):
