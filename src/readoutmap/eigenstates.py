@@ -150,7 +150,9 @@ def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
 
 def eigenstate_fidelity(state: PerturbativeEigenstate, params: SystemParams,
                         omega_c: float, exact: np.ndarray | None = None) -> float:
-    """Infidelity 1 - |<pert|exact>|^2 against the exact static eigenvector.
+    """Infidelity 1 - |<pert|exact>|^2 against the exact static eigenvector,
+    taken as |exact - <pert|exact> pert|^2: the squared norm of the part of the
+    unit exact orthogonal to the unit pert, which does not cancel when small.
 
     The state must have been built with the steady-state amplitude of
     omega_c. A precomputed exact vector can be passed to amortize the
@@ -161,7 +163,8 @@ def eigenstate_fidelity(state: PerturbativeEigenstate, params: SystemParams,
                          f"has steady-state amplitude {eta_ss}")
     if exact is None:
         exact = exact_eigenvector(state, params, omega_c)
-    return float(1.0 - abs(np.vdot(state.vector, exact)) ** 2)
+    orthogonal = exact - np.vdot(state.vector, exact) * state.vector
+    return float(np.vdot(orthogonal, orthogonal).real)
 
 
 def residual_norm(state: PerturbativeEigenstate, params: SystemParams, omega_c: float) -> float:

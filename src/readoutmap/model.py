@@ -139,22 +139,21 @@ def sg_envelope(t, pulse: PulseSpec):
     return float(out[0]) if scalar else out
 
 
-def constant_envelope(pulse: PulseSpec, t0: float, t1: float) -> float | None:
-    """The value sg_envelope gives on all of [t0, t1] (ns) when its own
-    branches make it constant there, else None.
+def constant_envelope(pulse: PulseSpec, t0, t1) -> np.ndarray:
+    """For each interval [t0, t1] (ns) of the broadcast arrays t0, t1: the value
+    sg_envelope gives on all of it when its own branches make it constant there,
+    else NaN; an array of their broadcast shape (0-d for scalars).
 
     That is 1.0 for a constant pulse, 1.0 strictly inside the flat top
     (tau_r < t0 and t1 < tau_p - tau_r) and 0.0 strictly after the pulse
     (t0 > tau_p). Any interval that overlaps a ramp or touches a branch point
-    gives None, even where the envelope happens to be constant.
+    gives NaN, even where the envelope happens to be constant.
     """
+    t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
     if pulse.kind == "constant":
-        return 1.0
-    if pulse.tau_r < t0 and t1 < pulse.tau_p - pulse.tau_r:
-        return 1.0
-    if t0 > pulse.tau_p:
-        return 0.0
-    return None
+        return np.ones(t0.shape)
+    top = (pulse.tau_r < t0) & (t1 < pulse.tau_p - pulse.tau_r)
+    return np.where(top, 1.0, np.where(t0 > pulse.tau_p, 0.0, np.nan))
 
 
 def envelope_derivatives(t, pulse: PulseSpec, order: int):

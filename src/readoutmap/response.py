@@ -18,10 +18,10 @@ noise-free.
 `coherence_at` evaluates the recurrence only at given samples of a long grid:
 it runs the recurrences of two qubit levels' dressed resonators, integrates
 their product into the exact coherence that `propagate` writes, and returns
-both sampled amplitudes with it (alpha_0 = eta at level 0). Each interval
-between samples is an affine map of the carries: constant ones in closed form,
-the others scanned together in batches of a fixed step budget, so the Python
-work is O(1) per interval and memory does not grow with the grid.
+both sampled amplitudes with it (alpha_0 = eta at level 0). It walks maximal
+runs of sample intervals: constant runs in closed form, every other run scanned
+once per level a fixed step budget at a time, so the Python work is O(1) per
+run and memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _geometric(q: complex, log_q: complex, n: np.ndarray) -> np.ndarray:
     return q * np.expm1(n * log_q) / np.expm1(log_q)
 
 
-_BATCH = 1 << 12  # padded steps of the ramp intervals that coherence_at scans in one batch
+_BATCH = 1 << 14  # steps of a non-constant run that coherence_at scans in one _rk4_linear call
 
 
 def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
@@ -246,20 +246,21 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
     with no Fock truncation; I is the trapezoid rule plus the Euler-Maclaurin end term
     (dt^2/12) (g'(0) - g'(t)), g' = (alpha_m alpha_n^*)' from the ODE: O(dt^4), as RK4.
 
-    The intervals between distinct indices are taken in four passes, so each costs O(1)
-    Python work and memory is O(largest interval + _BATCH steps), not O(grid):
-    1. model.constant_envelope classifies each interval once;
-    2. the intervals it does not prove constant (all of them when the grid is shorter
-       than a level's response time 1/|mu|, r == 1 included) are scanned together from
-       zero carry, a batch of at most _BATCH padded steps per batched _rk4_linear call
-       and level: the particular solutions p;
-    3. an interval of L steps moves each carry as u + (u - s)(r^L - 1) + p[L], with s
-       the fixed point of a constant interval (there p = 0; the form does not cancel
-       where |s| >> |u|) and s = 0 on a scanned one; one scalar loop chains them;
-    4. an interval's sum of alpha_m alpha_n^* is bilinear in its start carries: four
-       geometric sums about the fixed points on a constant interval, the geometric
-       sum of r_m r_n^* and three dot products of p with the powers of r on a scanned
-       one; cumulative sums then give the integrals at every index.
+    The intervals between distinct indices are walked in maximal runs of consecutive
+    intervals, so the Python work is O(1) per run and memory is O(intervals + _BATCH
+    steps), not O(grid):
+    1. one array call of model.constant_envelope classifies every interval; a run is
+       a stretch at one constant level, or one of intervals it does not prove constant
+       (all of them when the grid is shorter than a level's response time 1/|mu|,
+       r == 1 included);
+    2. on a constant run each recurrence is s + b r^k about its fixed point s, so the
+       carry k steps in is u_0 + (u_0 - s) expm1(k log r) at every edge at once (the
+       form does not cancel where |s| >> |u|), and an interval's sum of
+       alpha_m alpha_n^* is four geometric sums about the fixed points in its start
+       carries;
+    3. any other run is scanned once per level from its start carry by _rk4_linear,
+       at most _BATCH steps a call, and the carries, the drive and the running sum of
+       alpha_m alpha_n^* are read at its edges.
 
     Raises ValueError for a bad grid, dt above max_stable_dt of either level, indices
     off the grid or out of order, and a coherence that is not finite (its phase overflows).
@@ -278,71 +279,48 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
     # and those sums cancel. Such a level (as one with r == 1, no fixed point) is scanned
     closed = min(abs(x) for x in mu) * (n_steps * dt) >= 1.0
 
-    # 1. the intervals edges[j]..edges[j + 1]; entry j + 1 of the per-edge arrays is their end
+    # the intervals edges[j]..edges[j + 1], at their constant level or inf where scanned
     edges = np.append(0, idx)
     edges = edges[np.diff(edges, prepend=-1) > 0]  # the distinct indices, from 0
-    starts, steps = edges[:-1], np.diff(edges)
+    steps = np.diff(edges)
     half = dt / 2.0
-    env = np.array([np.nan if level is None else level for level in
-                    (constant_envelope(pulse, (2 * a) * half, (2 * b) * half)
-                     for a, b in zip(starts.tolist(), edges[1:].tolist()))])
-    flat = ~np.isnan(env) & closed
-    e = np.expm1(np.multiply.outer(log_r, steps))  # r^L - 1 of each level and interval
-    gm, gn, gq = (_geometric(x, y, steps) for x, y in zip((*r, q), (*log_r, log_q)))
-    s = np.zeros((2, steps.size), dtype=complex)  # fixed points, or 0 on a scanned interval
-    f_end = np.zeros(edges.size, dtype=complex)  # the drive at each edge
-    f_end[1:][flat] = drive * env[flat]
-    for level in set(env[flat].tolist()):  # s = g / (1 - r) for the constant g[j] of this level
-        const = np.full(2, drive * level)
-        s[:, flat & (env == level)] = [[complex(_rk4_recurrence(x, const, const[1:], dt)[1][0])
-                                        / -y] for x, y in zip(mu, w)]
-
-    # 2. the scanned intervals: particular end values p[L] and sums over steps 1..L of
-    # r_m^i p_n^*[i], p_m[i] r_n^*i and p_m[i] p_n^*[i]
-    p_end = np.zeros((2, steps.size), dtype=complex)
-    sums = np.zeros((3, steps.size), dtype=complex)
-    scanned = np.flatnonzero(~flat)
-    powers = np.arange(1, int(steps[scanned].max(initial=0)) + 1)
-    rm, rn_conj = np.exp(powers * log_r[0]), np.exp(powers * log_r[1]).conj()  # r^1, r^2, ...
-    per_batch = max(1, _BATCH // (_BLOCK * max(1, -(-powers.size // _BLOCK))))  # padded rows
-    for first in range(0, scanned.size, per_batch):
-        rows = scanned[first:first + per_batch]
-        length = steps[rows]
-        widest = int(length.max())
-        t = np.arange(2 * widest + 1.0) + 2.0 * starts[rows, None]
-        t *= half
-        shape = sg_envelope(t, pulse)
-        f, fm = shape[:, 0::2], shape[:, 1::2]
-        # the scan is linear in the drive: scan the envelope, then scale the result
-        pm, pn = (_rk4_linear(x, f, fm, dt, 0.0)[:, 1:] for x in mu)
-        outside = np.arange(1, widest + 1) > length[:, None]
-        for part in (pm, pn):
-            part[outside] = 0.0
-            part *= drive
-        last = np.arange(rows.size), length - 1
-        p_end[:, rows] = pm[last], pn[last]
-        f_end[rows + 1] = drive * f[last[0], length]
-        np.conjugate(pn, out=pn)
-        sums[:, rows] = (pn @ rm[:widest], pm @ rn_conj[:widest],
-                         np.einsum("ij,ij->i", pm, pn))
-
-    # 3. the carries at every edge
-    carry_m, carry_n = [0j], [0j]
-    um = un = 0j
-    for em, en, sm, sn, dm, dn in zip(*e.tolist(), *s.tolist(), *p_end.tolist()):
-        um = um + (um - sm) * em + dm
-        un = un + (un - sn) * en + dn
-        carry_m.append(um)
-        carry_n.append(un)
-    carry = np.array([carry_m, carry_n])
-
-    # 4. each interval's sum of alpha_m alpha_n^*, from its start carries c
-    cm, cn = carry[:, :-1]
-    bm, bn = cm - s[0], cn - s[1]
-    terms = np.where(flat, steps * s[0] * s[1].conj() + s[0] * (bn * gn).conj()
-                     + bm * s[1].conj() * gm + bm * bn.conj() * gq,
-                     cm * cn.conj() * gq + cm * sums[0] + cn.conj() * sums[1] + sums[2])
-    total = np.concatenate(([0j], np.cumsum(terms)))
+    env = constant_envelope(pulse, (2 * edges[:-1]) * half, (2 * edges[1:]) * half)
+    level = np.where(np.isnan(env) | (not closed), np.inf, env)
+    # the runs bounds[i]..bounds[i + 1] of intervals at one level (none without intervals)
+    bounds = np.flatnonzero(np.concatenate(([steps.size > 0], level[1:] != level[:-1], [True])))
+    # at each edge: the carries, the sum of alpha_m alpha_n^* over steps 1.., the drive
+    carry = np.zeros((2, edges.size), dtype=complex)
+    total = np.zeros(edges.size, dtype=complex)
+    f_end = np.zeros(edges.size, dtype=complex)
+    for j0, j1 in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        run = slice(j0 + 1, j1 + 1)
+        if level[j0] < np.inf:
+            f_end[run] = g = drive * level[j0]
+            const = np.full(2, g)  # s = g / (1 - r) for the constant g[j] of this level
+            s = np.array([[complex(_rk4_recurrence(x, const, const[1:], dt)[1][0]) / -y]
+                          for x, y in zip(mu, w)])
+            u0 = carry[:, j0:j0 + 1]
+            k = edges[run] - edges[j0]
+            carry[:, run] = u0 + (u0 - s) * np.expm1(np.multiply.outer(log_r, k))
+            (sm, sn), (bm, bn) = s[:, 0], carry[:, j0:j1] - s
+            length = steps[j0:j1]
+            gm, gn, gq = (_geometric(x, y, length) for x, y in zip((*r, q), (*log_r, log_q)))
+            terms = (length * sm * sn.conjugate() + sm * (bn * gn).conj()
+                     + bm * sn.conjugate() * gm + bm * bn.conj() * gq)
+            total[run] = total[j0] + np.cumsum(terms)
+        else:
+            um, un, acc = carry[0, j0], carry[1, j0], total[j0]
+            for a in range(int(edges[j0]), int(edges[j1]), _BATCH):
+                b = min(a + _BATCH, int(edges[j1]))
+                f, fm = _drive(pulse, a, b, dt)
+                am, an = (_rk4_linear(x, f, fm, dt, u) for x, u in zip(mu, (um, un)))
+                running = np.cumsum(am[1:] * an[1:].conj())
+                running += acc
+                lo, hi = np.searchsorted(edges, (a, b), side="right")  # the edges in (a, b]
+                pos = edges[lo:hi] - a
+                carry[:, lo:hi] = am[pos], an[pos]
+                total[lo:hi], f_end[lo:hi] = running[pos - 1], f[pos]
+                um, un, acc = am[-1], an[-1], running[-1]
 
     at = np.searchsorted(edges, idx)
     um, un = alphas = carry[:, at]

@@ -7,8 +7,8 @@ per-interval walk of the exact coherence (coherence_walk).
 
 The package builds the doubled-space generator one qubit-sector block at a
 time (readoutmap.liouville.sector_generator), and propagate writes the exact
-coherence (readoutmap.response.coherence_at, which batches the walk's
-intervals). Nothing here is used by them:
+coherence (readoutmap.response.coherence_at, which takes the walk's
+intervals in runs). Nothing here is used by them:
 these are the independent routes the tests check those against. The stepper
 builds its blocks through liouville.sector_generator, looked up at call time,
 so a test can patch that function.
@@ -285,8 +285,8 @@ def propagate(state0: np.ndarray, params: SystemParams, pulse: PulseSpec,
         (n, a, None) for n steps at the constant amplitude a and (n, None,
         amp) for n ramp steps with their 2 n + 1 half-step amplitudes."""
         half = dt / 2.0
-        level = constant_envelope(pulse, (2 * start) * half, (2 * end) * half)
-        if level is not None:
+        level = float(constant_envelope(pulse, (2 * start) * half, (2 * end) * half))
+        if not np.isnan(level):
             return [(end - start, pulse.omega_c * level, None)]
         amp = pulse.omega_c * sg_envelope(np.arange(2 * start, 2 * end + 1) * half, pulse)
         flat = (amp[:-2:2] == amp[1::2]) & (amp[1::2] == amp[2::2])
@@ -357,7 +357,7 @@ def rk4_reference(mu, f, fm, h, z0):
 
 def coherence_walk(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
                    indices, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-interval walk that response.coherence_at batches, as its oracle: the
+    """The per-interval walk that response.coherence_at takes in runs, as its oracle: the
     same (coherence, alpha_m, alpha_n), with both recurrences advanced from index to
     index, one interval at a time. On an interval that constant_envelope proves
     constant each is s + b r^j about its fixed point s, so the interval's sum of
@@ -384,8 +384,9 @@ def coherence_walk(params: SystemParams, pulse: PulseSpec, t_end: float, dt: flo
     for i, stop in enumerate(idx.tolist()):
         if stop > k:
             steps = stop - k
-            level = constant_envelope(pulse, (2 * k) * (dt / 2.0), (2 * stop) * (dt / 2.0))
-            if closed and level is not None:
+            level = float(constant_envelope(pulse, (2 * k) * (dt / 2.0),
+                                            (2 * stop) * (dt / 2.0)))
+            if closed and not np.isnan(level):
                 f_end = drive * level
                 if level not in fixed:  # s = g / (1 - r) for the constant g[j] of this level
                     const = np.full(2, f_end)

@@ -230,10 +230,11 @@ def test_pulsed_propagate_memory_is_flat_in_the_response_grid(tmp_path):
 
 
 @pytest.mark.parametrize("sample_every", [250, 50])
-def test_pulsed_propagate_scans_its_ramps_in_one_batch(tmp_path, monkeypatch, sample_every):
+def test_pulsed_propagate_scans_each_ramp_once_per_level(tmp_path, monkeypatch, sample_every):
     # a propagate-pulse-like grid: 5000 steps, ramps of 1000 steps at both ends of the
-    # pulse. Its scanned intervals (11 of 250 steps, or 43 of 50) fit one batch, so the
-    # recurrence runs once per qubit level however many sample intervals there are
+    # pulse. The sample intervals that meet a ramp (5 + 6 of 250 steps, or 21 + 22 of 50)
+    # make one run each, so the recurrence runs once per ramp and qubit level, over the
+    # run's length, however many sample intervals there are
     calls, original = [], response._rk4_linear
 
     def spy(mu, f, fm, h, z0):
@@ -248,8 +249,8 @@ def test_pulsed_propagate_scans_its_ramps_in_one_batch(tmp_path, monkeypatch, sa
     out = tmp_path / "prop.csv"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
     assert len(read_rows(out)) == 1 + 5000 // sample_every
-    rows = {250: 11, 50: 43}[sample_every]
-    assert calls == [(rows, sample_every + 1)] * 2
+    up, down = {250: (1250, 1500), 50: (1050, 1100)}[sample_every]
+    assert calls == [(up + 1,)] * 2 + [(down + 1,)] * 2
 
 
 def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, monkeypatch):
@@ -276,13 +277,13 @@ def test_constant_propagate_evaluates_the_envelope_on_few_intervals(tmp_path, mo
 
 
 @pytest.mark.parametrize("sample_every", [7, 50, 1000])
-def test_propagate_evaluates_each_sample_interval_once(tmp_path, monkeypatch, sample_every):
+def test_propagate_classifies_each_sample_interval_once(tmp_path, monkeypatch, sample_every):
     # one walk of the recurrences gives the coherence and the photon number:
     # 303 steps of a pulse that ends inside the grid, so ramps, top and tail
     calls = []
 
     def spy(pulse, t0, t1):
-        calls.append((t0, t1))
+        calls.extend(zip(np.ravel(t0).tolist(), np.ravel(t1).tolist()))
         return model.constant_envelope(pulse, t0, t1)
 
     monkeypatch.setattr(response, "constant_envelope", spy)

@@ -141,6 +141,20 @@ def test_fidelity_on_the_sector_block_matches_full_space(labels):
             assert abs(eigenstate_fidelity(state, SMALL, omega) - ref) <= 1e-14
 
 
+def test_small_infidelity_keeps_its_digits():
+    # exact = (pert + eps w) / norm with a unit w orthogonal to pert has infidelity
+    # eps^2 / (1 + eps^2); 1 - |<pert|exact>|^2 cancels to 11% off it here, at eps = 1e-7
+    omega, eps = 2.0, 1e-7
+    state = perturbative_eigenstate((1, 0), SMALL, steady_state(SMALL, omega)[0], 2)
+    pert = state.vector
+    w = np.random.default_rng(7).normal(size=pert.size) * (1.0 + 0.5j)
+    w -= np.vdot(pert, w) * pert
+    w /= np.linalg.norm(w)
+    exact = (pert + eps * w) / np.sqrt(1.0 + eps**2)
+    got = eigenstate_fidelity(state, SMALL, omega, exact=exact)
+    assert abs(got / (eps**2 / (1.0 + eps**2)) - 1.0) <= 1e-8
+
+
 def test_double_excited_state_residual_only():
     # the (1,1) state is built (with the cross excitation) and checked through
     # its residual; its eigenvalue offset is zero so the residual is all error

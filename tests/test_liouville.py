@@ -452,7 +452,7 @@ SHORTCUT_PULSES = {"constant": PulseSpec("constant", 4.0),
 @pytest.mark.parametrize("kind", ["constant", "square-gaussian"])
 def test_constant_interval_shortcut_is_bit_identical(monkeypatch, kind, sample_every):
     # The default run skips the envelope on provably constant sample
-    # intervals; with constant_envelope patched to None every interval takes
+    # intervals; with constant_envelope patched to NaN every interval takes
     # the evaluated path. 303 steps: 7 leaves a partial last interval and 400
     # is one interval longer than the grid.
     p, pulse = SystemParams(-3.0, -5.0, 0.0, -1.0, 2.0, 2, 3), SHORTCUT_PULSES[kind]
@@ -469,9 +469,10 @@ def test_constant_interval_shortcut_is_bit_identical(monkeypatch, kind, sample_e
     monkeypatch.setattr(fullspace, "constant_envelope", spy)
     blocks = run()
     # the shortcut fires, except where the one interval holds both ramps
-    assert any(level is not None for level in levels) == (kind == "constant"
-                                                          or sample_every < 400)
-    monkeypatch.setattr(fullspace, "constant_envelope", lambda *args: None)
+    assert any(not np.isnan(level) for level in levels) == (kind == "constant"
+                                                            or sample_every < 400)
+    monkeypatch.setattr(fullspace, "constant_envelope",
+                        lambda pulse, t0, t1: np.full(np.shape(t0), np.nan))
     assert np.array_equal(blocks, run())
 
 

@@ -350,9 +350,25 @@ def test_constant_intervals_in_closed_form_match_the_scanned_recurrence(monkeypa
     idx = np.append(np.arange(0, n_steps, sample_every), n_steps)
     pairs = [(1, 0), (2, 0), (2, 1)] if p.n_a == 3 else [(1, 0)]
     closed = [coherence_at(p, pulse, t_end, dt, idx, m, n) for m, n in pairs]
-    monkeypatch.setattr(response, "constant_envelope", lambda *args: None)
+    classified, scanned, original = [], [], response._rk4_linear
+
+    def nothing_constant(pulse, t0, t1):
+        classified.append(np.size(t0))
+        return np.full(np.shape(t0), np.nan)
+
+    def scan(mu, f, fm, h, z0):
+        scanned.append(np.shape(f)[-1] - 1)
+        return original(mu, f, fm, h, z0)
+
+    monkeypatch.setattr(response, "constant_envelope", nothing_constant)
+    monkeypatch.setattr(response, "_rk4_linear", scan)
     for (m, n), (got, *got_alphas) in zip(pairs, closed):
+        classified.clear()
+        scanned.clear()
         ref, *ref_alphas = coherence_at(p, pulse, t_end, dt, idx, m, n)
+        # the reference classified its intervals and scanned all of them, at both levels
+        assert classified == [idx.size - 1]
+        assert sum(scanned) == 2 * n_steps
         # measured worst 5.6e-15 / 3.8e-14 / 2.0e-14 (constant / pulse / undamped)
         assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
         # measured worst 2.8e-14 / 1.2e-13 / 1.4e-13 of max |alpha|
@@ -371,20 +387,35 @@ def test_constant_intervals_in_closed_form_match_the_scanned_recurrence(monkeypa
        last=st.booleans(),               # the grid's end is a sample, or a partial interval
        pair=st.sampled_from([(1, 0), (2, 0), (2, 1), (0, 0)]))
 # level 0 on its undamped resonance: r == 1 exactly, so all 6 intervals, of mixed
-# lengths up to 760 steps, are scanned, 5 to a batch
+# lengths up to 760 steps, are one scanned run
 @example(kind="square-gaussian", delta_cd=0.0, kappa_c=0.0, omega_c=10.0, step_frac=1.0,
          n_steps=2000, cuts=[0.1, 0.1, 0.35, 0.5, 0.52, 0.9], last=True, pair=(1, 0))
-# about 120 ramp intervals of 6 or 7 steps, 64 to a batch, between flat top and tail
+# about 120 ramp intervals of 6 or 7 steps, one run, between flat top and tail
 @example(kind="square-gaussian", delta_cd=-5.0, kappa_c=5.0, omega_c=30.0, step_frac=0.5,
          n_steps=2500, cuts=[i / 400.0 for i in range(400)] + [0.5, 0.5], last=False,
          pair=(2, 0))
-def test_batched_coherence_matches_the_per_interval_walk(kind, delta_cd, kappa_c, omega_c,
-                                                         step_frac, n_steps, cuts, last, pair):
-    # coherence_at scans its ramp intervals in batches and chains the carries as affine
-    # maps; the oracle walks the same recurrences from index to index. Measured worst
-    # over 6000 draws: 1.0e-13 of max |alpha| and 2.1e-14 (1 + |x|) relative for the
-    # coherence, both on undamped ring-ups, where the batch is the closer of the two to
-    # an extended-precision run of the recurrence.
+# ramp runs of 24000 and 48000 steps, longer than the scan budget of 16384: chunks end
+# inside the sample intervals 6000..16800, 36000..60000 and 60000..70800
+@example(kind="square-gaussian", delta_cd=-5.0, kappa_c=5.0, omega_c=30.0, step_frac=0.5,
+         n_steps=120000, cuts=[0.05, 0.14, 0.2, 0.3, 0.5, 0.59, 0.7], last=True, pair=(1, 0))
+# the ramp-down run starts from the nonzero carry that the flat-top run leaves
+@example(kind="square-gaussian", delta_cd=-5.0, kappa_c=5.0, omega_c=30.0, step_frac=0.5,
+         n_steps=2500, cuts=[0.2, 0.3, 0.4, 0.5, 0.55, 0.7, 0.8], last=True, pair=(2, 1))
+# the samples end inside the ramp down
+@example(kind="square-gaussian", delta_cd=-5.0, kappa_c=5.0, omega_c=30.0, step_frac=0.5,
+         n_steps=2500, cuts=[0.1, 0.2, 0.3, 0.5], last=False, pair=(1, 0))
+# repeated indices, in a constant run and in a scanned one
+@example(kind="square-gaussian", delta_cd=-5.0, kappa_c=5.0, omega_c=30.0, step_frac=0.5,
+         n_steps=2500, cuts=[0.05, 0.05, 0.3, 0.3, 0.3, 0.7, 0.7], last=True, pair=(1, 0))
+# the one sample 0: no interval at all
+@example(kind="constant", delta_cd=-5.0, kappa_c=5.0, omega_c=30.0, step_frac=0.5,
+         n_steps=2500, cuts=[0.0], last=False, pair=(1, 0))
+def test_run_walk_coherence_matches_the_per_interval_walk(kind, delta_cd, kappa_c, omega_c,
+                                                          step_frac, n_steps, cuts, last, pair):
+    # coherence_at walks maximal runs of sample intervals, constant ones in closed form
+    # and the others scanned once per level; the oracle walks the same recurrences from
+    # index to index. Measured worst over 1500 draws: 3.9e-15 of max |alpha| and
+    # 3.2e-15 (1 + |x|) relative for the coherence.
     p = SystemParams(-3.0, delta_cd, -2.0, -1.0, kappa_c, 3, 4)
     pulse = PulseSpec("constant", omega_c)
     dt = step_frac * min(max_stable_dt(p, pulse, k) for k in pair)
