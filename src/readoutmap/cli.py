@@ -10,6 +10,11 @@ Subcommands map one-to-one onto plot-ready data products:
   compare-gambetta  two-level-model dephasing vs ours, with the chi offset
   validate          every section's reader and the commands' pre-flight rules, as JSON
 
+Each config section has one reader, called by its command and by validate: it
+raises the command's input errors and evaluates its warning rules. The readers
+of the closed-form sections (rates_sweep, compare_gambetta, spectrum_grid) run
+the command's own computation, so validate meets the command's first error.
+
 One parser reads every command: `readoutmap <command> --config PATH [--out PATH]
 [--threads N] [--no-header]`, the options before or after the command. A usage
 error (no or unknown command, no --config, a --threads that is not an int)
@@ -69,27 +74,6 @@ def _sweep(config: RunConfig, name: str, default_points: int) -> np.ndarray:
     return np.linspace(sec["delta_cd_start_mhz"], sec["delta_cd_stop_mhz"], sec["points"])
 
 
-def _dressed_factor(params: SystemParams, delta_cd, n) -> np.ndarray:
-    """(delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2 over arrays by effective_spectrum's
-    arithmetic: 0, inf or NaN where a closed form cannot divide by it."""
-    half_k = params.kappa_c / 2.0
-    dressed = delta_cd + 2.0 * params.chi_ac * n
-    return dressed * dressed + half_k * half_k
-
-
-def _sweep_rule(config: RunConfig, grid: np.ndarray, row) -> None:
-    """Raise the error that row(params, omega_c, d), a sweep command's computation at
-    delta_cd = d, raises at the first point of grid it rejects. The command divides by
-    the dressed factors of levels 0 and 1 and by their product (model.resonance_error,
-    effective.effective_spectrum), so only the points where one of them is 0 or not
-    finite, found over the whole grid at once, are run."""
-    p = config.params
-    with np.errstate(all="ignore"):
-        den = _dressed_factor(p, grid, 1) * _dressed_factor(p, grid, 0)
-    for d in grid[~np.isfinite(den) | (den == 0.0)]:
-        row(p, config.pulse.omega_c, d)
-
-
 def _grid_section(config: RunConfig, name: str, extra: dict) -> tuple[dict, float, float]:
     """Section `name` of a command that steps a time grid, and its 'dt_ns' and 't_end_ns'."""
     sec = _section(config, name, {"dt_ns": (float, ...), "t_end_ns": (float, ...), **extra})
@@ -128,15 +112,9 @@ def _read_benchmark_eig(config: RunConfig) -> tuple[np.ndarray, dict]:
 def _read_transient(config: RunConfig) -> tuple[tuple, dict]:
     sec, dt, t_end = _grid_section(config, "transient", {"levels": (None, [[1, 0]])})
     # every entry must be a pair of qubit levels; the CSV holds the first one only
-    where = "config section 'transient'"
-    try:
-        levels = [(config_value(where, "levels", m, int), config_value(where, "levels", n, int))
-                  for m, n in sec["levels"]]
-    except (TypeError, ValueError):
-        if isinstance(sec["levels"], list) and all(
-                isinstance(pair, list) and len(pair) == 2 for pair in sec["levels"]):
-            raise  # a list of pairs: config_value's line for the element it rejected
-        levels = []
+    where, pairs, levels = "config section 'transient'", sec["levels"], []
+    if isinstance(pairs, list) and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        levels = [tuple(config_value(where, "levels", n, int) for n in pair) for pair in pairs]
     if not levels or min(min(pair) for pair in levels) < 0:
         raise ValueError(f"{where}: 'levels' must be a non-empty list of "
                          "[n_al, n_ar] pairs of ints >= 0")
@@ -154,14 +132,7 @@ def _read_spectrum_grid(config: RunConfig) -> tuple[tuple, dict]:
     photon, levels = sec["photon"], sec["levels"]
     if levels < 1:
         raise ValueError(f"config section 'spectrum_grid': 'levels' = {levels} must be >= 1")
-    # every entry divides by the product of two of the levels' dressed factors: the
-    # matrix, built only where the smallest or largest product is 0 or not finite,
-    # raises the command's error
-    with np.errstate(all="ignore"):
-        factor = _dressed_factor(config.params, config.params.delta_cd, np.arange(levels))
-        extremes = np.array([factor.min(), factor.max()]) ** 2
-    if not (photon >= 0 and np.all(np.isfinite(extremes)) and extremes[0] > 0):
-        effective.spectrum_matrix(config.params, levels, photon)
+    effective.spectrum_matrix(config.params, levels, photon)  # the command's error, if any
     return (photon, levels), {}
 
 
@@ -173,18 +144,16 @@ def _read_propagate(config: RunConfig) -> tuple[tuple, dict]:
     return (dt, t_end, sample_every), {}
 
 
-def _read_compare_gambetta(config: RunConfig) -> tuple[np.ndarray, dict]:
+def _read_compare_gambetta(config: RunConfig) -> tuple[list, dict]:
     grid = _sweep(config, "compare_gambetta", 100)
     if config.params.kappa_c <= 0:
         raise ValueError("gambetta_rates requires kappa_c > 0")
-    _sweep_rule(config, grid, _gambetta_row)
-    return grid, {}
+    return [_gambetta_row(config.params, config.pulse.omega_c, d) for d in grid], {}
 
 
-def _read_rates_sweep(config: RunConfig) -> tuple[np.ndarray, dict]:
+def _read_rates_sweep(config: RunConfig) -> tuple[list, dict]:
     grid = _sweep(config, "rates_sweep", 401)
-    _sweep_rule(config, grid, _rates_row)
-    return grid, {}
+    return [_rates_row(config.params, config.pulse.omega_c, d) for d in grid], {}
 
 
 # section -> the qubit levels whose RK4 resonator response its command steps, from the parsed
@@ -193,7 +162,8 @@ def _read_rates_sweep(config: RunConfig) -> tuple[np.ndarray, dict]:
 _STEPPED_LEVELS = {"transient": lambda section: sorted({0, *section[2][0]}),
                    "propagate": lambda section: (0, 1)}
 
-# section -> reader: (the parsed section, {<section>.<rule>: _rule(...)}) or the command's error
+# section -> reader: (the parsed section or a sweep's rows, {<section>.<rule>: _rule(...)}) or the
+# command's error
 _READERS = {"rates_sweep": _read_rates_sweep, "benchmark_eig": _read_benchmark_eig,
             "transient": _read_transient, "spectrum_grid": _read_spectrum_grid,
             "propagate": _read_propagate, "compare_gambetta": _read_compare_gambetta}
@@ -217,9 +187,7 @@ def _rates_row(p: SystemParams, omega: float, d) -> tuple:
 
 
 def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    grid = _read(config, "rates_sweep")
-    rows = [_rates_row(config.params, config.pulse.omega_c, d) for d in grid]
-    effective.write_rates_sweep_csv(out, rows, header=header)
+    effective.write_rates_sweep_csv(out, _read(config, "rates_sweep"), header=header)
 
 
 def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -> None:
@@ -266,18 +234,16 @@ def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> No
 
 
 def _gambetta_row(p: SystemParams, omega: float, d) -> tuple:
-    """compare-gambetta at delta_cd = d: our dephasing, the two-level model's, and the
-    two-level model's at delta_cd + chi_ac."""
+    """compare-gambetta at delta_cd = d: (d, our dephasing, the two-level model's, and the
+    two-level model's at delta_cd + chi_ac)."""
     pd = replace(p, delta_cd=float(d))
     ours = effective.rates(pd, response.steady_state(pd, omega)[1]).dephasing
     shifted = replace(pd, delta_cd=pd.delta_cd + p.chi_ac)
-    return ours, effective.gambetta_rates(pd, omega), effective.gambetta_rates(shifted, omega)
+    return d, ours, effective.gambetta_rates(pd, omega), effective.gambetta_rates(shifted, omega)
 
 
 def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    grid = _read(config, "compare_gambetta")
-    ours, theirs, shifted = zip(*[_gambetta_row(config.params, config.pulse.omega_c, d)
-                                  for d in grid])
+    grid, ours, theirs, shifted = zip(*_read(config, "compare_gambetta"))
     write_csv(out, {"delta_cd_mhz": grid, "gamma_phi_mhz": ours, "gamma_phi_gambetta_mhz": theirs,
                     "gamma_phi_gambetta_shifted_mhz": shifted}, header=header)
 

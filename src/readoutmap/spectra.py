@@ -123,6 +123,7 @@ def eigendecompose(op: np.ndarray) -> EigenSet:
     return EigenSet(eigenvalues=w, eigenvectors=v, residuals=residuals)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _block_solve(mat: np.ndarray, shift: complex, v: np.ndarray, levels: int) -> np.ndarray:
     """w with (mat - shift*I) w = v, for mat block tridiagonal over levels x levels
     equal m x m blocks: B[i, j], the block from level i to level j of mat - shift*I,
@@ -135,7 +136,9 @@ def _block_solve(mat: np.ndarray, shift: complex, v: np.ndarray, levels: int) ->
     y_{i-1} = v_{i-1} - B[i-1, i] X_i[:, m]; then w_0 = S_0^-1 y_0 and
     w_i = X_i[:, m] - X_i[:, :m] w_{i-1}. Each S^-1 is numpy's LU solve with partial
     pivoting within its block. The blocks are views of mat. levels = 1 is any square
-    matrix: the loop is empty and the one solve is of the whole shifted matrix."""
+    matrix: the loop is empty and the one solve is of the whole shifted matrix.
+    Overflow and invalid values raise no numpy warning: near an eigenvalue w may
+    come out not finite, and _inverse_iteration then solves again off the shift."""
     m = v.size // levels
     b = mat.reshape(levels, m, levels, m)
     y = v.reshape(levels, m)

@@ -16,9 +16,17 @@ and its sign sets the direction, so kappa_c must be positive:
     (homogeneous growth at kappa/2); the particular solution is future-
     directed, u(t) = -Integral_t^inf f(s) e^{mu (t-s)} ds, and is obtained by
     integrating backward from t_end with the first-order slowly-varying
-    estimate u(t_end) = -f/mu - f'/mu^2 as the final value. The estimate's
-    error decays at kappa/2 away from t_end, so the last ~4/kappa of the grid
-    should be treated as a settling zone.
+    estimate u(t_end) = -f/mu - f'/mu^2 as the final value. After the pulse
+    eta decays at kappa/2, so backward it grows at the rate the estimate's
+    error shrinks: the absolute error of each correlation stays constant from
+    t_end back to the pulse end. It peaks on the ramp-down and shrinks at
+    kappa/2 before it. The correlations decay with eta after the pulse, so
+    there the relative error grows toward t_end. Against a grid 2000 ns longer
+    (same dt, pair (1, 0)), on configs/transient_flattop.json a_ll is off by
+    5.65e-7 from 1000 ns (the pulse end) to 1400 ns: 30 % at t_end, 0.66 %
+    100 ns before it, below 1e-6 relative up to the pulse end and below 3e-8
+    up to 800 ns. B_lr uses forward solutions only and is exact. Read values
+    inside the pulse, not in its tail.
 
 B_lr needs only products of single integrals (its double integrals share the
 upper limit); C_lr nests one integral inside another and is realized as a

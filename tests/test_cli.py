@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import readoutmap
-from readoutmap import model, response
+from readoutmap import cli, model, response
 from readoutmap.cli import load_config, main
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
@@ -528,6 +528,20 @@ def test_benchmark_eig_warns_when_the_truncation_is_too_small(tmp_path, capsys):
     assert len(read_rows(out)) == 11
 
 
+def test_benchmark_eig_near_zero_drive_prints_no_numpy_warning(tmp_path):
+    # at 1e-200 MHz the first inverse-iteration solve is not finite and is solved again
+    # off its shift; a fresh interpreter shows what a user's stderr would hold
+    with open(os.path.join(CONFIGS, "benchmark_eig.json")) as fh:
+        payload = {**json.load(fh), "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1e-200, 1.0]}}
+    cfg, out = write_config(tmp_path, "c.json", payload), tmp_path / "bench.csv"
+    src = os.path.dirname(os.path.dirname(readoutmap.__file__))
+    proc = subprocess.run([sys.executable, "-m", "readoutmap.cli", "benchmark-eig", "--config",
+                           cfg, "--out", str(out)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(read_rows(out)) == 3
+
+
 def test_benchmark_eig_rates_do_not_depend_on_the_qubit_splitting(tmp_path, capsys):
     # the (1, 0) block carries delta_ad only as delta_ad * I: solved without it, the
     # Stark shift and the dephasing are the same strings at any delta_ad, up to 1e200,
@@ -866,10 +880,10 @@ def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section
         assert lines == errors
 
 
-# the configs of the commands whose readers find the dressed factors their closed forms
-# divide by, over the whole sweep grid or level range: benchmark-eig's and transient's
-# readers meet the same rules through their warning rules, and propagate's validate
-# names an overflowing key in its failed dt check
+# the configs of the commands whose readers run the command's own closed-form computation
+# (the sweep rows in grid order, the spectrum matrix), so validate meets the command's first
+# error: benchmark-eig's and transient's readers meet the same rules through their warning
+# rules, and propagate's validate names an overflowing key in its failed dt check
 DRESSED_CONFIGS = ["rates_sweep_narrow", "rates_sweep_split", "spectrum_grid", "compare_gambetta"]
 
 
@@ -896,6 +910,30 @@ def test_validate_stops_where_the_command_stops(tmp_path, capsys, config, change
     rc, lines = errors([command])
     assert errors(["validate"]) == (rc, lines)
     assert len(lines) == rc
+
+
+def test_sweep_rows_are_computed_once_and_validate_runs_the_same_rows(tmp_path, monkeypatch):
+    # the sweep readers return the rows their command writes: one row call per grid
+    # point on the command path, and validate makes the same calls
+    calls = []
+    for name in ("_rates_row", "_gambetta_row"):
+        def spy(p, omega, d, _row=getattr(cli, name), _name=name):
+            calls.append((_name, omega, float(d)))
+            return _row(p, omega, d)
+        monkeypatch.setattr(cli, name, spy)
+    cfg = write_config(tmp_path, "c.json", {
+        **BASE, "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 7},
+        "compare_gambetta": {"delta_cd_start_mhz": -12.0, "delta_cd_stop_mhz": 8.0, "points": 5}})
+    expected = {"rates-sweep": [("_rates_row", 10.0, d) for d in np.linspace(-2.0, 2.0, 7)],
+                "compare-gambetta": [("_gambetta_row", 10.0, d)
+                                     for d in np.linspace(-12.0, 8.0, 5)]}
+    for command, rows in expected.items():
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 0
+        assert calls == rows, command
+        assert len(read_rows(tmp_path / "o.csv")) == len(rows)
+        calls.clear()
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+    assert calls == expected["rates-sweep"] + expected["compare-gambetta"]  # section order
 
 
 def assert_one_error_line(tmp_path, capsys, command, payload):

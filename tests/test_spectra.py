@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -420,6 +421,19 @@ def test_eigenpair_near_at_an_exactly_singular_shift():
     expect[0] = 1.0
     assert np.array_equal(pair.vector, expect)
     assert pair.value == p.delta_ad and pair.residual == 0.0
+
+
+def test_block_solve_near_an_exact_eigenvalue_raises_no_numpy_warning():
+    # at a drive of 1e-200 MHz the benchmark block is diagonal to rounding and its
+    # closed-form eigenvalue exact, so the first block solve overflows at a rounding-level
+    # pivot and its back substitution turns that infinity into NaNs; the re-solve off the
+    # shift gives the pair
+    block = sector_generator(BENCH, 1, 0, 1e-200)
+    shift, start = closed_form_eigenpair(BENCH, 1, 0, 1e-200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pair = eigenpair_near(block, shift, start, _levels=BENCH.n_c)
+    assert np.all(np.isfinite(pair.vector)) and pair.residual == 0.0
 
 
 def test_eigenpair_near_rejects_a_shift_midway_between_eigenvalues():
