@@ -141,7 +141,12 @@ def _read_propagate(config: RunConfig) -> tuple[tuple, dict]:
     sample_every = sec["sample_every"]
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every = {sample_every} must be >= 1")
-    return (dt, t_end, sample_every), {}
+    section, p = (dt, t_end, sample_every), config.params
+    # the effective map's error (an undamped dressed resonance) where the command meets it:
+    # once its steps pass the step rule, whose error names an overflowing stepped level
+    if response._step_error(p, dt, _STEPPED_LEVELS["propagate"](section))[1] is None:
+        effective.spectrum_matrix(p, p.n_a, 1.0)
+    return section, {}
 
 
 def _read_compare_gambetta(config: RunConfig) -> tuple[list, dict]:
@@ -156,9 +161,10 @@ def _read_rates_sweep(config: RunConfig) -> tuple[list, dict]:
     return [_rates_row(config.params, config.pulse.omega_c, d) for d in grid], {}
 
 
-# section -> the qubit levels whose RK4 resonator response its command steps, from the parsed
-# section: dt <= max_stable_dt of each. transient steps eta (level 0) and the correlation
-# recurrences of the pair it writes, propagate the coherence of levels 1 and 0
+# section -> the qubit levels whose RK4 recurrences its command steps, from the parsed section:
+# dt <= max_stable_dt of each, set by the level's dressed detuning and kappa_c, not the drive.
+# transient steps eta (level 0) and the correlation recurrences of the pair it writes,
+# propagate the coherence of levels 1 and 0
 _STEPPED_LEVELS = {"transient": lambda section: sorted({0, *section[2][0]}),
                    "propagate": lambda section: (0, 1)}
 
@@ -202,8 +208,7 @@ def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -
 
 def cmd_transient(config: RunConfig, out: str, header: bool, threads: int) -> None:
     section = dt, t_end, levels = _read(config, "transient")
-    response._grid_steps(config.params, config.pulse, t_end, dt,
-                         _STEPPED_LEVELS["transient"](section))
+    response._grid_steps(config.params, t_end, dt, _STEPPED_LEVELS["transient"](section))
     traj = response.solve_eta(config.params, config.pulse, t_end, dt)
     corr = transient.correlations_timedomain(traj, config.params, levels[:1])
     gen = transient.effective_generator_timedep(corr, traj, config.params, levels[:1])
@@ -218,7 +223,7 @@ def cmd_spectrum_grid(config: RunConfig, out: str, header: bool, threads: int) -
 def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> None:
     section = dt, t_end, sample_every = _read(config, "propagate")
     p, pulse = config.params, config.pulse
-    n_steps = response._grid_steps(p, pulse, t_end, dt, _STEPPED_LEVELS["propagate"](section))
+    n_steps = response._grid_steps(p, t_end, dt, _STEPPED_LEVELS["propagate"](section))
     if sample_every is None:
         sample_every = max(1, n_steps // 512)
     idx = np.append(np.arange(0, n_steps, sample_every), n_steps)
@@ -255,21 +260,20 @@ def cmd_validate(config: RunConfig, out: str | None, header: bool, threads: int)
       validity_margin  transient, benchmark_eig: below 1 (the command warns)
       truncation       benchmark_eig: below model.truncation_error's bound (the
                        command warns)
-      dt               transient, propagate: 0 < dt <= max_stable_dt of each level
-                       the command steps (else it raises); reports dt / bound, and
-                       above the bound the command's error text
+      dt               transient, propagate: 0 < dt <= the bound of the command's own
+                       step rule, response._step_error: the smallest max_stable_dt of
+                       the levels it steps (else it raises); reports dt / bound, and
+                       above the bound the rule's error text
 
     Drives are the pulse peak, and benchmark_eig's strongest grid point.
     Returns the exit code, 1 when a check fails; a reader's error propagates.
     """
-    p, pulse = config.params, config.pulse
     read = {name: _READERS[name](config) for name in config.sections}
     rules = {name: rule for _, section in read.values() for name, rule in section.items()}
     for name in _STEPPED_LEVELS.keys() & read.keys():
         section = read[name][0]  # the parsed section is (dt, t_end, ...)
         dt, levels = section[0], _STEPPED_LEVELS[name](section)
-        bound = min(response.max_stable_dt(p, pulse, k) for k in levels)
-        problem = response._step_error(p, pulse, dt, levels)
+        bound, problem = response._step_error(config.params, dt, levels)
         ratio = dt / bound if bound else np.inf  # an overflowing level bounds dt by 0
         rules[f"{name}.dt"] = (0.0 < dt <= bound, f"dt / bound = {ratio:.3g} "
                                f"(dt {dt:g} ns, bound {bound:.4g} ns)"

@@ -95,11 +95,22 @@ def _decay_rate_per_ns(params: SystemParams, level: int = 0) -> complex:
     return (2.0j * np.pi * dressed_detuning(params, level) + np.pi * params.kappa_c) * 1.0e-3
 
 
-def max_stable_dt(params: SystemParams, pulse: PulseSpec, level: int = 0) -> float:
-    """Largest allowed RK4 step at qubit level `level`: 0.05 rad of the fastest rate per step."""
-    rate = RAD_PER_MHZ_NS * max(abs(dressed_detuning(params, level)), params.kappa_c,
-                                abs(pulse.omega_c))
-    if rate == 0.0:  # no drive or decay, or rates so small that the product underflows
+def max_stable_dt(params: SystemParams, level: int = 0) -> float:
+    """Largest allowed RK4 step at qubit level `level`: 0.05 rad per step of the larger of
+    its dressed detuning |delta_cd + 2 chi_ac level| and kappa_c, the rates of its
+    recurrence u[k+1] = r u[k] + g[k]. A level with neither has r == 1 and no bound, inf.
+
+    The drive does not enter. Every recurrence a command steps (the resonator response,
+    the correlation cascades, the polaron coherence) is linear in it, so omega_c scales
+    the solution and leaves its stability and relative accuracy alone. No ramp rule
+    (dt <= c sigma_r) takes its place either: a drive term never bounded the envelope
+    (at a weak drive it never binds). At the bound of levels 0 and 1 on the flat top's
+    system (delta_cd -5, chi_ac -1, kappa_c 5 MHz; dt 1.137 ns), eta is off a dt/50 run
+    by 2.3e-6 / 2.3e-5 / 1.8e-4 of its peak at sigma_r = 50 / 5 / 1 ns (tau_r = 2 sigma_r,
+    tau_p 200 ns). Where every rate is small the step can exceed the ramp, or the pulse.
+    """
+    rate = RAD_PER_MHZ_NS * max(abs(dressed_detuning(params, level)), params.kappa_c)
+    if rate == 0.0:  # no detuning or decay, or rates so small that the product underflows
         return np.inf
     return 0.05 / rate
 
@@ -176,30 +187,29 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0) -> np.
     return u[:, :n + 1].reshape(*batch, n + 1)
 
 
-def _grid_steps(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
-                levels=(0,)) -> int:
+def _grid_steps(params: SystemParams, t_end: float, dt: float, levels=(0,)) -> int:
     """Number of RK4 steps on [0, t_end]; ValueError for a bad grid or one unstable at `levels`."""
     if not dt > 0.0:
         raise ValueError(f"step size dt = {dt} ns must be > 0")
     if not t_end >= 0.0:
         raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
-    problem = _step_error(params, pulse, dt, levels)
+    problem = _step_error(params, dt, levels)[1]
     if problem:
         raise ValueError(problem)
     return int(round(t_end / dt))
 
 
-def _step_error(params: SystemParams, pulse: PulseSpec, dt: float, levels) -> str | None:
-    """The one rule for an RK4 step dt (ns) too large at the qubit `levels`: the message
-    naming the stability bound, the smallest max_stable_dt over them, and the lowest level
-    that sets it, then model.overflow_error's where a level overflows (its bound is then
-    about 0); else None."""
-    dt_max, level = min((max_stable_dt(params, pulse, k), k) for k in levels)
+def _step_error(params: SystemParams, dt: float, levels) -> tuple[float, str | None]:
+    """The one rule for an RK4 step dt (ns) at the qubit `levels`: the smallest max_stable_dt
+    over them, and where dt exceeds it the message naming the stability bound and the lowest
+    level that sets it, then model.overflow_error's where a level overflows (its bound is
+    then about 0); else None."""
+    dt_max, level = min((max_stable_dt(params, k), k) for k in levels)
     if dt <= dt_max:
-        return None
+        return dt_max, None
     problem = overflow_error(params, levels)
-    return (f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns of qubit level {level}"
-            + (f": {problem}" if problem else ""))
+    return dt_max, (f"step size {dt} ns exceeds stability bound {dt_max:.4g} ns of qubit "
+                    f"level {level}" + (f": {problem}" if problem else ""))
 
 
 def _drive_amplitude(pulse: PulseSpec) -> complex:
@@ -265,7 +275,7 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
     Raises ValueError for a bad grid, dt above max_stable_dt of either level, indices
     off the grid or out of order, and a coherence that is not finite (its phase overflows).
     """
-    n_steps = _grid_steps(params, pulse, t_end, dt, (m, n))
+    n_steps = _grid_steps(params, t_end, dt, (m, n))
     idx = np.asarray(indices, dtype=int).reshape(-1)
     if np.any(np.diff(idx, prepend=0) < 0) or (idx.size and idx[-1] > n_steps):
         raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")
@@ -345,9 +355,9 @@ def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -
     grows linearly, eta = -i*pi*1e-3*omega_c*t), finite on any finite grid.
 
     Raises ValueError when dt is not positive, t_end is negative, or dt
-    violates the stability/accuracy bound.
+    exceeds max_stable_dt of level 0.
     """
-    n_steps = _grid_steps(params, pulse, t_end, dt)
+    n_steps = _grid_steps(params, t_end, dt)
     beta = _decay_rate_per_ns(params)
     eta = _rk4_linear(-beta, *_drive(pulse, 0, n_steps, dt), dt, 0.0)
     drive = _drive_amplitude(pulse)

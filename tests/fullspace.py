@@ -365,7 +365,7 @@ def coherence_walk(params: SystemParams, pulse: PulseSpec, t_end: float, dt: flo
     other interval (and every one on a grid shorter than a level's response time
     1/|mu|) is scanned by response._rk4_linear from the carry.
     """
-    n_steps = _grid_steps(params, pulse, t_end, dt, (m, n))
+    n_steps = _grid_steps(params, t_end, dt, (m, n))
     idx = np.asarray(indices, dtype=int).reshape(-1)
     if np.any(np.diff(idx, prepend=0) < 0) or (idx.size and idx[-1] > n_steps):
         raise ValueError(f"sample indices must be non-decreasing within 0..{n_steps}")

@@ -403,7 +403,8 @@ SHIPPED_VALIDATION = [
         "benchmark_eig.truncation": (False, "photon number 4 >= n_c/4 = 3.5: "),
         "benchmark_eig.validity_margin": (True, "margin 0.57 at omega_c = 20.0998 MHz")}),
     ("transient_flattop", 1, {
-        "transient.dt": (True, "dt / bound = 0.628 "),
+        # level 1 at |delta_cd + 2 chi| = 7 MHz sets the bound; the 50 MHz drive does not enter
+        "transient.dt": (True, "dt / bound = 0.088 (dt 0.1 ns, bound 1.137 ns)"),
         "transient.validity_margin": (False, "margin 1.203 at omega_c = 50 MHz")}),
     ("transient_crosstalk", 0, {
         # the level-1 recurrences of the written pair (1, 0), at delta_cd + 2 chi = -52 MHz
@@ -444,8 +445,8 @@ def test_transient_checks_its_step_at_the_levels_of_its_pair(tmp_path, capsys):
                          "tau_r_ns": 100.0, "sigma_r_ns": 50.0},
                "transient": {"dt_ns": 1.5, "t_end_ns": 300.0, "levels": [[2, 0]]}}
     run = load_config(write_config(tmp_path, "c.json", payload))
-    bound = response.max_stable_dt(run.params, run.pulse, 2)
-    assert bound < 1.5 < response.max_stable_dt(run.params, run.pulse)
+    bound = response.max_stable_dt(run.params, 2)
+    assert bound < 1.5 < response.max_stable_dt(run.params)
     for dt, ok in ((1.5, False), (bound * (1.0 + 1e-9), False), (bound * (1.0 - 1e-9), True)):
         payload["transient"] = {"dt_ns": dt, "t_end_ns": 300.0 if dt == 1.5 else 20.0,
                                 "levels": [[2, 0]]}
@@ -462,6 +463,24 @@ def test_transient_checks_its_step_at_the_levels_of_its_pair(tmp_path, capsys):
             line = f"step size {dt} ns exceeds stability bound {bound:.4g} ns of qubit level 2"
             assert err == f"error: {line}\n"
             assert check["detail"].endswith(f"ns): {line}")
+
+
+def test_a_strong_drive_takes_the_step_its_levels_allow(tmp_path):
+    # the shipped flat top drives at 50 MHz, but the step rule reads only the recurrences'
+    # rates: at dt = 1 ns (the bound is 1.137 ns) E of the pair matches the shipped
+    # dt = 0.1 ns run at every common time. Measured: 1.33e-8 of max |E|
+    with open(os.path.join(CONFIGS, "transient_flattop.json")) as fh:
+        payload = json.load(fh)
+    e = {}
+    for dt in (0.1, 1.0):
+        payload["transient"]["dt_ns"] = dt
+        cfg, out = write_config(tmp_path, "c.json", payload), tmp_path / f"{dt}.csv"
+        assert main(["transient", "--config", cfg, "--out", str(out)]) == 0
+        e[dt] = np.array([[float(r["t_ns"]), complex(float(r["re_e"]), float(r["im_e"]))]
+                          for r in read_rows(out)])
+    fine, coarse = e[0.1][::10], e[1.0]
+    assert np.array_equal(fine[:, 0], coarse[:, 0])
+    assert np.max(np.abs(coarse[:, 1] - fine[:, 1])) <= 3e-8 * np.max(np.abs(fine[:, 1]))
 
 
 @pytest.mark.parametrize("chi", [1e200, 1.5e308], ids=["dressed-factor", "detuning"])
@@ -495,9 +514,9 @@ def test_validate_dt_rule_is_the_commands_rule(tmp_path, capsys, command, config
     run = load_config(write_config(tmp_path, "c.json", payload))
     # propagate steps the level-0 and level-1 responses; transient the level-0 one and
     # those of its written pair, here (1, 0)
-    bound = min(response.max_stable_dt(run.params, run.pulse, k) for k in (0, 1))
+    bound = min(response.max_stable_dt(run.params, k) for k in (0, 1))
     # level 1 binds: |delta_cd + 2 chi| = 12 > |delta_cd| = 10 (propagate), 52 > 50 (transient)
-    assert bound < response.max_stable_dt(run.params, run.pulse)
+    assert bound < response.max_stable_dt(run.params)
     for factor, ok in ((1.0 - 1e-9, True), (1.0 + 1e-9, False)):
         payload[section]["dt_ns"] = bound * factor
         cfg = write_config(tmp_path, "c.json", payload)
@@ -883,7 +902,8 @@ def test_edge_inputs_are_clear_errors(tmp_path, capsys, command, config, section
 # the configs of the commands whose readers run the command's own closed-form computation
 # (the sweep rows in grid order, the spectrum matrix), so validate meets the command's first
 # error: benchmark-eig's and transient's readers meet the same rules through their warning
-# rules, and propagate's validate names an overflowing key in its failed dt check
+# rules. propagate's reader runs the effective map's check where its steps are within the
+# bound; above it validate names an overflowing key in its failed dt check
 DRESSED_CONFIGS = ["rates_sweep_narrow", "rates_sweep_split", "spectrum_grid", "compare_gambetta"]
 
 
@@ -895,12 +915,17 @@ DRESSED_CONFIGS = ["rates_sweep_narrow", "rates_sweep_split", "spectrum_grid", "
       for config in ("rates_sweep_narrow", "rates_sweep_split")],
     pytest.param("spectrum_grid", {"spectrum_grid": {"photon": -1.0, "levels": 3}},
                  id="spectrum_grid-negative-photon"),
+    # undamped, level 0 (delta_cd 0) or level 1 (delta_cd + 2 chi = 0) on its resonance:
+    # the steps are within the bound, and the effective map cannot divide by the level
+    *[pytest.param("propagate", {"kappa_c_mhz": 0.0, "delta_cd_mhz": d},
+                   id=f"propagate-undamped-level-{level}") for level, d in ((0, 0.0), (1, 2.0))],
 ])
 def test_validate_stops_where_the_command_stops(tmp_path, capsys, config, change):
     with open(os.path.join(CONFIGS, config + ".json")) as fh:
         payload = {**json.load(fh), **change}
     command = next(k for k in payload
-                   if k in ("rates_sweep", "spectrum_grid", "compare_gambetta")).replace("_", "-")
+                   if k in ("rates_sweep", "spectrum_grid", "compare_gambetta", "propagate")
+                   ).replace("_", "-")
     cfg = write_config(tmp_path, "c.json", payload)
 
     def errors(argv):

@@ -521,7 +521,8 @@ MAYBE_ZERO = st.just(0.0) | st.floats(-60.0, 60.0)
 @given(n_a=st.sampled_from([2, 3]), n_c=st.integers(2, 8), delta_ad=MAYBE_ZERO,
        delta_cd=MAYBE_ZERO, alpha=MAYBE_ZERO, chi=MAYBE_ZERO,
        kappa=st.just(0.0) | st.floats(0.0, 30.0), omega=MAYBE_ZERO)
-# subnormal drives: the rate underflows to 0 or dt_max overflows to inf, no bound either way
+# subnormal drives: the stepper's rate underflows to 0 or its dt_max overflows to inf, and
+# the response, with no detuning or decay, has no bound
 @example(n_a=2, n_c=2, delta_ad=0.0, delta_cd=0.0, alpha=0.0, chi=0.0, kappa=0.0, omega=5e-324)
 @example(n_a=2, n_c=2, delta_ad=0.0, delta_cd=0.0, alpha=0.0, chi=0.0, kappa=0.0, omega=1e-310)
 def test_propagate_step_bound_is_within_the_response_step_bound(n_a, n_c, delta_ad, delta_cd,
@@ -530,13 +531,13 @@ def test_propagate_step_bound_is_within_the_response_step_bound(n_a, n_c, delta_
     # the diagonal delta_cd - i kappa/2 and the drive entries omega/2 to (0, 0)
     # and (1, 1): its absolute sum is at least |delta_cd| + |omega|. Row (1, 1)
     # has the diagonal -i kappa: at least kappa. So the largest row sum is at
-    # least max(|delta_cd|, kappa, |omega|), the rate max_stable_dt divides by,
-    # and every step the stepper accepts is one response step (no tolerance:
-    # both bounds are 0.05 / (2e-3 pi rate), and float sums of |entries| are
-    # monotone).
+    # least max(|delta_cd|, kappa), the rate max_stable_dt divides by (the drive,
+    # which the response recurrence is linear in, only raises the stepper's), and
+    # every step the stepper accepts is one response step (no tolerance: both
+    # bounds are 0.05 / (2e-3 pi rate), and float sums of |entries| are monotone).
     p = SystemParams(delta_ad, delta_cd, alpha, chi, kappa, n_a, n_c)
     dt_max = fullspace.stability_bound(*fullspace.generator_blocks(p), omega)[0]
-    assert dt_max <= response.max_stable_dt(p, PulseSpec("constant", omega))
+    assert dt_max <= response.max_stable_dt(p)
 
 
 def test_product_paths_never_build_the_full_generator(monkeypatch, tmp_path):

@@ -2,12 +2,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from readoutmap import response, transient
 from readoutmap.cli import load_config
 from readoutmap.effective import adiabatic_correlations, effective_spectrum
 from readoutmap.model import PulseSpec, SystemParams
-from readoutmap.response import solve_eta, steady_state
+from readoutmap.response import coherence_at, max_stable_dt, solve_eta, steady_state
 from readoutmap.transient import (adiabatic_series_A, correlations_timedomain,
                                   effective_generator_timedep, fourier_A, write_transient_csv)
 from fullspace import rk4_reference
@@ -243,3 +245,51 @@ def test_shipped_transients_match_the_stepwise_recurrence(monkeypatch, name):
     ref = _transient_series(config)
     for x, y in zip(got, ref):
         assert np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+
+def _commands_at_step(p, pulse, t_end, dt, pair, idx):
+    """transient's E of `pair` at every grid point, and propagate's coherence of levels
+    (1, 0) at the grid indices idx, both on the grid k dt, k = 0..round(t_end / dt)."""
+    traj = solve_eta(p, pulse, t_end, dt)
+    corr = correlations_timedomain(traj, p, [pair])
+    return (effective_generator_timedep(corr, traj, p, [pair]).values[pair],
+            coherence_at(p, pulse, t_end, dt, idx, 1, 0)[0])
+
+
+@settings(max_examples=80, deadline=None)
+@given(delta_cd=st.floats(-60.0, 60.0), chi=st.floats(0.1, 100.0),
+       chi_sign=st.sampled_from([-1.0, 1.0]), kappa=st.floats(0.1, 20.0),
+       log_omega=st.floats(-1.0, 2.0),  # omega_c log-uniform over 0.1..100 MHz
+       tau_r=st.floats(2.0, 100.0), step_frac=st.floats(0.3, 1.0),
+       levels=st.integers(2, 3).flatmap(lambda n_a: st.tuples(
+           st.just(n_a), st.permutations(range(n_a)).map(lambda x: tuple(x[:2])))))
+# the flat top's system with a 2 ns ramp: dt = 1.137 ns, one step per sigma_r
+@example(delta_cd=-5.0, chi=1.0, chi_sign=-1.0, kappa=5.0, log_omega=2.0, tau_r=2.0,
+         step_frac=1.0, levels=(2, (1, 0)))
+# every rate 0.1 MHz: the rule accepts a step longer than the pulse, which no sample sees
+@example(delta_cd=0.1, chi=0.1, chi_sign=-1.0, kappa=0.1, log_omega=0.0, tau_r=2.0,
+         step_frac=0.75, levels=(2, (1, 0)))
+def test_a_step_the_rule_accepts_is_accurate_at_any_drive(delta_cd, chi, chi_sign, kappa,
+                                                           log_omega, tau_r, step_frac, levels):
+    # dt at a fraction of the bound validate applies to both commands, which the drive does
+    # not enter; transient's E of the pair and propagate's coherence against a dt / 2 run
+    # on the same samples, through ramp up, flat top and ramp down. The rule reads only the
+    # recurrences' rates, not the envelope: the error is a floor the rule sets plus the
+    # envelope's, which grows with x = dt / sigma_r and says nothing beyond x of about 2.
+    # Measured over 2000 draws of these ranges: 1.1e-5 of max |E| and 3.9e-8 absolute for
+    # the coherence at x < 0.03; at most 1e-4 + 0.05 x^4 and 1e-6 + 0.062 x^4 at any x.
+    # 2500 further draws passed the bounds below.
+    n_a, pair = levels
+    p = SystemParams(0.0, delta_cd, 0.0, chi_sign * chi, kappa, n_a, 4)
+    pulse = PulseSpec("square-gaussian", 10.0 ** log_omega, tau_p=4.0 * tau_r, tau_r=tau_r,
+                      sigma_r=tau_r / 2.0)
+    # transient steps level 0 and the pair, propagate levels 0 and 1
+    dt = step_frac * min(max_stable_dt(p, k) for k in {0, 1, *pair})
+    n_steps = int(np.ceil(pulse.tau_p / dt))
+    idx = np.append(np.arange(0, n_steps, max(1, n_steps // 512)), n_steps)  # propagate's
+    e, coh = _commands_at_step(p, pulse, n_steps * dt, dt, pair, idx)
+    e_ref, coh_ref = _commands_at_step(p, pulse, n_steps * dt, dt / 2.0, pair, 2 * idx)
+    assert e.size == n_steps + 1
+    x4 = (dt / pulse.sigma_r) ** 4
+    assert np.max(np.abs(e - e_ref[::2])) <= (1e-4 + 0.1 * x4) * np.max(np.abs(e_ref))
+    assert np.max(np.abs(coh - coh_ref)) <= 1e-6 + 0.1 * x4
