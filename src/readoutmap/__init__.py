@@ -12,7 +12,7 @@ from .effective import (EffectiveLindblad, RatePair, adiabatic_correlations, cho
 from .eigenstates import (PerturbativeEigenstate, closed_form_eigenpair, eigenstate_fidelity,
                           fidelity_sweep, perturbative_eigenstate, residual_norm)
 from .liouville import AccuracyError, build_extended_hamiltonian, sector_generator
-from .model import PulseSpec, SystemParams, envelope_derivatives, sg_envelope, validity_margin
+from .model import PulseSpec, SystemParams, sg_envelope, validity_margin
 from .response import ResonatorTrajectory, coherence_at, solve_eta, steady_state
 from .spectra import (CoherenceTrack, EigenPair, EigenSet, TrackingLostError, eigendecompose,
                       eigenpair_near, extract_rates, track_coherence)
@@ -29,7 +29,7 @@ __all__ = [
     "closed_form_eigenpair", "coherence_at", "correlations_timedomain",
     "effective_generator_timedep", "effective_lindblad", "effective_map_apply",
     "effective_spectrum", "eigendecompose", "eigenpair_near", "eigenstate_fidelity",
-    "envelope_derivatives", "extract_rates", "fidelity_sweep", "fourier_A", "gambetta_rates",
+    "extract_rates", "fidelity_sweep", "fourier_A", "gambetta_rates",
     "perturbative_eigenstate", "rates", "residual_norm", "sector_generator", "sg_envelope",
     "solve_eta", "spectrum_matrix", "steady_state", "track_coherence", "validity_margin",
 ]

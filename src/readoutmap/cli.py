@@ -11,9 +11,13 @@ Subcommands map one-to-one onto plot-ready data products:
   validate          every section's reader and the commands' pre-flight rules, as JSON
 
 Each config section has one reader, called by its command and by validate: it
-raises the command's input errors and evaluates its warning rules. The readers
-of the closed-form sections (rates_sweep, compare_gambetta, spectrum_grid) run
-the command's own computation, so validate meets the command's first error.
+raises the command's input errors and evaluates its warning rules. Every reader
+but benchmark_eig's runs the command's own computation and returns what the
+command writes, so validate meets the command's first error: the sweep rows and
+the spectrum matrix, and, where the grid passes the command's step rule, the
+transient series and the propagate columns (propagate's phase overflow
+included). A value the drive makes too large for a float is model.drive_error's
+one error line, from the command and validate alike.
 
 One parser reads every command: `readoutmap <command> --config PATH [--out PATH]
 [--threads N] [--no-header]`, the options before or after the command. A usage
@@ -37,8 +41,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import effective, response, spectra, transient
-from .model import (PARAM_SPEC, PulseSpec, SystemParams, config_value, params_from_dict,
-                    pulse_from_dict, read_section, truncation_error, validity_margin, write_csv)
+from .model import (PARAM_SPEC, PulseSpec, SystemParams, config_value, drive_error,
+                    params_from_dict, pulse_from_dict, read_section, truncation_error,
+                    validity_margin, write_csv)
 
 
 @dataclass(frozen=True)
@@ -124,7 +129,29 @@ def _read_transient(config: RunConfig) -> tuple[tuple, dict]:
         raise ValueError("correlations_timedomain requires kappa_c > 0")
     if dt > 0.0 and t_end / dt <= 0.5:  # round(t_end / dt) == 0 steps
         raise ValueError("correlations need at least two grid points: t_end is below dt/2")
-    return (dt, t_end, levels), {"transient.validity_margin": rule}
+    section = dt, t_end, levels
+    series = _transient_series(config, section) if _within_step_rule(config, "transient",
+                                                                      section) else None
+    return (*section, series), {"transient.validity_margin": rule}
+
+
+def _transient_series(config: RunConfig, section: tuple) -> tuple:
+    """transient's (trajectory, correlations, generator) of the written pair levels[0] of
+    section (dt, t_end, levels), or model.drive_error's ValueError where a series it writes
+    is not finite."""
+    (dt, t_end, levels), p = section, config.params
+    pair = levels[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        traj = response.solve_eta(p, config.pulse, t_end, dt)
+        corr = transient.correlations_timedomain(traj, p, [pair])
+        gen = transient.effective_generator_timedep(corr, traj, p, [pair])
+        written = [traj.photon, corr.a_ll[pair], corr.a_rr[pair], corr.b_lr[pair],
+                   corr.c_lr[pair], gen.values[pair]]
+    problem = drive_error(config.pulse.omega_c, f"the transient series of qubit levels {pair}",
+                          written)
+    if problem:
+        raise ValueError(problem)
+    return traj, corr, gen
 
 
 def _read_spectrum_grid(config: RunConfig) -> tuple[tuple, dict]:
@@ -132,8 +159,7 @@ def _read_spectrum_grid(config: RunConfig) -> tuple[tuple, dict]:
     photon, levels = sec["photon"], sec["levels"]
     if levels < 1:
         raise ValueError(f"config section 'spectrum_grid': 'levels' = {levels} must be >= 1")
-    effective.spectrum_matrix(config.params, levels, photon)  # the command's error, if any
-    return (photon, levels), {}
+    return effective.spectrum_matrix(config.params, levels, photon), {}
 
 
 def _read_propagate(config: RunConfig) -> tuple[tuple, dict]:
@@ -141,12 +167,40 @@ def _read_propagate(config: RunConfig) -> tuple[tuple, dict]:
     sample_every = sec["sample_every"]
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every = {sample_every} must be >= 1")
-    section, p = (dt, t_end, sample_every), config.params
-    # the effective map's error (an undamped dressed resonance) where the command meets it:
-    # once its steps pass the step rule, whose error names an overflowing stepped level
-    if response._step_error(p, dt, _STEPPED_LEVELS["propagate"](section))[1] is None:
-        effective.spectrum_matrix(p, p.n_a, 1.0)
-    return section, {}
+    section = dt, t_end, sample_every
+    columns = _propagate_columns(config, section) if _within_step_rule(config, "propagate",
+                                                                        section) else None
+    return (*section, columns), {}
+
+
+def _propagate_columns(config: RunConfig, section: tuple) -> dict:
+    """propagate's CSV columns on section (dt, t_end, sample_every): the exact and the
+    effective-map coherence of the qubit (|0> + |1>)/sqrt(2), resonator in vacuum, at every
+    sample_every-th grid point and the last (about 512 samples by default), with the photon
+    number. Raises the coherence's error where its phase overflows, and the effective map's
+    at an undamped dressed resonance."""
+    (dt, t_end, sample_every), p = section, config.params
+    n_steps = response._grid_steps(p, t_end, dt, _STEPPED_LEVELS["propagate"](section))
+    if sample_every is None:
+        sample_every = max(1, n_steps // 512)
+    idx = np.append(np.arange(0, n_steps, sample_every), n_steps)
+    times = idx * dt
+    rho0 = np.zeros((p.n_a, p.n_a), dtype=complex)
+    rho0[:2, :2] = (1.0 / np.sqrt(2.0)) ** 2
+    coherence, _, eta = response.coherence_at(p, config.pulse, t_end, dt, idx, 1, 0)
+    full, photon = rho0[1, 0] * coherence, np.abs(eta) ** 2
+    rho_t = effective.effective_map_apply(rho0, p, photon, times)
+    return {"t_ns": times, "abs_rho10_full": abs(full), "abs_rho10_eff": abs(rho_t[:, 1, 0]),
+            "photon": photon}
+
+
+def _within_step_rule(config: RunConfig, name: str, section: tuple) -> bool:
+    """Whether the grid of parsed section `name` (dt first) passes its command's step rule:
+    past it the reader runs the command's computation, before it validate reports the rule
+    as its dt check and the command raises the rule's error."""
+    dt = section[0]
+    return dt > 0.0 and response._step_error(config.params, dt,
+                                             _STEPPED_LEVELS[name](section))[1] is None
 
 
 def _read_compare_gambetta(config: RunConfig) -> tuple[list, dict]:
@@ -168,8 +222,8 @@ def _read_rates_sweep(config: RunConfig) -> tuple[list, dict]:
 _STEPPED_LEVELS = {"transient": lambda section: sorted({0, *section[2][0]}),
                    "propagate": lambda section: (0, 1)}
 
-# section -> reader: (the parsed section or a sweep's rows, {<section>.<rule>: _rule(...)}) or the
-# command's error
+# section -> reader: (what the command writes: the parsed section with its product, a sweep's
+# rows or the spectrum matrix; {<section>.<rule>: _rule(...)}) or the command's error
 _READERS = {"rates_sweep": _read_rates_sweep, "benchmark_eig": _read_benchmark_eig,
             "transient": _read_transient, "spectrum_grid": _read_spectrum_grid,
             "propagate": _read_propagate, "compare_gambetta": _read_compare_gambetta}
@@ -184,12 +238,21 @@ def _read(config: RunConfig, name: str):
     return values
 
 
+def _finite_row(omega: float, row: tuple) -> tuple:
+    """A sweep row at delta_cd = row[0], or model.drive_error's ValueError where one of
+    its values is not finite."""
+    problem = drive_error(omega, f"the row at delta_cd = {row[0]:g} MHz", row)
+    if problem:
+        raise ValueError(problem)
+    return row
+
+
 def _rates_row(p: SystemParams, omega: float, d) -> tuple:
     """rates-sweep at delta_cd = d: (d, dephasing, stark, n_ground, n_excited)."""
     pd = replace(p, delta_cd=float(d))
     n_ground, n_excited = (response.steady_state(pd, omega, k)[1] for k in (0, 1))
     pair = effective.rates(pd, n_ground)
-    return d, pair.dephasing, pair.stark, n_ground, n_excited
+    return _finite_row(omega, (d, pair.dephasing, pair.stark, n_ground, n_excited))
 
 
 def cmd_rates_sweep(config: RunConfig, out: str, header: bool, threads: int) -> None:
@@ -207,35 +270,21 @@ def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -
 
 
 def cmd_transient(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    section = dt, t_end, levels = _read(config, "transient")
+    section = dt, t_end, levels, series = _read(config, "transient")
+    # the step rule's error, where the reader ran nothing
     response._grid_steps(config.params, t_end, dt, _STEPPED_LEVELS["transient"](section))
-    traj = response.solve_eta(config.params, config.pulse, t_end, dt)
-    corr = transient.correlations_timedomain(traj, config.params, levels[:1])
-    gen = transient.effective_generator_timedep(corr, traj, config.params, levels[:1])
-    transient.write_transient_csv(out, traj, corr, gen, pair=levels[0], header=header)
+    transient.write_transient_csv(out, *series, pair=levels[0], header=header)
 
 
 def cmd_spectrum_grid(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    photon, levels = _read(config, "spectrum_grid")
-    effective.write_spectrum_grid_csv(out, config.params, levels, photon, header=header)
+    effective.write_spectrum_grid_csv(out, _read(config, "spectrum_grid"), header=header)
 
 
 def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    section = dt, t_end, sample_every = _read(config, "propagate")
-    p, pulse = config.params, config.pulse
-    n_steps = response._grid_steps(p, t_end, dt, _STEPPED_LEVELS["propagate"](section))
-    if sample_every is None:
-        sample_every = max(1, n_steps // 512)
-    idx = np.append(np.arange(0, n_steps, sample_every), n_steps)
-    times = idx * dt
-    # qubit (|0> + |1>)/sqrt(2), resonator in vacuum; both maps at the written samples only
-    rho0 = np.zeros((p.n_a, p.n_a), dtype=complex)
-    rho0[:2, :2] = (1.0 / np.sqrt(2.0)) ** 2
-    coherence, _, eta = response.coherence_at(p, pulse, t_end, dt, idx, 1, 0)
-    full, photon = rho0[1, 0] * coherence, np.abs(eta) ** 2
-    rho_t = effective.effective_map_apply(rho0, p, photon, times)
-    write_csv(out, {"t_ns": times, "abs_rho10_full": abs(full),
-                    "abs_rho10_eff": abs(rho_t[:, 1, 0]), "photon": photon}, header=header)
+    section = dt, t_end, _, columns = _read(config, "propagate")
+    # the step rule's error, where the reader ran nothing
+    response._grid_steps(config.params, t_end, dt, _STEPPED_LEVELS["propagate"](section))
+    write_csv(out, columns, header=header)
 
 
 def _gambetta_row(p: SystemParams, omega: float, d) -> tuple:
@@ -244,7 +293,8 @@ def _gambetta_row(p: SystemParams, omega: float, d) -> tuple:
     pd = replace(p, delta_cd=float(d))
     ours = effective.rates(pd, response.steady_state(pd, omega)[1]).dephasing
     shifted = replace(pd, delta_cd=pd.delta_cd + p.chi_ac)
-    return d, ours, effective.gambetta_rates(pd, omega), effective.gambetta_rates(shifted, omega)
+    return _finite_row(omega, (d, ours, effective.gambetta_rates(pd, omega),
+                               effective.gambetta_rates(shifted, omega)))
 
 
 def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int) -> None:

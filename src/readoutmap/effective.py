@@ -218,10 +218,9 @@ def write_rates_sweep_csv(path, rows, header: bool = True) -> None:
     write_csv(path, dict(zip(names, table.T)), header=header)
 
 
-def write_spectrum_grid_csv(path, params: SystemParams, levels: int, photon: float,
-                            header: bool = True) -> None:
-    """Columns: n_al, n_ar, re_E, im_E over the level grid."""
-    e = spectrum_matrix(params, levels, photon).ravel()
-    n_al, n_ar = np.indices((levels, levels)).reshape(2, -1)
+def write_spectrum_grid_csv(path, matrix: np.ndarray, header: bool = True) -> None:
+    """Columns: n_al, n_ar, re_E, im_E over the level grid of a spectrum_matrix."""
+    e = matrix.ravel()
+    n_al, n_ar = np.indices(matrix.shape).reshape(2, -1)
     write_csv(path, {"n_al": n_al, "n_ar": n_ar, "re_E": e.real, "im_E": e.imag},
               header=header)

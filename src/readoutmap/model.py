@@ -1,4 +1,5 @@
-"""System parameters, pulse envelopes, and the units contract.
+"""System parameters, pulse envelopes, the rules for out-of-range inputs, and the
+units contract.
 
 Units convention used across the package: every spectral quantity (detunings,
 anharmonicity, dispersive shift, decay and drive rates) is stored as a cyclic
@@ -20,6 +21,13 @@ text from lookup tables; a value it cannot round with certainty (a near-tie,
 Every config value is read through read_section and config_value, which own
 the config format: JSON objects with no unknown or missing key, a finite
 number for a float key, a number of integral value for an int key.
+
+A pulse decides its shape once: PulseSpec.__post_init__ reads its kind and
+keeps the pieces of the envelope (flat stretch, ramps, end, ramp
+normalization), which sg_envelope (the envelope and its first two
+derivatives) and constant_envelope read; nothing below the pulse branches on
+its kind. Inputs too large for a float have one rule each: overflow_error for
+the system keys, drive_error for the drive.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,6 +90,16 @@ class PulseSpec:
     response is integrated from eta(0)=0). kind 'square-gaussian' is a flat-top
     pulse with Gaussian ramps of width sigma_r over rise time tau_r, total
     length tau_p (all ns); the envelope is exactly 0 outside [0, tau_p].
+
+    __post_init__ alone reads kind. It keeps the pieces the envelope functions
+    read: the open flat stretch (tau_r, tau_p - tau_r), the closed ramps
+    (start, stop, centre) [0, tau_r] about tau_r and [tau_p - tau_r, tau_p]
+    about tau_p - tau_r, the end tau_p, the Gaussian's foot floor =
+    exp(-tau_r^2 / (2 sigma_r^2)) and the ramp normalization norm = 1 - floor; a
+    constant pulse is flat on (-inf, inf), with no ramps and no end. A norm that
+    is 0 or out of float range is a ValueError naming tau_r_ns and sigma_r_ns; a
+    tiny one leaves the ramp an absolute error of about 1.1e-16 / norm
+    (measured 1.5e-2 at sigma_r / tau_r = 1e7).
     """
 
     kind: str
@@ -89,6 +107,11 @@ class PulseSpec:
     tau_p: float = 0.0
     tau_r: float = 0.0
     sigma_r: float = 0.0
+    flat: tuple = field(init=False, repr=False, compare=False)
+    ramps: tuple = field(init=False, repr=False, compare=False)
+    end: float = field(init=False, repr=False, compare=False)
+    floor: float = field(init=False, repr=False, compare=False)
+    norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("omega_c", "tau_p", "tau_r", "sigma_r"):
@@ -96,11 +119,26 @@ class PulseSpec:
                 raise ValueError(f"{name} must be finite")
         if self.kind not in ("constant", "square-gaussian"):
             raise ValueError(f"unknown pulse kind {self.kind!r}")
-        if self.kind == "square-gaussian":
+        if self.kind == "constant":
+            pieces = (-math.inf, math.inf), (), math.inf, 0.0, 1.0
+        else:
             if not 0.0 < self.tau_r <= self.tau_p / 2.0:
                 raise ValueError("square-gaussian requires 0 < tau_r <= tau_p/2")
             if self.sigma_r <= 0.0:
                 raise ValueError("square-gaussian requires sigma_r > 0")
+            try:  # Python floats: an overflow or a zero divisor raises
+                floor = math.exp(-self.tau_r**2 / (2.0 * self.sigma_r**2))
+            except (OverflowError, ZeroDivisionError):
+                floor = 1.0
+            if floor == 1.0:
+                raise ValueError(f"tau_r_ns = {self.tau_r:g} and sigma_r_ns = {self.sigma_r:g} "
+                                 "give no ramp: its normalization 1 - exp(-tau_r^2 / "
+                                 "(2 sigma_r^2)) is 0 or out of float range")
+            fall = self.tau_p - self.tau_r
+            pieces = ((self.tau_r, fall), ((0.0, self.tau_r, self.tau_r), (fall, self.tau_p, fall)),
+                      self.tau_p, floor, 1.0 - floor)
+        for name, value in zip(("flat", "ramps", "end", "floor", "norm"), pieces):
+            object.__setattr__(self, name, value)
 
 
 def detuning_l(params: SystemParams, n: int) -> complex:
@@ -114,79 +152,45 @@ def detuning_r(params: SystemParams, n: int) -> complex:
     return params.delta_cd + 0.5j * params.kappa_c + 2.0 * params.chi_ac * n
 
 
-def sg_envelope(t, pulse: PulseSpec):
-    """Dimensionless envelope value in [0, 1] at time t (ns).
-
-    Flat-top with Gaussian shoulders; identically 0 outside [0, tau_p].
-    Accepts scalars or arrays.
-    """
+def sg_envelope(t, pulse: PulseSpec, order: int = 0):
+    """The envelope (order 0, in [0, 1]) or its order-th time derivative (1 or 2, in
+    1/ns^order) at t (ns), a scalar (a float is returned) or an array: at a finite t,
+    1 on the open flat stretch, the ramp (exp(-(t - centre)^2 / (2 sigma_r^2)) - floor)
+    / norm and its derivatives on each closed ramp (the fall's where the two meet), 0
+    elsewhere, so a derivative at a branch point is the ramp side's."""
+    if order not in (0, 1, 2):
+        raise ValueError(f"unsupported envelope derivative order {order}")
     scalar = np.ndim(t) == 0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if pulse.kind == "constant":
-        out = np.ones_like(t_arr)
-        return float(out[0]) if scalar else out
-    tau_p, tau_r, sig = pulse.tau_p, pulse.tau_r, pulse.sigma_r
-    floor = math.exp(-tau_r**2 / (2.0 * sig**2))
-    norm = 1.0 - floor
-    out = np.zeros_like(t_arr)
-
-    up = (t_arr >= 0.0) & (t_arr <= tau_r)
-    out[up] = (np.exp(-((t_arr[up] - tau_r) ** 2) / (2.0 * sig**2)) - floor) / norm
-    flat = (t_arr > tau_r) & (t_arr < tau_p - tau_r)
-    out[flat] = 1.0
-    down = (t_arr >= tau_p - tau_r) & (t_arr <= tau_p)
-    out[down] = (np.exp(-((t_arr[down] - (tau_p - tau_r)) ** 2) / (2.0 * sig**2)) - floor) / norm
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros_like(t)
+    if order == 0:
+        out[(pulse.flat[0] < t) & (t < pulse.flat[1])] = 1.0
+    sig = pulse.sigma_r
+    for start, stop, centre in pulse.ramps:
+        on = (t >= start) & (t <= stop)
+        u = t[on] - centre
+        g = np.exp(-(u**2) / (2.0 * sig**2))
+        if order == 0:
+            out[on] = (g - pulse.floor) / pulse.norm
+        else:  # derivatives of g / norm with respect to t
+            g /= pulse.norm
+            out[on] = (-u / sig**2 if order == 1 else u**2 / sig**4 - 1.0 / sig**2) * g
     return float(out[0]) if scalar else out
 
 
 def constant_envelope(pulse: PulseSpec, t0, t1) -> np.ndarray:
     """For each interval [t0, t1] (ns) of the broadcast arrays t0, t1: the value
-    sg_envelope gives on all of it when its own branches make it constant there,
-    else NaN; an array of their broadcast shape (0-d for scalars).
+    sg_envelope gives on all of it when one piece of the pulse holds it constant
+    there, else NaN; an array of their broadcast shape (0-d for scalars).
 
-    That is 1.0 for a constant pulse, 1.0 strictly inside the flat top
-    (tau_r < t0 and t1 < tau_p - tau_r) and 0.0 strictly after the pulse
+    That is 1.0 strictly inside the flat stretch (flat[0] < t0 and t1 < flat[1]:
+    any finite interval of a constant pulse) and 0.0 strictly after the end
     (t0 > tau_p). Any interval that overlaps a ramp or touches a branch point
     gives NaN, even where the envelope happens to be constant.
     """
     t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
-    if pulse.kind == "constant":
-        return np.ones(t0.shape)
-    top = (pulse.tau_r < t0) & (t1 < pulse.tau_p - pulse.tau_r)
-    return np.where(top, 1.0, np.where(t0 > pulse.tau_p, 0.0, np.nan))
-
-
-def envelope_derivatives(t, pulse: PulseSpec, order: int):
-    """Analytic time derivative of the envelope, order 1..3, in 1/ns^order.
-
-    Zero on the plateau, outside the pulse, and for constant pulses. At the
-    branch points the ramp-side one-sided value is returned.
-    """
-    if order not in (1, 2, 3):
-        raise ValueError(f"unsupported envelope derivative order {order}")
-    scalar = np.ndim(t) == 0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros_like(t_arr)
-    if pulse.kind == "constant":
-        return float(out[0]) if scalar else out
-
-    tau_p, tau_r, sig = pulse.tau_p, pulse.tau_r, pulse.sigma_r
-    norm = 1.0 - math.exp(-tau_r**2 / (2.0 * sig**2))
-
-    def ramp(u):
-        # derivatives of exp(-u^2/(2 sig^2))/norm with respect to t
-        g = np.exp(-(u**2) / (2.0 * sig**2)) / norm
-        if order == 1:
-            return -u / sig**2 * g
-        if order == 2:
-            return (u**2 / sig**4 - 1.0 / sig**2) * g
-        return (-(u**3) / sig**6 + 3.0 * u / sig**4) * g
-
-    up = (t_arr >= 0.0) & (t_arr <= tau_r)
-    out[up] = ramp(t_arr[up] - tau_r)
-    down = (t_arr >= tau_p - tau_r) & (t_arr <= tau_p)
-    out[down] = ramp(t_arr[down] - (tau_p - tau_r))
-    return float(out[0]) if scalar else out
+    top = (pulse.flat[0] < t0) & (t1 < pulse.flat[1])
+    return np.where(top, 1.0, np.where(t0 > pulse.end, 0.0, np.nan))
 
 
 def dressed_detuning(params: SystemParams, n: int) -> float:
@@ -214,6 +218,17 @@ def overflow_error(params: SystemParams, levels) -> str | None:
             return (f"{key} = {value:g} overflows the dressed factor "
                     f"(delta_cd + 2 chi_ac n)^2 + (kappa_c/2)^2 of qubit level {n}")
     return None
+
+
+def drive_error(omega_c: float, what: str, values) -> str | None:
+    """The one rule for a drive too large for a float: where one of `values`, the
+    `what` that the drive scales (a photon number, a sweep row, a transient series),
+    is not finite, the message naming the drive omega_c (MHz); else None. Its
+    callers meet overflow_error first, so a value that overflows here overflows
+    with the drive."""
+    if np.isfinite(values).all():
+        return None
+    return f"drive omega_c = {omega_c:g} MHz overflows {what}"
 
 
 def resonance_error(params: SystemParams, levels) -> str | None:

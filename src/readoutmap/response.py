@@ -13,7 +13,10 @@ one-step recurrence u[k+1] = r*u[k] + g[k] by a blocked numpy scan
 scan a batch of trajectories at once). Derivatives
 are obtained from the ODE itself (differentiating it once and twice) rather
 than from the samples, which keeps the adiabatic derivative expansion
-noise-free.
+noise-free: the first from the grid-point drive the scan already holds, the
+higher ones from the envelope derivatives of model.sg_envelope. The steady
+state applies model.drive_error, so a drive whose photon number overflows is
+one ValueError.
 
 `coherence_at` evaluates the recurrence only at given samples of a long grid:
 it runs the recurrences of two qubit levels' dressed resonators, integrates
@@ -31,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (RAD_PER_MHZ_NS, PulseSpec, SystemParams, constant_envelope,
-                    dressed_detuning, envelope_derivatives, overflow_error, resonance_error,
-                    sg_envelope)
+from .model import (RAD_PER_MHZ_NS, PulseSpec, SystemParams, constant_envelope, drive_error,
+                    dressed_detuning, overflow_error, resonance_error, sg_envelope)
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,20 @@ def steady_state(params: SystemParams, omega_c: float, level: int = 0) -> tuple[
 
     Level 0 is the bare resonator: alpha is eta_ss, where solve_eta settles.
     Raises model.resonance_error's ValueError when the level is on its
-    undamped dressed resonance.
+    undamped dressed resonance, and model.drive_error's where n overflows.
     """
     problem = resonance_error(params, (level,))
     if problem:
         raise ValueError(problem)
     d, half_k = dressed_detuning(params, level), params.kappa_c / 2.0
-    return -0.5j * omega_c / (1j * d + half_k), (omega_c / 2.0) ** 2 / (d**2 + half_k**2)
+    try:  # Python floats: the square of a drive above 2.7e154 MHz raises
+        photon = (omega_c / 2.0) ** 2 / (d**2 + half_k**2)
+    except OverflowError:
+        photon = math.inf
+    problem = drive_error(omega_c, f"the steady-state photon number of qubit level {level}", photon)
+    if problem:
+        raise ValueError(problem)
+    return -0.5j * omega_c / (1j * d + half_k), photon
 
 
 def peak_photon(params: SystemParams, omega_c: float) -> float:
@@ -82,7 +91,8 @@ def peak_photon(params: SystemParams, omega_c: float) -> float:
 
     A level on its undamped dressed resonance (model.resonance_error) counts
     as unbounded, inf, under a nonzero drive, and as 0.0 without one. Raises
-    model.overflow_error's ValueError where a level's dressed factor overflows.
+    model.overflow_error's ValueError where a level's dressed factor overflows,
+    and steady_state's where a photon number does.
     """
     problem = overflow_error(params, range(params.n_a))
     if problem:
@@ -189,10 +199,10 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0) -> np.
 
 def _grid_steps(params: SystemParams, t_end: float, dt: float, levels=(0,)) -> int:
     """Number of RK4 steps on [0, t_end]; ValueError for a bad grid or one unstable at `levels`."""
-    if not dt > 0.0:
-        raise ValueError(f"step size dt = {dt} ns must be > 0")
-    if not t_end >= 0.0:
-        raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"step size dt = {dt} ns must be finite and > 0")
+    if not 0.0 <= t_end < math.inf:
+        raise ValueError(f"end time t_end = {t_end} ns must be finite and >= 0")
     problem = _step_error(params, dt, levels)[1]
     if problem:
         raise ValueError(problem)
@@ -240,6 +250,8 @@ def _geometric(q: complex, log_q: complex, n: np.ndarray) -> np.ndarray:
 _BATCH = 1 << 14  # steps of a non-constant run that coherence_at scans in one _rk4_linear call
 
 
+# an overflow anywhere in the walk makes the coherence not finite, the error reported at its end
+@np.errstate(all="ignore")
 def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float,
                  indices, m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(coherence, alpha_m, alpha_n) at the grid points k = indices (non-decreasing) of
@@ -338,9 +350,8 @@ def coherence_at(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float
     integrals = dt * (total[at] - 0.5 * um * un.conj()) - dt * dt / 12.0 * slope
 
     eps = [params.delta_ad * x + 0.5 * params.alpha_a * x * (x - 1) for x in (m, n)]
-    with np.errstate(all="ignore"):  # an overflow is reported below
-        out = np.exp(-1.0j * RAD_PER_MHZ_NS * ((eps[0] - eps[1]) * (idx * dt)
-                                               + 2.0 * params.chi_ac * (m - n) * integrals))
+    out = np.exp(-1.0j * RAD_PER_MHZ_NS * ((eps[0] - eps[1]) * (idx * dt)
+                                           + 2.0 * params.chi_ac * (m - n) * integrals))
     if not np.all(np.isfinite(out)):
         raise ValueError(f"coherence of qubit levels ({m}, {n}) is not finite: "
                          "its phase overflows")
@@ -354,20 +365,18 @@ def solve_eta(params: SystemParams, pulse: PulseSpec, t_end: float, dt: float) -
     eta rings up without settling (at delta_cd = 0 under a constant drive it
     grows linearly, eta = -i*pi*1e-3*omega_c*t), finite on any finite grid.
 
-    Raises ValueError when dt is not positive, t_end is negative, or dt
-    exceeds max_stable_dt of level 0.
+    Raises ValueError when dt is not finite and positive, t_end is not finite
+    and non-negative, or dt exceeds max_stable_dt of level 0.
     """
     n_steps = _grid_steps(params, t_end, dt)
     beta = _decay_rate_per_ns(params)
-    eta = _rk4_linear(-beta, *_drive(pulse, 0, n_steps, dt), dt, 0.0)
+    f, fm = _drive(pulse, 0, n_steps, dt)
+    eta = _rk4_linear(-beta, f, fm, dt, 0.0)
     drive = _drive_amplitude(pulse)
     times = np.arange(eta.size) * dt
-    env = sg_envelope(times, pulse)
-    env_d1 = envelope_derivatives(times, pulse, 1)
-    env_d2 = envelope_derivatives(times, pulse, 2)
-    eta_d1 = -beta * eta + drive * env
-    eta_d2 = -beta * eta_d1 + drive * env_d1
-    eta_d3 = -beta * eta_d2 + drive * env_d2
+    eta_d1 = -beta * eta + f  # f: the drive at the grid points
+    eta_d2 = -beta * eta_d1 + drive * sg_envelope(times, pulse, 1)
+    eta_d3 = -beta * eta_d2 + drive * sg_envelope(times, pulse, 2)
     return ResonatorTrajectory(times=times, eta=eta, eta_d1=eta_d1, eta_d2=eta_d2,
                                eta_d3=eta_d3, pulse=pulse)
 

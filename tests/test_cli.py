@@ -1055,6 +1055,102 @@ def test_every_shipped_config_key_rejects_values_of_the_wrong_kind(tmp_path, cap
     assert cases >= 7 * 6 + 2  # the system keys, n_a and n_c with 2.5 too
 
 
+def shipped_payload(config, pulse=None, **sections):
+    """A shipped config with pulse keys and whole sections replaced."""
+    with open(os.path.join(CONFIGS, config + ".json")) as fh:
+        payload = json.load(fh)
+    payload["pulse"].update(pulse or {})
+    return {**payload, **sections}
+
+
+SG_PULSE = {"kind": "square-gaussian", "omega_c_mhz": 6.5192, "tau_p_ns": 1000.0,
+            "tau_r_ns": 100.0, "sigma_r_ns": 50.0}
+
+
+@pytest.mark.parametrize("config, pulse, line", [
+    # sigma_r^2 underflows to 0: the normalization divides by zero
+    ("transient_crosstalk", {"sigma_r_ns": 1e-200}, "tau_r_ns = 100 and sigma_r_ns = 1e-200"),
+    # sigma_r^2 overflows
+    ("transient_crosstalk", {"sigma_r_ns": 1e200}, "tau_r_ns = 100 and sigma_r_ns = 1e+200"),
+    # 2 sigma_r^2 is inf, and sigma_r / tau_r = 1e8 rounds exp to 1: the normalization is 0
+    ("transient_flattop", {"sigma_r_ns": 1e154}, "tau_r_ns = 100 and sigma_r_ns = 1e+154"),
+    ("transient_flattop", {"sigma_r_ns": 1e10}, "tau_r_ns = 100 and sigma_r_ns = 1e+10"),
+    # tau_r^2 underflows to 0: the normalization is 0
+    ("transient_crosstalk", {"tau_r_ns": 1e-300}, "tau_r_ns = 1e-300 and sigma_r_ns = 50"),
+    # propagate on a square-gaussian pulse: the same ramps
+    ("propagate", {**SG_PULSE, "tau_r_ns": 1e-200}, "tau_r_ns = 1e-200 and sigma_r_ns = 50"),
+    ("propagate", {**SG_PULSE, "sigma_r_ns": 1e-200}, "tau_r_ns = 100 and sigma_r_ns = 1e-200"),
+    ("propagate", {**SG_PULSE, "sigma_r_ns": 1e200}, "tau_r_ns = 100 and sigma_r_ns = 1e+200"),
+])
+def test_a_pulse_key_the_ramp_cannot_normalize_is_one_config_error(tmp_path, capsys, config,
+                                                                  pulse, line):
+    payload = shipped_payload(config, pulse)
+    assert assert_one_error_line(tmp_path, capsys, SHIPPED_COMMANDS[config], payload) == (
+        f"config error: {line} give no ramp: its normalization 1 - exp(-tau_r^2 / "
+        "(2 sigma_r^2)) is 0 or out of float range")
+
+
+STEADY_OVERFLOW = "overflows the steady-state photon number of qubit level 0"
+
+
+@pytest.mark.parametrize("config, pulse, sections, line", [
+    # the square of the drive overflows in the steady-state photon number
+    ("rates_sweep_narrow", {"omega_c_mhz": 1e155}, {},
+     f"drive omega_c = 1e+155 MHz {STEADY_OVERFLOW}"),
+    ("compare_gambetta", {"omega_c_mhz": 1e155}, {},
+     f"drive omega_c = 1e+155 MHz {STEADY_OVERFLOW}"),
+    ("benchmark_eig", {}, {"benchmark_eig": {"omega_c_grid_mhz": [0.0, 1e155]}},
+     f"drive omega_c = 1e+155 MHz {STEADY_OVERFLOW}"),
+    # finite photon numbers, but the rates or the transient series built on them overflow
+    ("compare_gambetta", {"omega_c_mhz": 1e154}, {},
+     "drive omega_c = 1e+154 MHz overflows the row at delta_cd = -12 MHz"),
+    ("rates_sweep_split", {"omega_c_mhz": 1e154}, {},
+     "drive omega_c = 1e+154 MHz overflows the row at delta_cd = -8 MHz"),
+    ("transient_flattop", {"omega_c_mhz": 1e154}, {},
+     "drive omega_c = 1e+154 MHz overflows the transient series of qubit levels (1, 0)"),
+    ("transient_crosstalk", {"omega_c_mhz": 1e160}, {},
+     "drive omega_c = 1e+160 MHz overflows the transient series of qubit levels (1, 0)"),
+    # propagate's coherence phase overflows first; its reader runs the same coherence
+    ("propagate", {"omega_c_mhz": 1e154}, {},
+     "coherence of qubit levels (1, 0) is not finite: its phase overflows"),
+])
+def test_a_drive_too_large_for_a_float_is_one_error_line(tmp_path, capsys, config, pulse,
+                                                         sections, line):
+    payload = shipped_payload(config, pulse, **sections)
+    assert assert_one_error_line(tmp_path, capsys, SHIPPED_COMMANDS[config], payload) == (
+        f"error: {line}")
+
+
+def error_lines(text):
+    return [ln for ln in text.splitlines() if ln.startswith(("error: ", "config error: "))]
+
+
+@pytest.mark.parametrize("value", [1e-300, 1e-200, 1e154, 1e155, 1e200, 1e300])
+@pytest.mark.parametrize("key", ["omega_c_mhz", "tau_r_ns", "sigma_r_ns"])
+@pytest.mark.parametrize("config", sorted(SHIPPED_COMMANDS))
+def test_pulse_keys_at_the_float_edges_write_finite_numbers_or_one_error_line(
+        tmp_path, capsys, config, key, value):
+    # a shipped config with one pulse key at an edge of the float range: the command
+    # writes finite numbers or stops with one error line, never a traceback, and
+    # validate stops with the same line (so validate passing means the command runs)
+    cfg = write_config(tmp_path, "c.json", shipped_payload(config, {key: value}))
+    out, report = tmp_path / "o.csv", tmp_path / "report.json"
+    rc = main([SHIPPED_COMMANDS[config], "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    errors = error_lines(err)
+    assert "Traceback" not in err and len(errors) == (rc != 0) and out.exists() is (rc == 0)
+    if rc == 0:
+        with open(out) as fh:
+            values = [float(x) for row in list(csv.reader(fh))[1:] for x in row]
+        assert np.all(np.isfinite(values))
+    validate_rc = main(["validate", "--config", cfg, "--out", str(report)])
+    validate_err = capsys.readouterr().err
+    assert "Traceback" not in validate_err and error_lines(validate_err) == errors
+    assert validate_rc != 0 or rc == 0
+    if rc:
+        assert validate_rc == rc
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_benchmark_eig_needs_a_worker_thread(tmp_path, capsys, threads):
     cfg = write_config(tmp_path, "c.json", {**BASE, "benchmark_eig": {"omega_c_grid_mhz": [0.0]}})

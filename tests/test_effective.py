@@ -305,7 +305,7 @@ def test_csv_writers(tmp_path):
     write_rates_sweep_csv(out, [(1.0, 2.0, 3.0, 4.0, 5.0)])
     assert out.read_text().splitlines()[0] == "delta_cd_mhz,gamma_phi_mhz,stark_mhz,n_ground,n_excited"
     out2 = tmp_path / "grid.csv"
-    write_spectrum_grid_csv(out2, GRID10, 3, 10.0)
+    write_spectrum_grid_csv(out2, spectrum_matrix(GRID10, 3, 10.0))
     lines = out2.read_text().splitlines()
     assert lines[0] == "n_al,n_ar,re_E,im_E"
     assert len(lines) == 10

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from readoutmap import response
 from readoutmap.effective import rates
-from readoutmap.model import RAD_PER_MHZ_NS, PulseSpec, SystemParams
+from readoutmap.model import RAD_PER_MHZ_NS, PulseSpec, SystemParams, sg_envelope
 from readoutmap.response import (_rk4_linear, coherence_at, max_stable_dt, peak_photon, solve_eta,
                                  steady_state)
 from fullspace import coherence_walk, propagate, qubit_block, rk4_reference
@@ -213,6 +214,56 @@ def test_step_size_bound_enforced():
     assert max_stable_dt(P) == pytest.approx(0.05 / (2e-3 * np.pi * 5.0))
     assert max_stable_dt(P, 1) == pytest.approx(0.05 / (2e-3 * np.pi * 7.0))
     assert max_stable_dt(replace(P, kappa_c=20.0), 1) == pytest.approx(0.05 / (2e-3 * np.pi * 20.0))
+
+
+@pytest.mark.parametrize("t_end, dt, message", [
+    (10.0, np.inf, "step size dt = inf ns must be finite and > 0"),
+    (np.inf, 1.0, "end time t_end = inf ns must be finite and >= 0"),
+    (10.0, np.nan, "step size dt = nan ns must be finite and > 0"),
+    (np.nan, 1.0, "end time t_end = nan ns must be finite and >= 0"),
+    (10.0, 0.0, "step size dt = 0.0 ns must be finite and > 0"),
+    (-1.0, 1.0, "end time t_end = -1.0 ns must be finite and >= 0"),
+])
+def test_a_grid_that_is_not_finite_is_an_error(t_end, dt, message):
+    # no detuning and no decay: no level has a rate, so no step bound stops dt = inf
+    # (it gave 0 steps) and t_end = inf reached round(inf) (an OverflowError)
+    p = SystemParams(0.0, 0.0, 0.0, 0.0, 0.0, 2, 2)
+    assert max_stable_dt(p, 0) == max_stable_dt(p, 1) == np.inf
+    with pytest.raises(ValueError, match=re.escape(message)):
+        response._grid_steps(p, t_end, dt, (0, 1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_eta(p, PulseSpec("constant", 1.0), t_end, dt)
+
+
+def test_a_drive_whose_photon_number_overflows_is_a_drive_error():
+    # (omega_c / 2)^2 raises in Python floats above 2.7e154 MHz; below that, a dressed
+    # factor under 1 can still carry the quotient past the float range
+    undamped_enough = replace(P, delta_cd=0.0, kappa_c=1e-3)
+    for params, omega, level in ((P, 1e155, 0), (P, -1e300, 1), (undamped_enough, 2e154, 0)):
+        line = (f"drive omega_c = {omega:g} MHz overflows the steady-state photon number of "
+                f"qubit level {level}")
+        with pytest.raises(ValueError, match=re.escape(line)):
+            steady_state(params, omega, level)
+    with pytest.raises(ValueError, match=re.escape("drive omega_c = 1e+155 MHz overflows")):
+        peak_photon(P, 1e155)
+    # just below, the photon number is the closed form's float
+    assert steady_state(P, 1e154)[1] == (1e154 / 2.0) ** 2 / (25.0 + 0.25)
+
+
+@pytest.mark.parametrize("pulse", [
+    PulseSpec("square-gaussian", 50.0, tau_p=1000.0, tau_r=100.0, sigma_r=50.0),
+    PulseSpec("square-gaussian", 14.2, tau_p=1000.0, tau_r=100.0, sigma_r=50.0),
+    PulseSpec("square-gaussian", 3.0, tau_p=200.0, tau_r=100.0, sigma_r=10.0),
+    PulseSpec("constant", 7.0),
+])
+def test_eta_d1_is_the_ode_at_the_grid_drive_bit_for_bit(pulse):
+    # solve_eta takes the drive at the grid points from the half-grid drive of its scan:
+    # the same floats as the envelope evaluated on the grid k * dt
+    traj = solve_eta(P, pulse, t_end=1300.0, dt=0.1)
+    beta = (2j * np.pi * P.delta_cd + np.pi * P.kappa_c) * 1e-3
+    drive = -1j * np.pi * 1e-3 * pulse.omega_c
+    assert traj.eta_d1.tobytes() == (-beta * traj.eta
+                                     + drive * sg_envelope(traj.times, pulse)).tobytes()
 
 
 def test_the_stepped_amplitudes_are_linear_in_the_drive():
