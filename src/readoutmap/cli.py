@@ -8,14 +8,17 @@ Subcommands map one-to-one onto plot-ready data products:
   spectrum-grid     effective spectrum over a level grid
   propagate         exact master-equation coherence vs the effective map
   compare-gambetta  two-level-model dephasing vs ours, with the chi offset
-  validate          every section's reader and the commands' pre-flight rules, as JSON
+  validate          the rules of every section's reader, as JSON
 
-Each config section has one reader, called by its command and by validate: it
-raises the command's input errors and evaluates its warning rules. Every reader
-but benchmark_eig's runs the command's own computation and returns what the
-command writes, so validate meets the command's first error: the sweep rows and
-the spectrum matrix, and, where the grid passes the command's step rule, the
-transient series and the propagate columns (propagate's phase overflow
+Each config section has one reader, called by its command and by validate. It
+raises the command's input errors and returns (what the command writes, its rules
+{<section>.<rule>: rule}): warning rules, and for a command that steps a time grid
+its step rule, built beside the call that steps its levels. The command prints its
+failed warnings and then stops at a failed step rule with response._grid_steps's
+error; validate reports the union of the rules. Every reader but benchmark_eig's
+runs the command's own computation, so validate meets the command's first error:
+the sweep rows and the spectrum matrix, and, where the grid passes its step rule,
+the transient series and the propagate columns (propagate's phase overflow
 included). A value the drive makes too large for a float is model.drive_error's
 one error line, from the command and validate alike.
 
@@ -88,17 +91,32 @@ def _grid_section(config: RunConfig, name: str, extra: dict) -> tuple[dict, floa
     return sec, dt, t_end
 
 
-def _rule(params: SystemParams, rule: str, omega: float, where: str) -> tuple[bool, str, str]:
+def _rule(params: SystemParams, rule: str, omega: float, where: str) -> tuple[bool, str, str, bool]:
     """Warning rule 'validity_margin' or 'truncation' at drive omega (MHz):
-    (passed, validate's detail, the command's warning)."""
+    (passed, validate's detail, the command's warning, False: it does not stop the command)."""
     if rule == "validity_margin":
         margin = validity_margin(params, omega)
         return (margin < 1.0, f"margin {margin:.4g} at omega_c = {omega:g} MHz (warns at >= 1)",
-                f"perturbative validity margin {margin:.3f} >= 1 at {where}")
+                f"perturbative validity margin {margin:.4g} >= 1 at {where}", False)
     photon = response.peak_photon(params, omega)
     problem = truncation_error(photon, params.n_c)
     detail = problem or f"photon number {photon:.3g} < n_c/4 = {params.n_c / 4.0:g}"
-    return problem is None, detail, f"peak steady-state {problem}"
+    return problem is None, detail, f"peak steady-state {problem}", False
+
+
+def _step_rule(params: SystemParams, dt: float, t_end: float, levels) -> tuple[int | None, tuple]:
+    """The step rule of a grid that steps the recurrences of qubit `levels`: its number of
+    steps (None where the rule fails), and the rule (passed, validate's detail dt / bound
+    from response._step_error, the command's error from response._grid_steps, True: a
+    failed step rule stops the command)."""
+    bound, problem = response._step_error(params, dt, levels)
+    ratio = dt / bound if bound else np.inf  # an overflowing level bounds dt by 0
+    detail = (f"dt / bound = {ratio:.3g} (dt {dt:g} ns, bound {bound:.4g} ns)"
+              + (f": {problem}" if problem else ""))
+    try:
+        return response._grid_steps(params, t_end, dt, levels), (True, detail, None, True)
+    except ValueError as exc:
+        return None, (False, detail, str(exc), True)
 
 
 def _read_benchmark_eig(config: RunConfig) -> tuple[np.ndarray, dict]:
@@ -114,7 +132,11 @@ def _read_benchmark_eig(config: RunConfig) -> tuple[np.ndarray, dict]:
                   for rule in ("validity_margin", "truncation")}
 
 
-def _read_transient(config: RunConfig) -> tuple[tuple, dict]:
+def _read_transient(config: RunConfig) -> tuple[tuple | None, dict]:
+    """transient's (trajectory, correlations, generator) of the written pair, or None where
+    the grid fails the step rule of the levels it steps: eta at level 0 and the correlations
+    at the pair's. Raises model.drive_error's ValueError where a series it writes is not
+    finite."""
     sec, dt, t_end = _grid_section(config, "transient", {"levels": (None, [[1, 0]])})
     # every entry must be a pair of qubit levels; the CSV holds the first one only
     where, pairs, levels = "config section 'transient'", sec["levels"], []
@@ -124,23 +146,16 @@ def _read_transient(config: RunConfig) -> tuple[tuple, dict]:
         raise ValueError(f"{where}: 'levels' must be a non-empty list of "
                          "[n_al, n_ar] pairs of ints >= 0")
     # the margin's error at an undamped resonance comes before kappa's
-    rule = _rule(config.params, "validity_margin", config.pulse.omega_c, "the pulse peak")
+    margin = _rule(config.params, "validity_margin", config.pulse.omega_c, "the pulse peak")
     if config.params.kappa_c <= 0:
         raise ValueError("correlations_timedomain requires kappa_c > 0")
     if dt > 0.0 and t_end / dt <= 0.5:  # round(t_end / dt) == 0 steps
         raise ValueError("correlations need at least two grid points: t_end is below dt/2")
-    section = dt, t_end, levels
-    series = _transient_series(config, section) if _within_step_rule(config, "transient",
-                                                                      section) else None
-    return (*section, series), {"transient.validity_margin": rule}
-
-
-def _transient_series(config: RunConfig, section: tuple) -> tuple:
-    """transient's (trajectory, correlations, generator) of the written pair levels[0] of
-    section (dt, t_end, levels), or model.drive_error's ValueError where a series it writes
-    is not finite."""
-    (dt, t_end, levels), p = section, config.params
-    pair = levels[0]
+    p, pair = config.params, levels[0]
+    n_steps, step = _step_rule(p, dt, t_end, sorted({0, *pair}))
+    rules = {"transient.validity_margin": margin, "transient.dt": step}
+    if n_steps is None:
+        return None, rules
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
         traj = response.solve_eta(p, config.pulse, t_end, dt)
         corr = transient.correlations_timedomain(traj, p, [pair])
@@ -151,7 +166,7 @@ def _transient_series(config: RunConfig, section: tuple) -> tuple:
                           written)
     if problem:
         raise ValueError(problem)
-    return traj, corr, gen
+    return (traj, corr, gen), rules
 
 
 def _read_spectrum_grid(config: RunConfig) -> tuple[tuple, dict]:
@@ -162,25 +177,20 @@ def _read_spectrum_grid(config: RunConfig) -> tuple[tuple, dict]:
     return effective.spectrum_matrix(config.params, levels, photon), {}
 
 
-def _read_propagate(config: RunConfig) -> tuple[tuple, dict]:
+def _read_propagate(config: RunConfig) -> tuple[dict | None, dict]:
+    """propagate's CSV columns: the exact and the effective-map coherence of the qubit
+    (|0> + |1>)/sqrt(2), resonator in vacuum, at every sample_every-th grid point and the
+    last (about 512 samples by default), with the photon number; or None where the grid
+    fails the step rule of levels 0 and 1, whose resonators it steps. Raises the coherence's
+    error where its phase overflows, and the effective map's at an undamped dressed
+    resonance."""
     sec, dt, t_end = _grid_section(config, "propagate", {"sample_every": (int, None)})
-    sample_every = sec["sample_every"]
+    sample_every, p = sec["sample_every"], config.params
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every = {sample_every} must be >= 1")
-    section = dt, t_end, sample_every
-    columns = _propagate_columns(config, section) if _within_step_rule(config, "propagate",
-                                                                        section) else None
-    return (*section, columns), {}
-
-
-def _propagate_columns(config: RunConfig, section: tuple) -> dict:
-    """propagate's CSV columns on section (dt, t_end, sample_every): the exact and the
-    effective-map coherence of the qubit (|0> + |1>)/sqrt(2), resonator in vacuum, at every
-    sample_every-th grid point and the last (about 512 samples by default), with the photon
-    number. Raises the coherence's error where its phase overflows, and the effective map's
-    at an undamped dressed resonance."""
-    (dt, t_end, sample_every), p = section, config.params
-    n_steps = response._grid_steps(p, t_end, dt, _STEPPED_LEVELS["propagate"](section))
+    n_steps, step = _step_rule(p, dt, t_end, (0, 1))
+    if n_steps is None:
+        return None, {"propagate.dt": step}
     if sample_every is None:
         sample_every = max(1, n_steps // 512)
     idx = np.append(np.arange(0, n_steps, sample_every), n_steps)
@@ -191,16 +201,7 @@ def _propagate_columns(config: RunConfig, section: tuple) -> dict:
     full, photon = rho0[1, 0] * coherence, np.abs(eta) ** 2
     rho_t = effective.effective_map_apply(rho0, p, photon, times)
     return {"t_ns": times, "abs_rho10_full": abs(full), "abs_rho10_eff": abs(rho_t[:, 1, 0]),
-            "photon": photon}
-
-
-def _within_step_rule(config: RunConfig, name: str, section: tuple) -> bool:
-    """Whether the grid of parsed section `name` (dt first) passes its command's step rule:
-    past it the reader runs the command's computation, before it validate reports the rule
-    as its dt check and the command raises the rule's error."""
-    dt = section[0]
-    return dt > 0.0 and response._step_error(config.params, dt,
-                                             _STEPPED_LEVELS[name](section))[1] is None
+            "photon": photon}, {"propagate.dt": step}
 
 
 def _read_compare_gambetta(config: RunConfig) -> tuple[list, dict]:
@@ -215,26 +216,23 @@ def _read_rates_sweep(config: RunConfig) -> tuple[list, dict]:
     return [_rates_row(config.params, config.pulse.omega_c, d) for d in grid], {}
 
 
-# section -> the qubit levels whose RK4 recurrences its command steps, from the parsed section:
-# dt <= max_stable_dt of each, set by the level's dressed detuning and kappa_c, not the drive.
-# transient steps eta (level 0) and the correlation recurrences of the pair it writes,
-# propagate the coherence of levels 1 and 0
-_STEPPED_LEVELS = {"transient": lambda section: sorted({0, *section[2][0]}),
-                   "propagate": lambda section: (0, 1)}
-
-# section -> reader: (what the command writes: the parsed section with its product, a sweep's
-# rows or the spectrum matrix; {<section>.<rule>: _rule(...)}) or the command's error
+# section -> reader: (what the command writes: a sweep's rows, the omega_c grid, the transient
+# series, the spectrum matrix or the propagate columns, None where a rule stops the command;
+# {<section>.<rule>: _rule(...) or _step_rule(...)[1]}) or the command's error
 _READERS = {"rates_sweep": _read_rates_sweep, "benchmark_eig": _read_benchmark_eig,
             "transient": _read_transient, "spectrum_grid": _read_spectrum_grid,
             "propagate": _read_propagate, "compare_gambetta": _read_compare_gambetta}
 
 
 def _read(config: RunConfig, name: str):
-    """Section `name` through its reader; its failed rules are warnings on stderr."""
+    """What section `name`'s command writes, through its reader: its failed warning rules
+    go to stderr, and after them a failed rule that stops the command is its error."""
     values, rules = _READERS[name](config)
-    for passed, _, warning in rules.values():
+    for passed, _, message, stops in sorted(rules.values(), key=lambda rule: rule[3]):
+        if not passed and stops:
+            raise ValueError(message)
         if not passed:
-            print(f"warning: {warning}", file=sys.stderr)
+            print(f"warning: {message}", file=sys.stderr)
     return values
 
 
@@ -270,10 +268,8 @@ def cmd_benchmark_eig(config: RunConfig, out: str, header: bool, threads: int) -
 
 
 def cmd_transient(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    section = dt, t_end, levels, series = _read(config, "transient")
-    # the step rule's error, where the reader ran nothing
-    response._grid_steps(config.params, t_end, dt, _STEPPED_LEVELS["transient"](section))
-    transient.write_transient_csv(out, *series, pair=levels[0], header=header)
+    traj, corr, gen = _read(config, "transient")
+    transient.write_transient_csv(out, traj, corr, gen, pair=corr.pairs[0], header=header)
 
 
 def cmd_spectrum_grid(config: RunConfig, out: str, header: bool, threads: int) -> None:
@@ -281,10 +277,7 @@ def cmd_spectrum_grid(config: RunConfig, out: str, header: bool, threads: int) -
 
 
 def cmd_propagate(config: RunConfig, out: str, header: bool, threads: int) -> None:
-    section = dt, t_end, _, columns = _read(config, "propagate")
-    # the step rule's error, where the reader ran nothing
-    response._grid_steps(config.params, t_end, dt, _STEPPED_LEVELS["propagate"](section))
-    write_csv(out, columns, header=header)
+    write_csv(out, _read(config, "propagate"), header=header)
 
 
 def _gambetta_row(p: SystemParams, omega: float, d) -> tuple:
@@ -303,34 +296,24 @@ def cmd_compare_gambetta(config: RunConfig, out: str, header: bool, threads: int
                     "gamma_phi_gambetta_shifted_mhz": shifted}, header=header)
 
 
-def cmd_validate(config: RunConfig, out: str | None, header: bool, threads: int) -> int:
+def cmd_validate(config: RunConfig, out: str | None) -> int:
     """Run the reader of every section in the config and report, as checks
-    {"passed", "detail"} named <section>.<rule>, the rules of its commands:
+    {"passed", "detail"} named <section>.<rule>, the rules its readers return:
 
       validity_margin  transient, benchmark_eig: below 1 (the command warns)
       truncation       benchmark_eig: below model.truncation_error's bound (the
                        command warns)
-      dt               transient, propagate: 0 < dt <= the bound of the command's own
-                       step rule, response._step_error: the smallest max_stable_dt of
-                       the levels it steps (else it raises); reports dt / bound, and
-                       above the bound the rule's error text
+      dt               transient, propagate: 0 < dt <= the bound of the step rule of
+                       the levels the command steps, response._step_error: the smallest
+                       max_stable_dt of them (else the command stops with its error);
+                       reports dt / bound, and above the bound the rule's error text
 
     Drives are the pulse peak, and benchmark_eig's strongest grid point.
     Returns the exit code, 1 when a check fails; a reader's error propagates.
     """
-    read = {name: _READERS[name](config) for name in config.sections}
-    rules = {name: rule for _, section in read.values() for name, rule in section.items()}
-    for name in _STEPPED_LEVELS.keys() & read.keys():
-        section = read[name][0]  # the parsed section is (dt, t_end, ...)
-        dt, levels = section[0], _STEPPED_LEVELS[name](section)
-        bound, problem = response._step_error(config.params, dt, levels)
-        ratio = dt / bound if bound else np.inf  # an overflowing level bounds dt by 0
-        rules[f"{name}.dt"] = (0.0 < dt <= bound, f"dt / bound = {ratio:.3g} "
-                               f"(dt {dt:g} ns, bound {bound:.4g} ns)"
-                               + (f": {problem}" if problem else ""), None)
     checks = {name: {"passed": bool(passed), "detail": detail}
-              for name, (passed, detail, _) in rules.items()}
-
+              for section in config.sections
+              for name, (passed, detail, *_) in _READERS[section](config)[1].items()}
     passed = all(c["passed"] for c in checks.values())
     text = json.dumps({"passed": passed, "checks": checks}, indent=2, sort_keys=True)
     if out:
@@ -370,7 +353,7 @@ def main(argv=None) -> int:
     header = not args.no_header
     try:
         if args.command == "validate":
-            return cmd_validate(config, args.out, header, args.threads)
+            return cmd_validate(config, args.out)
         func, default_out = _COMMANDS[args.command]
         out = args.out or config.out or default_out
         func(config, out, header, args.threads)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import RAD_PER_MHZ_NS, SystemParams, detuning_l, detuning_r, write_csv
-from .response import ResonatorTrajectory, _rk4_linear
+from .response import ResonatorTrajectory, _rk4_linear, _step_error
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,9 @@ def correlations_timedomain(traj: ResonatorTrajectory, params: SystemParams,
 
     The trajectory must be on a uniform grid with eta(0) = 0 (every series is
     then exactly zero at t = 0). Raises ValueError for kappa_c = 0: with no
-    resonator decay neither integration direction damps the homogeneous error.
+    resonator decay neither integration direction damps the homogeneous error; and
+    response._step_error's where dt exceeds the step bound of the pairs' levels, whose
+    dressed detunings the auxiliary recurrences run at.
     """
     if params.kappa_c <= 0:
         raise ValueError("correlations_timedomain requires kappa_c > 0")
@@ -102,6 +104,9 @@ def correlations_timedomain(traj: ResonatorTrajectory, params: SystemParams,
     steps = np.diff(t)
     if steps.size and np.max(np.abs(steps - dt)) > 1e-9 * dt:
         raise ValueError("trajectory grid is not uniform")
+    problem = pairs and _step_error(params, dt, sorted({k for pair in pairs for k in pair}))[1]
+    if problem:
+        raise ValueError(problem)
     eta = traj.eta
     if abs(eta[0]) > 1e-12 * max(1.0, float(np.max(np.abs(eta)))):
         raise ValueError("trajectory must start from eta(0) = 0")

@@ -6,10 +6,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from readoutmap import PulseSpec, SystemParams, solve_eta, track_coherence
 from readoutmap.eigenstates import fidelity_sweep
 from readoutmap.transient import correlations_timedomain
+
+# a failing property test prints its reproduction blob, so a failure in a test log can be
+# replayed exactly with @reproduce_failure; every other setting is the loaded profile's
+settings.register_profile("print-blob", print_blob=True)
+settings.load_profile("print-blob")
 
 # strong-dispersive benchmark point: qubit far detuned, resonator 5 MHz below
 # the drive, half dispersive shift -1 MHz, 1 MHz linewidth, 2 x 14 truncation

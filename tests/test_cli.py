@@ -465,6 +465,41 @@ def test_transient_checks_its_step_at_the_levels_of_its_pair(tmp_path, capsys):
             assert check["detail"].endswith(f"ns): {line}")
 
 
+def test_transient_warns_and_then_stops_at_its_step_rule(tmp_path, capsys):
+    # the shipped flat top's margin 1.203 warns; a step of 2 ns is above the level-1 bound
+    with open(os.path.join(CONFIGS, "transient_flattop.json")) as fh:
+        payload = json.load(fh)
+    payload["transient"]["dt_ns"] = 2.0
+    cfg, out = write_config(tmp_path, "c.json", payload), tmp_path / "t.csv"
+    assert main(["transient", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "warning: perturbative validity margin 1.203 >= 1 at the pulse peak\n"
+        "error: step size 2.0 ns exceeds stability bound 1.137 ns of qubit level 1\n")
+    assert not out.exists()
+    report = tmp_path / "report.json"
+    assert main(["validate", "--config", cfg, "--out", str(report)]) == 1
+    checks = json.loads(report.read_text())["checks"]
+    assert {name: check["passed"] for name, check in checks.items()} == {
+        "transient.validity_margin": False, "transient.dt": False}
+
+
+def test_the_transient_margin_warning_has_validates_digits(tmp_path, capsys):
+    # at a 1e154 MHz drive the margin is 3.8e150; the warning printed all its digits
+    with open(os.path.join(CONFIGS, "transient_crosstalk.json")) as fh:
+        payload = json.load(fh)
+    payload["pulse"]["omega_c_mhz"] = 1e154
+    payload["transient"]["t_end_ns"] = 20.0
+    cfg, report = write_config(tmp_path, "c.json", payload), tmp_path / "report.json"
+    margin = model.validity_margin(load_config(cfg).params, 1e154)
+    assert main(["transient", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+    warning = capsys.readouterr().err
+    assert warning == f"warning: perturbative validity margin {margin:.4g} >= 1 at the pulse peak\n"
+    assert len(warning) < 80
+    assert main(["validate", "--config", cfg, "--out", str(report)]) == 1
+    detail = json.loads(report.read_text())["checks"]["transient.validity_margin"]["detail"]
+    assert detail.startswith(f"margin {margin:.4g} at ")
+
+
 def test_a_strong_drive_takes_the_step_its_levels_allow(tmp_path):
     # the shipped flat top drives at 50 MHz, but the step rule reads only the recurrences'
     # rates: at dt = 1 ns (the bound is 1.137 ns) E of the pair matches the shipped

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ def test_zero_linewidth_is_rejected():
     traj = solve_eta(p, PulseSpec("constant", 1.0), 100.0, 0.5)
     with pytest.raises(ValueError, match="kappa_c"):
         correlations_timedomain(traj, p, [(1, 0)])
+
+
+def test_correlations_check_the_step_at_the_levels_of_their_pairs():
+    # level 0 allows dt = 1.5 ns (|delta_cd| = 5 MHz), but the pair (2, 0) runs its
+    # recurrences at delta_cd + 4 chi = -325 MHz, bound 0.0245 ns: unchecked, |E| reached
+    # 1.3e41 while the photon number stayed below 0.011
+    p = SystemParams(-2005.0, -5.0, -330.0, -80.0, 5.0, 3, 14)
+    pulse = PulseSpec("square-gaussian", omega_c=1.0, tau_p=400.0, tau_r=100.0, sigma_r=50.0)
+    traj = solve_eta(p, pulse, 300.0, 1.5)
+    bound = max_stable_dt(p, 2)
+    with pytest.raises(ValueError, match=re.escape(
+            f"step size 1.5 ns exceeds stability bound {bound:.4g} ns of qubit level 2")):
+        correlations_timedomain(traj, p, [(2, 0)])
+    assert correlations_timedomain(traj, p, [(0, 0)]).pairs == [(0, 0)]  # level 0 passes
 
 
 def test_transient_csv(tmp_path, step_drive_run):
