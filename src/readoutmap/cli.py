@@ -82,12 +82,19 @@ def _sweep(config: RunConfig, name: str, default_points: int) -> np.ndarray:
     return np.linspace(sec["delta_cd_start_mhz"], sec["delta_cd_stop_mhz"], sec["points"])
 
 
-def _grid_section(config: RunConfig, name: str, extra: dict) -> tuple[dict, float, float]:
-    """Section `name` of a command that steps a time grid, and its 'dt_ns' and 't_end_ns'."""
+def _grid_section(config: RunConfig, name: str, extra: dict,
+                  itemsize: int) -> tuple[dict, float, float]:
+    """Section `name` of a command that steps a time grid, and its 'dt_ns' and 't_end_ns',
+    whose 2 t_end/dt + 1 half-step samples of `itemsize` bytes must fit numpy's index range."""
     sec = _section(config, name, {"dt_ns": (float, ...), "t_end_ns": (float, ...), **extra})
     dt, t_end = sec["dt_ns"], sec["t_end_ns"]
     if not t_end >= 0.0:
         raise ValueError(f"end time t_end = {t_end} ns must be >= 0")
+    samples = 2.0 * (t_end / dt) + 1.0 if dt > 0.0 else 0.0
+    if samples * itemsize > np.iinfo(np.intp).max:  # an array's size in bytes is an intp
+        raise ValueError(f"step size dt = {dt} ns is too small for t_end = {t_end:g} ns: its "
+                         f"{samples:.3g} half-step samples of {itemsize} B exceed numpy's "
+                         f"index range ({np.iinfo(np.intp).max:.3g} B)")
     return sec, dt, t_end
 
 
@@ -137,7 +144,9 @@ def _read_transient(config: RunConfig) -> tuple[tuple | None, dict]:
     the grid fails the step rule of the levels it steps: eta at level 0 and the correlations
     at the pair's. Raises model.drive_error's ValueError where a series it writes is not
     finite."""
-    sec, dt, t_end = _grid_section(config, "transient", {"levels": (None, [[1, 0]])})
+    # the trajectory holds the complex drive at every half step
+    sec, dt, t_end = _grid_section(config, "transient", {"levels": (None, [[1, 0]])},
+                                   np.dtype(complex).itemsize)
     # every entry must be a pair of qubit levels; the CSV holds the first one only
     where, pairs, levels = "config section 'transient'", sec["levels"], []
     if isinstance(pairs, list) and all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
@@ -184,7 +193,8 @@ def _read_propagate(config: RunConfig) -> tuple[dict | None, dict]:
     fails the step rule of levels 0 and 1, whose resonators it steps. Raises the coherence's
     error where its phase overflows, and the effective map's at an undamped dressed
     resonance."""
-    sec, dt, t_end = _grid_section(config, "propagate", {"sample_every": (int, None)})
+    # the sampled walk holds no grid-length array: it only indexes the half steps
+    sec, dt, t_end = _grid_section(config, "propagate", {"sample_every": (int, None)}, 1)
     sample_every, p = sec["sample_every"], config.params
     if sample_every is not None and sample_every < 1:
         raise ValueError(f"sample_every = {sample_every} must be >= 1")

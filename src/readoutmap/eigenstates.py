@@ -1,19 +1,22 @@
 """Perturbative stationary eigenstates of the doubled-space generator.
 
-At zeroth order each doubled eigenstate is a qubit Fock label on either copy
-with both resonator copies in coherent states (eta on the ket copy, eta* on
-the bra copy). Higher orders add qubit-conditioned resonator excitations:
-displaced creation operators (c^+ - eta*) acting on the coherent background,
-with closed-form coefficients built from the dressed detunings. Coherent
-amplitudes are written analytically in the truncated Fock basis (never via
-matrix exponentials) to avoid truncation-induced norm loss.
-
 Under a constant drive the model (no resonator Kerr term) has an exact
 stationary eigenpair per qubit sector, the polaron picture of Gambetta et al.,
 PRA 77, 012112 (2008): the displaced product |n_al, alpha_l><n_ar, alpha_r|,
 each resonator copy in the steady state of its dressed detuning, with the
-closed-form eigenvalue of effective.effective_spectrum. In a truncated Fock
-basis it is exact up to truncation (closed_form_eigenpair).
+closed-form eigenvalue of effective.effective_spectrum (closed_form_eigenpair,
+exact up to Fock truncation). Coherent amplitudes are written analytically in
+the truncated Fock basis, never via matrix exponentials.
+
+The perturbative eigenstate of labels in {0, 1}^2 is the series of that vector
+in the drive about eta (eta on the ket copy, eta* on the bra copy): t_0 =
+coherent(eta), t_k = (a/k)(c^+ - eta*) t_{k-1}, s_0 = coherent(eta*), s_k =
+(b/k)(c^+ - eta) s_{k-1}, and v = sum over i + j <= order of kron(t_i, s_j),
+normalized; a = -2 chi eta / dl(1) for an excited ket label, b = -2 chi eta* /
+dr(1) for an excited bra label, else 0. Its limit e^{a(c^+ - eta*)}|eta> (x)
+e^{b(c^+ - eta)}|eta*> is |alpha_{n_al}> (x) |alpha_{n_ar}*> up to a factor, as
+eta + a = alpha_1; c^+ only raises in the truncated basis, so the truncated sum
+reaches closed_form_eigenpair's vector to rounding.
 
 Validation is done at a steady-state snapshot under constant drive. Hu
 conserves n_al and n_ar, so a (n_al, n_ar) ansatz and its exact partner live
@@ -52,12 +55,12 @@ class PerturbativeEigenstate:
 
 def coherent_amplitudes(eta: complex, n_c: int) -> np.ndarray:
     """Truncated coherent-state column: exp(-|eta|^2/2) eta^k / sqrt(k!)."""
+    if eta == 0:
+        return np.eye(1, n_c)[0]  # the vacuum
     k = np.arange(n_c)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_c, dtype=float)))))
-    mag = np.exp(-abs(eta) ** 2 / 2.0 + k * np.log(abs(eta)) - 0.5 * log_fact) if eta != 0 \
-        else np.concatenate(([1.0], np.zeros(n_c - 1)))
-    phase = np.exp(1j * k * np.angle(eta)) if eta != 0 else np.ones(n_c)
-    return mag * phase
+    mag = np.exp(-abs(eta) ** 2 / 2.0 + k * np.log(abs(eta)) - 0.5 * log_fact)
+    return mag * np.exp(1j * k * np.angle(eta))
 
 
 def closed_form_eigenpair(params: SystemParams, n_al: int, n_ar: int,
@@ -68,82 +71,68 @@ def closed_form_eigenpair(params: SystemParams, n_al: int, n_ar: int,
     n_ar(n_ar-1)) + E_{n_al,n_ar}(photon). The unit block vector is
     kron(coherent(alpha_l), conj(coherent(alpha_r))), alpha_k the steady-state
     amplitude of level k, response.steady_state(params, omega_c, k). The pair is exact
-    for this model but for Fock truncation: its residual falls as n_c grows."""
+    for this model but for Fock truncation: its residual falls as n_c grows. Raises
+    model.truncation_error's ValueError (the larger |alpha|^2) where the vector's norm is 0."""
     _, photon = steady_state(params, omega_c)
-    value = (params.delta_ad * (n_al - n_ar)
-             + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
-             + effective_spectrum(params, n_al, n_ar, photon))
     alpha_l, alpha_r = (steady_state(params, omega_c, k)[0] for k in (n_al, n_ar))
     vec = np.kron(coherent_amplitudes(alpha_l, params.n_c),
                   np.conj(coherent_amplitudes(alpha_r, params.n_c)))
-    return complex(value), vec / np.linalg.norm(vec)
+    norm = np.linalg.norm(vec)
+    if not norm > 0.0:
+        raise ValueError(truncation_error(max(abs(alpha_l), abs(alpha_r)) ** 2, params.n_c))
+    value = (params.delta_ad * (n_al - n_ar)
+             + 0.5 * params.alpha_a * (n_al * (n_al - 1) - n_ar * (n_ar - 1))
+             + effective_spectrum(params, n_al, n_ar, photon))
+    return complex(value), vec / norm
+
+
+def _displacement_series(labels: tuple[int, int], params: SystemParams, eta: complex,
+                         order: int) -> np.ndarray:
+    """The module docstring's series, unnormalized, to any order >= 0."""
+    n_c, chi = params.n_c, params.chi_ac
+    # level 1's dressed detunings: only an excited label past order 0 divides by them
+    a = -2.0 * chi * eta / detuning_l(params, 1) if labels[0] and order else 0.0
+    b = -2.0 * chi * np.conj(eta) / detuning_r(params, 1) if labels[1] and order else 0.0
+    up = destroy(n_c).conj().T
+    disp_l, disp_r = up - np.conj(eta) * np.eye(n_c), up - eta * np.eye(n_c)
+    t, s = [coherent_amplitudes(eta, n_c)], [coherent_amplitudes(np.conj(eta), n_c)]
+    for k in range(1, order + 1):
+        t.append((a / k) * (disp_l @ t[-1]))
+        s.append((b / k) * (disp_r @ s[-1]))
+    partial = np.cumsum(s, axis=0)  # s_0 + ... + s_j
+    return sum(np.kron(t[i], partial[order - i]) for i in range(order + 1))
 
 
 def perturbative_eigenstate(labels: tuple[int, int], params: SystemParams,
                             eta: complex, order: int) -> PerturbativeEigenstate:
-    """Build the order-0/1/2 eigenstate for qubit labels in {0, 1}^2.
+    """The order-0/1/2 eigenstate for qubit labels in {0, 1}^2: the module docstring's
+    series of closed_form_eigenpair's vector, summed over i + j <= order.
 
-    The (0,0) state is the pure coherent product at every order. For excited
-    labels the first order applies -2 chi eta (c^+ - eta*)/dl (and the mirror
-    on the bra copy), the second order its half-squared iteration, and (1,1)
-    additionally the cross ket-bra excitation. Requires |eta|^2 < n_c/4 so the
-    coherent tail is negligible at the truncation, and, for an excited label
-    at order >= 1, level 1 off its undamped dressed resonance
-    (model.resonance_error), whose dressed detuning the excitations divide by.
+    (0,0) is the coherent product at every order. Requires |eta|^2 < n_c/4, so the
+    coherent tail is negligible at the truncation, and, for an excited label at order
+    >= 1, level 1 off its undamped dressed resonance (model.resonance_error).
     """
     n_al, n_ar = labels
     if n_al not in (0, 1) or n_ar not in (0, 1):
         raise ValueError("perturbative eigenstates are built for labels in {0,1}")
     if order not in (0, 1, 2):
         raise ValueError(f"unsupported perturbative order {order}")
-    n_c = params.n_c
-    problem = truncation_error(abs(eta) ** 2, n_c) or (
+    problem = truncation_error(abs(eta) ** 2, params.n_c) or (
         resonance_error(params, (1,)) if order >= 1 and 1 in labels else None)
     if problem:
         raise ValueError(problem)
-
-    res_l = coherent_amplitudes(eta, n_c)
-    res_r = coherent_amplitudes(np.conj(eta), n_c)
-
-    disp_l = destroy(n_c).conj().T - np.conj(eta) * np.eye(n_c)  # c^+ - eta*
-    disp_r = destroy(n_c).conj().T - eta * np.eye(n_c)           # c^+ - eta
-
-    vec = np.kron(res_l, res_r)
-    chi = params.chi_ac
-    if n_al == 1 and order >= 1:
-        dl = detuning_l(params, 1)
-        vec = vec - (2.0 * chi * eta / dl) * np.kron(disp_l @ res_l, res_r)
-        if order >= 2:
-            vec = vec + (2.0 * chi**2 * eta**2 / dl**2) * np.kron(disp_l @ (disp_l @ res_l), res_r)
-    if n_ar == 1 and order >= 1:
-        dr = detuning_r(params, 1)
-        vec = vec - (2.0 * chi * np.conj(eta) / dr) * np.kron(res_l, disp_r @ res_r)
-        if order >= 2:
-            vec = vec + (2.0 * chi**2 * np.conj(eta) ** 2 / dr**2) \
-                * np.kron(res_l, disp_r @ (disp_r @ res_r))
-    if n_al == 1 and n_ar == 1 and order >= 2:
-        d, k = params.delta_cd, params.kappa_c
-        cross = 4.0 * chi**2 * abs(eta) ** 2 / ((d + 2.0 * chi) ** 2 + (k / 2.0) ** 2)
-        vec = vec + cross * np.kron(disp_l @ res_l, disp_r @ res_r)
-
-    vec = vec / np.linalg.norm(vec)
+    vec = _displacement_series(labels, params, eta, order)
     return PerturbativeEigenstate(n_al=n_al, n_ar=n_ar, order=order, eta=complex(eta),
-                                  vector=vec)
+                                  vector=vec / np.linalg.norm(vec))
 
 
 def exact_eigenvector(state: PerturbativeEigenstate, params: SystemParams,
                       omega_c: float) -> np.ndarray:
-    """Exact eigenvector of the static generator matched to the ansatz.
-
-    Only the (state.n_al, state.n_ar) qubit sector of Hu is solved: Hu
-    conserves both qubit labels, so the ansatz and its exact partner have no
-    weight outside that block. Returns the unit block eigenvector, in the
-    basis of state.vector.
-
-    The partner is the block eigenpair nearest the closed-form eigenvalue, by
-    inverse iteration from the perturbative vector (spectra.eigenpair_near).
-    Raises TrackingLostError when its overlap with the ansatz drops to 0.5
-    (the ansatz is too far from exact)."""
+    """Exact unit eigenvector of the static generator matched to the ansatz, in the basis
+    of state.vector: the eigenpair of the ansatz's qubit-sector block (Hu conserves both
+    labels) nearest the closed-form eigenvalue, by inverse iteration from the perturbative
+    vector (spectra.eigenpair_near). Raises TrackingLostError when its overlap with the
+    ansatz drops to 0.5 (the ansatz is too far from exact)."""
     block, shift = _sector(params, state.n_al, state.n_ar, omega_c)
     return eigenpair_near(block, shift, state.vector, _levels=params.n_c).vector
 
@@ -201,13 +190,9 @@ def fidelity_sweep(params: SystemParams, omega_c_values, labels: tuple[int, int]
         states = [perturbative_eigenstate(labels, params, eta_ss, o) for o in orders]
         block, lam = _sector(params, *labels, omega)
         exact = eigenpair_near(block, lam, states[-1].vector, _levels=params.n_c).vector
-        for state in states:
-            rows.append({
-                "omega_c_mhz": float(omega),
-                "order": state.order,
-                "infidelity": eigenstate_fidelity(state, params, omega, exact=exact),
-                "residual_norm": _residual(block, lam, state.vector),
-            })
+        rows += [{"omega_c_mhz": float(omega), "order": state.order,
+                  "infidelity": eigenstate_fidelity(state, params, omega, exact=exact),
+                  "residual_norm": _residual(block, lam, state.vector)} for state in states]
     return rows
 
 

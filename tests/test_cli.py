@@ -582,6 +582,27 @@ def test_benchmark_eig_warns_when_the_truncation_is_too_small(tmp_path, capsys):
     assert len(read_rows(out)) == 11
 
 
+@pytest.mark.parametrize("omega, photon, margin", [(1000.0, "9.9e+03", "28.36"),
+                                                    (1e154, "9.9e+305", "2.836e+152")])
+def test_benchmark_eig_stops_where_the_closed_form_column_underflows(tmp_path, capsys, omega,
+                                                                     photon, margin):
+    # every amplitude of the truncated coherent column underflows to 0 far past n_c = 14
+    # (its norm is 1.2e-96 at 500 photons already): the closed-form start vector has no
+    # norm, and the command stops at the truncation rule after its two warnings
+    with open(os.path.join(CONFIGS, "benchmark_eig.json")) as fh:
+        payload = {**json.load(fh), "benchmark_eig": {"omega_c_grid_mhz": [0.0, omega]}}
+    out = tmp_path / "bench.csv"
+    assert main(["benchmark-eig", "--config", write_config(tmp_path, "c.json", payload),
+                 "--out", str(out)]) == 1
+    truncation = f"photon number {photon} >= n_c/4 = 3.5: too large for n_c = 14; increase " \
+        "the resonator truncation"
+    assert capsys.readouterr().err == (
+        f"warning: perturbative validity margin {margin} >= 1 at the strongest drive\n"
+        f"warning: peak steady-state {truncation}\n"
+        f"error: {truncation}\n")
+    assert not out.exists()
+
+
 def test_benchmark_eig_near_zero_drive_prints_no_numpy_warning(tmp_path):
     # at 1e-200 MHz the first inverse-iteration solve is not finite and is solved again
     # off its shift; a fresh interpreter shows what a user's stderr would hold
@@ -1154,6 +1175,34 @@ def test_a_drive_too_large_for_a_float_is_one_error_line(tmp_path, capsys, confi
     payload = shipped_payload(config, pulse, **sections)
     assert assert_one_error_line(tmp_path, capsys, SHIPPED_COMMANDS[config], payload) == (
         f"error: {line}")
+
+
+@pytest.mark.parametrize("dt", [1e-300, 1e-15])
+@pytest.mark.parametrize("config, t_end, itemsize", [("transient_flattop", 1400.0, 16),
+                                                     ("propagate", 72000.0, 1)])
+def test_a_step_too_small_for_numpy_is_one_error_line_that_names_dt(tmp_path, capsys, config,
+                                                                    t_end, itemsize, dt):
+    # transient holds a complex value at each of the 2 t_end/dt + 1 half steps, propagate only
+    # indexes them: 2.8e18 * 16 B and 1.44e20 indices exceed numpy's index range, 9.22e18.
+    # No grid that could be allocated is run
+    command = SHIPPED_COMMANDS[config]  # its section has the command's name
+    payload = shipped_payload(config)
+    payload[command]["dt_ns"] = dt
+    assert assert_one_error_line(tmp_path, capsys, command, payload) == (
+        f"error: step size dt = {dt} ns is too small for t_end = {t_end:g} ns: its "
+        f"{2.0 * t_end / dt + 1.0:.3g} half-step samples of {itemsize} B exceed numpy's index "
+        "range (9.22e+18 B)")
+
+
+def test_propagate_takes_a_grid_it_only_indexes(tmp_path, capsys):
+    # dt 2e-13 ns: 7.2e17 steps, whose half steps are more complex values than numpy can
+    # index; the constant pulse is walked in closed form over its 512 sample intervals
+    payload = shipped_payload("propagate", propagate={"dt_ns": 2e-13, "t_end_ns": 72000.0})
+    out = tmp_path / "o.csv"
+    assert main(["propagate", "--config", write_config(tmp_path, "c.json", payload),
+                 "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_rows(out)) == 513
 
 
 def error_lines(text):

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from readoutmap.effective import effective_spectrum
 from readoutmap import eigenstates
-from readoutmap.eigenstates import (coherent_amplitudes, eigenstate_fidelity, exact_eigenvector,
-                                    fidelity_sweep, perturbative_eigenstate, residual_norm,
-                                    write_fidelity_csv)
+from readoutmap.eigenstates import (closed_form_eigenpair, coherent_amplitudes,
+                                    eigenstate_fidelity, exact_eigenvector, fidelity_sweep,
+                                    perturbative_eigenstate, residual_norm, write_fidelity_csv)
 from readoutmap.liouville import build_extended_hamiltonian, destroy, sector_indices
-from readoutmap.model import SystemParams, detuning_l
+from readoutmap.model import SystemParams, detuning_l, detuning_r
 from readoutmap.response import steady_state
 from readoutmap.spectra import eigendecompose
 
@@ -61,6 +63,73 @@ def test_input_validation():
         perturbative_eigenstate((2, 0), SMALL, 0.1, 1)
     with pytest.raises(ValueError):
         perturbative_eigenstate((1, 0), SMALL, 0.1, 3)
+
+
+def ladder_reference(labels, params, eta, order):
+    """The order-0/1/2 unit eigenstate built term by term (reference): each
+    excitation of either copy at orders 1 and 2 written out, and the (1, 1)
+    cross excitation added by hand."""
+    n_al, n_ar = labels
+    n_c = params.n_c
+    res_l = coherent_amplitudes(eta, n_c)
+    res_r = coherent_amplitudes(np.conj(eta), n_c)
+    disp_l = destroy(n_c).conj().T - np.conj(eta) * np.eye(n_c)  # c^+ - eta*
+    disp_r = destroy(n_c).conj().T - eta * np.eye(n_c)           # c^+ - eta
+    vec = np.kron(res_l, res_r)
+    chi = params.chi_ac
+    if n_al == 1 and order >= 1:
+        dl = detuning_l(params, 1)
+        vec = vec - (2.0 * chi * eta / dl) * np.kron(disp_l @ res_l, res_r)
+        if order >= 2:
+            vec = vec + (2.0 * chi**2 * eta**2 / dl**2) * np.kron(disp_l @ (disp_l @ res_l), res_r)
+    if n_ar == 1 and order >= 1:
+        dr = detuning_r(params, 1)
+        vec = vec - (2.0 * chi * np.conj(eta) / dr) * np.kron(res_l, disp_r @ res_r)
+        if order >= 2:
+            vec = vec + (2.0 * chi**2 * np.conj(eta) ** 2 / dr**2) \
+                * np.kron(res_l, disp_r @ (disp_r @ res_r))
+    if n_al == 1 and n_ar == 1 and order >= 2:
+        d, k = params.delta_cd, params.kappa_c
+        cross = 4.0 * chi**2 * abs(eta) ** 2 / ((d + 2.0 * chi) ** 2 + (k / 2.0) ** 2)
+        vec = vec + cross * np.kron(disp_l @ res_l, disp_r @ res_r)
+    return vec / np.linalg.norm(vec)
+
+
+LABELS = [(0, 0), (1, 0), (0, 1), (1, 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(labels=st.sampled_from(LABELS), order=st.integers(0, 2), n_c=st.integers(2, 16),
+       fill=st.floats(0.0, 0.999), phase=st.floats(-np.pi, np.pi),
+       delta_cd=st.floats(-20.0, 20.0), chi=st.floats(-3.0, 3.0), kappa=st.floats(0.5, 10.0))
+# eta = 0, and the 2 x 14 benchmark point at about 2 photons
+@example(labels=(1, 1), order=2, n_c=8, fill=0.0, phase=0.0, delta_cd=-5.0, chi=-1.0,
+         kappa=1.0)
+@example(labels=(1, 1), order=2, n_c=14, fill=0.6, phase=1.3, delta_cd=-5.0, chi=-1.0,
+         kappa=1.0)
+def test_displacement_series_matches_the_ladder(labels, order, n_c, fill, phase, delta_cd, chi,
+                                                kappa):
+    # |eta|^2 = fill * n_c/4, below the truncation rule; gap at most 4.4e-16 in 70 000 draws
+    params = SystemParams(-20.0, delta_cd, -3.3, chi, kappa, 2, n_c)
+    eta = np.sqrt(fill * n_c / 4.0) * np.exp(1j * phase)
+    state = perturbative_eigenstate(labels, params, eta, order)
+    assert np.max(np.abs(state.vector - ladder_reference(labels, params, eta, order))) <= 1e-15
+
+
+@pytest.mark.parametrize("labels", [(1, 0), (0, 1), (1, 1)])
+@pytest.mark.parametrize("n_c", [6, 10, 14, 20])
+@pytest.mark.parametrize("delta_cd, chi, kappa", [(-5.0, -1.0, 1.0), (3.0, -0.5, 0.5)])
+def test_displacement_series_sums_to_the_closed_form_vector(labels, n_c, delta_cd, chi, kappa):
+    # summed far past order 2 the series is exp(a (c^+ - eta*))|eta> (x) exp(b (c^+ - eta))|eta*>,
+    # the polaron product |alpha_1> or |alpha_0> on each copy; c^+ only raises in the
+    # truncated basis, so the truncated sum is the truncated closed-form column (order 20
+    # left 1.4e-14 for (1, 1) at n_c 20 and the largest drive of the second parameter set)
+    params = SystemParams(-2005.0, delta_cd, -330.0, chi, kappa, 2, n_c)
+    for fill in (0.05, 0.3, 0.9):  # |eta|^2 as a share of n_c/4
+        omega = 2.0 * np.sqrt(fill * n_c / 4.0 * (delta_cd**2 + kappa**2 / 4.0))
+        _, exact = closed_form_eigenpair(params, *labels, omega)
+        v = eigenstates._displacement_series(labels, params, steady_state(params, omega)[0], 24)
+        assert 1.0 - abs(np.vdot(exact, v / np.linalg.norm(v))) ** 2 <= 1e-14
 
 
 def test_zero_drive_fidelity_is_exact():
