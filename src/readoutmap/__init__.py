@@ -16,20 +16,19 @@ from .model import PulseSpec, SystemParams, sg_envelope, validity_margin
 from .response import ResonatorTrajectory, coherence_at, solve_eta, steady_state
 from .spectra import (CoherenceTrack, EigenPair, EigenSet, TrackingLostError, eigendecompose,
                       eigenpair_near, extract_rates, track_coherence)
-from .transient import (CorrelationSet, GeneratorSeries, adiabatic_series_A,
-                        correlations_timedomain, effective_generator_timedep, fourier_A)
+from .transient import (CorrelationSet, adiabatic_series_A, correlations_timedomain,
+                        effective_generator_timedep, fourier_A)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "CoherenceTrack", "CorrelationSet", "EffectiveLindblad", "EigenPair",
-    "EigenSet", "GeneratorSeries", "PerturbativeEigenstate", "PulseSpec", "RatePair",
-    "ResonatorTrajectory", "SystemParams", "TrackingLostError", "adiabatic_correlations",
-    "adiabatic_series_A", "build_extended_hamiltonian", "choi_cptp_check",
-    "closed_form_eigenpair", "coherence_at", "correlations_timedomain",
-    "effective_generator_timedep", "effective_lindblad", "effective_map_apply",
-    "effective_spectrum", "eigendecompose", "eigenpair_near", "eigenstate_fidelity",
-    "extract_rates", "fidelity_sweep", "fourier_A", "gambetta_rates",
+    "EigenSet", "PerturbativeEigenstate", "PulseSpec", "RatePair", "ResonatorTrajectory",
+    "SystemParams", "TrackingLostError", "adiabatic_correlations", "adiabatic_series_A",
+    "build_extended_hamiltonian", "choi_cptp_check", "closed_form_eigenpair", "coherence_at",
+    "correlations_timedomain", "effective_generator_timedep", "effective_lindblad",
+    "effective_map_apply", "effective_spectrum", "eigendecompose", "eigenpair_near",
+    "eigenstate_fidelity", "extract_rates", "fidelity_sweep", "fourier_A", "gambetta_rates",
     "perturbative_eigenstate", "rates", "residual_norm", "sector_generator", "sg_envelope",
     "solve_eta", "spectrum_matrix", "steady_state", "track_coherence", "validity_margin",
 ]

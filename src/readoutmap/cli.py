@@ -170,7 +170,7 @@ def _read_transient(config: RunConfig) -> tuple[tuple | None, dict]:
         corr = transient.correlations_timedomain(traj, p, [pair])
         gen = transient.effective_generator_timedep(corr, traj, p, [pair])
         written = [traj.photon, corr.a_ll[pair], corr.a_rr[pair], corr.b_lr[pair],
-                   corr.c_lr[pair], gen.values[pair]]
+                   corr.c_lr[pair], gen[pair]]
     problem = drive_error(config.pulse.omega_c, f"the transient series of qubit levels {pair}",
                           written)
     if problem:

@@ -11,10 +11,11 @@ RAD_PER_MHZ_NS below is that conversion factor.
 Every CSV the package writes goes through write_csv, which owns the output
 format: each value is printed as "%.12g" % (x + 0.0), the same text as the
 f"{x + 0.0:.12g}" of earlier versions (12 significant digits, signed zeros
-printed as 0), comma-separated with \r\n line ends; the header row goes
-through the default csv dialect. The digits come from a numpy kernel
-(_format_block) that rounds each value to 12 digits in binary and reads the
-text from lookup tables; a value it cannot round with certainty (a near-tie,
+printed as 0), comma-separated with \r\n line ends, and the header row is the
+names joined the same way, each a non-empty string that needs no CSV quoting.
+The digits come from a numpy kernel (_format_block) that rounds each value to
+12 digits in binary and reads the text from lookup tables, and its bytes go to
+the file unchanged; a value it cannot round with certainty (a near-tie,
 0, NaN, an infinity, or a magnitude outside [1e-11, 1e33)) is printed by
 "%.12g" % x itself.
 
@@ -32,7 +33,6 @@ the system keys, drive_error for the drive.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
@@ -99,7 +99,8 @@ class PulseSpec:
     constant pulse is flat on (-inf, inf), with no ramps and no end. A norm that
     is 0 or out of float range is a ValueError naming tau_r_ns and sigma_r_ns; a
     tiny one leaves the ramp an absolute error of about 1.1e-16 / norm
-    (measured 1.5e-2 at sigma_r / tau_r = 1e7).
+    (measured 1.5e-2 at sigma_r / tau_r = 1e7). A sigma_r^4, or u^2 / sigma_r^4
+    at a ramp's far end u, out of float range is a ValueError naming sigma_r_ns.
     """
 
     kind: str
@@ -126,15 +127,20 @@ class PulseSpec:
                 raise ValueError("square-gaussian requires 0 < tau_r <= tau_p/2")
             if self.sigma_r <= 0.0:
                 raise ValueError("square-gaussian requires sigma_r > 0")
+            floor, curvature, fall = 1.0, math.inf, self.tau_p - self.tau_r
             try:  # Python floats: an overflow or a zero divisor raises
                 floor = math.exp(-self.tau_r**2 / (2.0 * self.sigma_r**2))
+                # the second derivative's u^2 / sigma_r^4, u up to the ramp's far end
+                curvature = max(self.tau_r, self.tau_p - fall) ** 2 / self.sigma_r**4
             except (OverflowError, ZeroDivisionError):
-                floor = 1.0
+                pass
             if floor == 1.0:
                 raise ValueError(f"tau_r_ns = {self.tau_r:g} and sigma_r_ns = {self.sigma_r:g} "
                                  "give no ramp: its normalization 1 - exp(-tau_r^2 / "
                                  "(2 sigma_r^2)) is 0 or out of float range")
-            fall = self.tau_p - self.tau_r
+            if curvature == math.inf:
+                raise ValueError(f"sigma_r_ns = {self.sigma_r:g} puts the ramp's second derivative "
+                                 "out of float range: sigma_r^4 or tau_r^2 / sigma_r^4 overflows")
             pieces = ((self.tau_r, fall), ((0.0, self.tau_r, self.tau_r), (fall, self.tau_p, fall)),
                       self.tau_p, floor, 1.0 - floor)
         for name, value in zip(("flat", "ramps", "end", "floor", "norm"), pieces):
@@ -436,24 +442,31 @@ def _format_block(block) -> bytes:
 def write_csv(path, columns: dict, header: bool = True) -> None:
     """Write equal-length 1-D columns, keyed by their header names, one row per index.
 
-    Each value is converted to float and printed as "%.12g" % (x + 0.0), the
-    same text as f"{x + 0.0:.12g}": 12 significant digits, integers without a
-    decimal point, and the + 0.0 folding signed zeros. Rows are formatted a
-    block at a time by _format_block, which prints a value whose rounding it
-    cannot settle, or that lies outside 1e-11 <= |x| < 1e33, with "%.12g"
-    itself; memory stays flat in the row count. A complex column, an empty
-    mapping, a column that is not 1-D, or columns of different lengths raise
-    ValueError before the file is opened.
+    The header row is ",".join(names) + "\r\n", so each name must be a non-empty
+    str that needs no CSV quoting: no comma, double quote, CR or LF. Each value is
+    converted to float and printed as "%.12g" % (x + 0.0), the same text as
+    f"{x + 0.0:.12g}": 12 significant digits, integers without a decimal point,
+    and the + 0.0 folding signed zeros. Rows are formatted a block at a time by
+    _format_block, whose bytes are written as they come; it prints a value whose
+    rounding it cannot settle, or that lies outside 1e-11 <= |x| < 1e33, with
+    "%.12g" itself; memory stays flat in the row count. A header name that needs
+    quoting, a complex column, an empty mapping, a column that is not 1-D, or
+    columns of different lengths raise ValueError before the file is opened.
     """
+    bad = [name for name in columns
+           if not isinstance(name, str) or not name or set(name) & set(',"\r\n')]
+    if bad:
+        raise ValueError("write_csv takes header names that are non-empty strings without "
+                         f"a comma, double quote, CR or LF, got {bad!r}")
     if any(np.iscomplexobj(c) for c in columns.values()):
         raise ValueError("write_csv takes real columns; write complex ones as .real and .imag")
     data = [np.asarray(c, dtype=float) for c in columns.values()]
     shapes = {name: col.shape for name, col in zip(columns, data)}
     if len(set(shapes.values())) != 1 or data[0].ndim != 1:
         raise ValueError(f"write_csv takes one or more 1-D columns of equal length, got {shapes}")
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         if header:
-            csv.writer(fh).writerow(list(columns))
+            fh.write((",".join(columns) + "\r\n").encode())
         for start in range(0, len(data[0]), _CSV_BLOCK_ROWS):
             block = np.column_stack([col[start:start + _CSV_BLOCK_ROWS] for col in data]) + 0.0
-            fh.write(_format_block(block).decode("ascii"))
+            fh.write(_format_block(block))

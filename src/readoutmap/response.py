@@ -9,8 +9,7 @@ package units, time in ns, rates in cyclic MHz)
 with eta(0) = 0. A fixed-step classic RK4 on a uniform grid is used so that
 downstream correlation integrals stay grid-aligned; it is evaluated as its
 one-step recurrence u[k+1] = r*u[k] + g[k] by a blocked numpy scan
-(`_rk4_linear`, shared with the transient correlation integrals; leading axes
-scan a batch of trajectories at once). Derivatives
+(`_rk4_linear`, shared with the transient correlation integrals). Derivatives
 are obtained from the ODE itself (differentiating it once and twice) rather
 than from the samples, which keeps the adiabatic derivative expansion
 noise-free: the first from the grid-point drive the scan already holds, the
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -142,38 +142,34 @@ def _rk4_recurrence(mu: complex, f: np.ndarray, fm: np.ndarray,
                     h: float) -> tuple[complex, np.ndarray]:
     """Classic RK4 for du/dt = mu*u + f as u[k+1] = r*u[k] + g[k]; returns r and g.
 
-    f holds the forcing at the N grid points, fm at the N-1 interval midpoints
-    (along the last axis); h is the signed step. With a = h*mu, one RK4 step is exactly
+    f holds the forcing at the N grid points, fm at the N-1 interval midpoints;
+    h is the signed step. With a = h*mu, one RK4 step is exactly
 
         r    = 1 + a + a^2/2 + a^3/6 + a^4/24,
         g[k] = (h/6) [(1 + a + a^2/2 + a^3/4) f[k] + (4 + 2a + a^2/2) fm[k] + f[k+1]].
     """
     a = h * mu
-    g = (1.0 + a * (1.0 + a * (0.5 + 0.25 * a))) * f[..., :-1]
+    g = (1.0 + a * (1.0 + a * (0.5 + 0.25 * a))) * f[:-1]
     g += (4.0 + a * (2.0 + 0.5 * a)) * fm
-    g += f[..., 1:]
+    g += f[1:]
     g *= h / 6.0
     return 1.0 + _rk4_factor_minus_one(mu, h), g
 
 
-def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0) -> np.ndarray:
-    """Classic RK4 for du/dt = mu*u + f(t) from u[0] = z0 on a uniform grid.
-
-    f and fm run along their last axis; leading axes are a batch of
-    independent trajectories (z0 broadcasts over them) that share mu and h.
-    Each trajectory is the recurrence u[k+1] = r*u[k] + g[k] of
-    `_rk4_recurrence`, scanned in blocks of B steps. Inside a block that
+def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0: complex) -> np.ndarray:
+    """Classic RK4 for du/dt = mu*u + f(t) from u[0] = z0 on a uniform grid: the
+    recurrence u[k+1] = r*u[k] + g[k] of `_rk4_recurrence` (f at the N grid points,
+    fm at the N-1 midpoints), scanned in blocks of B steps. Inside a block that
     starts from the carry c, u[i+1] = r^(i+1) c + sum_{j<=i} r^(i-j) g[j].
     Each block's end at zero carry is one product with the reversed powers
     r^(B-1)..r^0; the carries c <- r^B c + (that end) follow in one scalar
-    loop per trajectory. Then each block's row [c, g[0..B-1]] times the
-    (B+1) x B matrix [r^1..r^B ; lower-triangular Toeplitz matrix of the
-    powers, transposed] gives all B values, for all blocks in one product.
-    Nothing is pivoted, so the result is the recurrence to rounding.
+    pass. Then each block's row [c, g[0..B-1]] times the (B+1) x B matrix
+    [r^1..r^B ; lower-triangular Toeplitz matrix of the powers, transposed]
+    gives all B values, for all blocks in one product. Nothing is pivoted, so
+    the result is the recurrence to rounding.
     """
     r, g = _rk4_recurrence(mu, f, fm, h)
-    batch, n = g.shape[:-1], g.shape[-1]
-    rows, nb = math.prod(batch), -(-n // _BLOCK)
+    n, nb = g.size, -(-g.size // _BLOCK)
     pw = np.empty(_BLOCK + 1, dtype=complex)  # r^0 .. r^B, each by one more multiplication
     pw[0] = 1.0
     np.cumprod(np.full(_BLOCK, r), out=pw[1:])
@@ -181,23 +177,18 @@ def _rk4_linear(mu: complex, f: np.ndarray, fm: np.ndarray, h: float, z0) -> np.
     scan[0] = pw[1:]
     scan[1:] = np.triu(pw[np.abs(np.subtract.outer(np.arange(_BLOCK), np.arange(_BLOCK)))])
     # each block's row: the carry into it, then its g (zero-padded after the grid's end)
-    blocks = np.zeros((rows, nb, _BLOCK + 1), dtype=complex)
-    g, full = g.reshape(rows, n), n // _BLOCK
-    blocks[:, :full, 1:] = g[:, :full * _BLOCK].reshape(rows, full, _BLOCK)
-    blocks[:, full:, 1:n - full * _BLOCK + 1] = g[:, None, full * _BLOCK:]
+    blocks = np.zeros((nb, _BLOCK + 1), dtype=complex)
+    full = n // _BLOCK
+    blocks[:full, 1:] = g[:full * _BLOCK].reshape(full, _BLOCK)
+    blocks[full:, 1:n - full * _BLOCK + 1] = g[full * _BLOCK:]
     del g  # freed before u is allocated
-    ends = blocks[:, :, 1:] @ pw[_BLOCK - 1::-1]
-    z0 = np.broadcast_to(np.asarray(z0, dtype=complex), batch).reshape(-1)
-    carry, r_block = [], complex(pw[-1])
-    for c, row in zip(z0.tolist(), ends.tolist()):
-        for end in row:
-            carry.append(c)
-            c = r_block * c + end
-    blocks[:, :, 0] = np.array(carry, dtype=complex).reshape(rows, nb)
-    u = np.empty((rows, nb * _BLOCK + 1), dtype=complex)
-    u[:, 0] = z0
-    np.matmul(blocks, scan, out=u[:, 1:].reshape(rows, nb, _BLOCK))
-    return u[:, :n + 1].reshape(*batch, n + 1)
+    ends, r_block = (blocks[:, 1:] @ pw[_BLOCK - 1::-1]).tolist(), complex(pw[-1])
+    blocks[:, 0] = list(accumulate(ends[:-1], lambda c, end: r_block * c + end,
+                                   initial=complex(z0)))
+    u = np.empty(nb * _BLOCK + 1, dtype=complex)
+    u[0] = z0
+    np.matmul(blocks, scan, out=u[1:].reshape(nb, _BLOCK))
+    return u[:n + 1]
 
 
 def _grid_steps(params: SystemParams, t_end: float, dt: float, levels=(0,)) -> int:

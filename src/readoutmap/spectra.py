@@ -18,8 +18,8 @@ levels more than one apart is an exact zero, and a solve is n_c small LU
 solves (_block_solve): O(n_c^4) work in place of the dense O(n_c^6). There is
 no pivoting between the blocks. At kappa_c > 0 its backward error stays at
 rounding level; at kappa_c = 0 the block is Hermitian and a Schur complement
-can come near singular, so it has a longer tail (measured up to 3e-12
-normwise), which the iteration's residual gate sees like any other error.
+can come near singular, so where a Hermitian block's solves miss the rounding-level
+residual the pair is solved again as one block (_inverse_iteration).
 Also at kappa_c = 0 a diagonal sector's eigenvalue 0 is n_c-fold degenerate:
 the iteration returns some eigenvector of that eigenspace, at a rounding-level
 residual, and which one depends on how the block is solved. The small solves
@@ -167,7 +167,9 @@ def _inverse_iteration(op: np.ndarray, shift: complex, start: np.ndarray,
     is within rounding of an eigenvalue. A shift that is an eigenvalue to the
     last bit (a Fock state at zero drive), so that the solve fails or
     overflows, is moved off it by one rounding step of |op|; the iteration
-    still finds that eigenvector."""
+    still finds that eigenvector. A Hermitian op (a sector at kappa_c = 0) whose
+    block path ends above the rounding-level residual (measured up to 1.2e5 times
+    it, where (omega_c / 2 d_k)^2 is near an integer) is solved again as one block."""
     mat = _finite(op)
     scale = float(np.linalg.norm(mat))
     v = np.asarray(start, dtype=complex)
@@ -192,6 +194,8 @@ def _inverse_iteration(op: np.ndarray, shift: complex, start: np.ndarray,
         residual = float(np.linalg.norm(mv - value * v))
         if change <= rounding or residual <= rounding * scale:
             break
+    if levels > 1 and not residual <= rounding * scale and np.array_equal(mat, mat.conj().T):
+        return _inverse_iteration(mat, shift, start)  # kappa_c = 0: see the docstring
     return EigenPair(value=value, vector=v, residual=residual, scale=scale)
 
 

@@ -62,14 +62,6 @@ class CorrelationSet:
     c_lr: dict[tuple[int, int], np.ndarray]
 
 
-@dataclass(frozen=True)
-class GeneratorSeries:
-    """Assembled complex generator entries E_{n_al,n_ar}(t) in MHz."""
-
-    times: np.ndarray
-    values: dict[tuple[int, int], np.ndarray]
-
-
 def _midpoints(f: np.ndarray, fdot: np.ndarray, dt: float) -> np.ndarray:
     # cubic Hermite at the interval centers, O(dt^4) with exact end derivatives
     return 0.5 * (f[:-1] + f[1:]) + dt * (fdot[:-1] - fdot[1:]) / 8.0
@@ -215,8 +207,9 @@ def fourier_A(traj: ResonatorTrajectory, params: SystemParams, level: int,
 
 
 def effective_generator_timedep(corr: CorrelationSet, traj: ResonatorTrajectory,
-                                params: SystemParams, levels) -> GeneratorSeries:
-    """Assemble E_{n_al,n_ar}(t) (MHz) from the correlation series:
+                                params: SystemParams, levels) -> dict:
+    """{(n_al, n_ar): E_{n_al,n_ar}(t)} (MHz, on the trajectory grid) for the level
+    pairs `levels`, assembled from the correlation series:
 
     E = 2 chi |eta|^2 (n_al - n_ar) - 4 chi^2 (A_ll n_al^2 - A_rr n_ar^2)
         + 4i chi^2 kappa (B/6 + C/2) n_al n_ar
@@ -234,16 +227,15 @@ def effective_generator_timedep(corr: CorrelationSet, traj: ResonatorTrajectory,
                         - 4.0 * chi**2 * (corr.a_ll[pair] * n_al**2 - corr.a_rr[pair] * n_ar**2)
                         + 4.0j * chi**2 * kap * (corr.b_lr[pair] / 6.0 + corr.c_lr[pair] / 2.0)
                         * n_al * n_ar)
-    return GeneratorSeries(times=corr.times, values=values)
+    return values
 
 
 def write_transient_csv(path, traj: ResonatorTrajectory, corr: CorrelationSet,
-                        gen: GeneratorSeries, pair: tuple[int, int] = (1, 0),
-                        header: bool = True) -> None:
-    """Columns: t_ns, photon, re/im of A_ll, A_rr, B, C and of E for one pair."""
+                        gen: dict, pair: tuple[int, int] = (1, 0), header: bool = True) -> None:
+    """Columns: t_ns, photon, re/im of A_ll, A_rr, B, C and of E (gen[pair]) for one pair."""
     pair = (int(pair[0]), int(pair[1]))
     a_ll, a_rr = corr.a_ll[pair], corr.a_rr[pair]
-    b, c, e = corr.b_lr[pair], corr.c_lr[pair], gen.values[pair]
+    b, c, e = corr.b_lr[pair], corr.c_lr[pair], gen[pair]
     write_csv(path, {"t_ns": traj.times, "photon": traj.photon,
                      "re_a_ll": a_ll.real, "im_a_ll": a_ll.imag,
                      "re_a_rr": a_rr.real, "im_a_rr": a_rr.imag,

@@ -816,6 +816,46 @@ def test_startup_loads_the_standard_library_and_numpy_only(tmp_path):
     assert json.loads(proc.stdout) == {"modules": ["numpy", "readoutmap"], "csv_tables": 0}
 
 
+CSV_GUARD_SCRIPT = """
+import sys
+import readoutmap.cli as cli
+for command in ("rates-sweep", "transient"):
+    assert cli.main([command, "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+print("csv" in sys.modules)
+"""
+
+
+def test_csv_output_loads_no_csv_module(tmp_path):
+    # write_csv writes its header row and the kernel's bytes itself
+    cfg = write_config(tmp_path, "c.json", {**BASE, **FORMAT_SECTIONS})
+    src = os.path.dirname(os.path.dirname(readoutmap.__file__))
+    proc = subprocess.run([sys.executable, "-c", CSV_GUARD_SCRIPT, cfg, str(tmp_path / "o.csv")],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("pulse", [
+    {"tau_p_ns": 2e100, "tau_r_ns": 1e100, "sigma_r_ns": 1e78},   # sigma_r^4 overflows
+    {"tau_p_ns": 1000.0, "tau_r_ns": 100.0, "sigma_r_ns": 1e-82},  # sigma_r^4 underflows
+])
+@pytest.mark.parametrize("command", ["transient", "validate"])
+def test_a_ramp_whose_second_derivative_overflows_is_one_config_error(tmp_path, capsys, pulse,
+                                                                       command):
+    # was an OverflowError traceback, or a numpy warning and a NaN eta_d3
+    with open(os.path.join(CONFIGS, "transient_crosstalk.json")) as fh:
+        payload = json.load(fh)
+    payload["pulse"].update(pulse)
+    cfg, out = write_config(tmp_path, "c.json", payload), tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: sigma_r_ns = {pulse['sigma_r_ns']:g} puts the ramp's second "
+                   "derivative out of float range: sigma_r^4 or tau_r^2 / sigma_r^4 overflows\n")
+    assert not out.exists()
+
+
 FORMAT_SECTIONS = {
     "rates_sweep": {"delta_cd_start_mhz": -2.0, "delta_cd_stop_mhz": 2.0, "points": 41},
     "benchmark_eig": {"omega_c_grid_mhz": [0.0, 1.0, 2.0]},

@@ -211,6 +211,31 @@ def test_a_ramp_the_floats_cannot_normalize_is_a_pulse_error(tau_r, sigma_r):
                   sigma_r=sigma_r)
 
 
+@pytest.mark.parametrize("tau_p, tau_r, sigma_r", [
+    (2e100, 1e100, 1e78),    # sigma_r^4 overflows: sg_envelope raised OverflowError
+    (1000.0, 100.0, 1e-82),  # sigma_r^4 underflows to 0: numpy warned, the derivative was NaN
+    (1000.0, 100.0, 1e-77),  # tau_r^2 / sigma_r^4 overflows: the derivative was NaN
+    (1e20, 9000.0, 1e-75),   # the fall ramp, rounded, reaches u = 16384 ns
+])
+def test_a_ramp_whose_second_derivative_leaves_the_floats_is_a_pulse_error(tau_p, tau_r,
+                                                                           sigma_r):
+    with pytest.raises(ValueError, match=re.escape(f"sigma_r_ns = {sigma_r:g} puts the ramp's "
+                                                   "second derivative out of float range")):
+        PulseSpec("square-gaussian", 14.2, tau_p=tau_p, tau_r=tau_r, sigma_r=sigma_r)
+
+
+@pytest.mark.parametrize("tau_p, tau_r, sigma_r", [
+    (2e100, 1e100, 1.15e77), (1000.0, 100.0, 8.7e-77), (1e20, 9000.0, 1.2e-75)])
+def test_envelope_derivatives_are_finite_up_to_the_sigma_r_rule(tau_p, tau_r, sigma_r):
+    pulse = PulseSpec("square-gaussian", 14.2, tau_p=tau_p, tau_r=tau_r, sigma_r=sigma_r)
+    t = np.concatenate([np.linspace(0.0, tau_r, 1001), np.linspace(tau_p - tau_r, tau_p, 1001),
+                        [pulse.ramps[1][0], tau_p]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in (0, 1, 2):
+            assert np.all(np.isfinite(sg_envelope(t, pulse, order)))
+
+
 def test_a_ramp_with_a_tiny_normalization_keeps_the_rounding_of_its_foot():
     # sigma_r >> tau_r: norm = 1 - floor is tiny but nonzero, and the ramp values carry
     # the rounding of floor over norm, about 1.1e-16 / norm (measured 1.5e-2 at 1e7)
@@ -596,6 +621,9 @@ def test_format_kernel_needs_its_scaled_value_only_within_the_tie_margin(tmp_pat
     ({"x": 1.0}, r"got \{'x': \(\)\}"),
     ({}, r"got \{\}"),
     ({"k": [0, 1], "z": np.array([1.0, 2.0 + 1.0j])}, "real columns"),
+    # header names the csv module would quote: the header row joins them as they are
+    ({"k": [0, 1], "a,b": [0.0, 1.0]}, r"header names .* got \['a,b'\]"),
+    ({"k": [0, 1], "": [0.0, 1.0]}, r"header names .* got \[''\]"),
 ])
 def test_write_csv_rejects_malformed_columns(tmp_path, columns, match):
     out = tmp_path / "bad.csv"

@@ -63,35 +63,13 @@ def test_rk4_linear_matches_stepwise_reference(n, h, h_sign, a_abs, a_phase, see
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows=st.integers(1, 5), n=st.integers(1, 300), a_abs=st.floats(0.0, 0.05),
-       a_phase=st.floats(0.0, 2.0 * np.pi), seed=st.integers(0, 2**32 - 1))
-@example(rows=5, n=2 * B + 1, a_abs=0.05, a_phase=1.0, seed=4)  # whole blocks
-@example(rows=3, n=3 * B - 4, a_abs=0.05, a_phase=4.0, seed=5)  # a last block 3 short
-def test_rk4_linear_scans_a_batch_of_trajectories(rows, n, a_abs, a_phase, seed):
-    # leading axes are independent trajectories with their own z0 and the same mu, h
-    rng = np.random.default_rng(seed)
-    h = 0.1
-    mu = a_abs * np.exp(1j * a_phase) / h
-    f = rng.normal(size=(rows, 2, n)) + 1j * rng.normal(size=(rows, 2, n))
-    fm = rng.normal(size=(rows, 2, n - 1)) + 1j * rng.normal(size=(rows, 2, n - 1))
-    z0 = rng.normal(size=(rows, 2)) + 1j * rng.normal(size=(rows, 2))
-    got = _rk4_linear(mu, f, fm, h, z0)
-    assert got.shape == (rows, 2, n)
-    for i in np.ndindex(rows, 2):
-        ref = rk4_reference(mu, f[i], fm[i], h, z0[i])
-        assert np.max(np.abs(got[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
-    # a scalar z0 starts every trajectory
-    assert np.array_equal(_rk4_linear(mu, f, fm, h, 0.0)[..., 0], np.zeros((rows, 2)))
-
-
-@pytest.mark.parametrize("shape", [(14001,), (16, 251)])
-def test_rk4_linear_peak_memory_is_a_few_outputs(shape):
+def test_rk4_linear_peak_memory_is_a_few_outputs():
     # the scan holds g, one padded copy of it with the carries, and the output:
-    # measured peaks 2.3x and 2.5x the output's bytes
+    # measured peak 2.2x the output's bytes
+    shape = (14001,)
     rng = np.random.default_rng(6)
     f = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    fm = 0.5 * (f[..., :-1] + f[..., 1:])
+    fm = 0.5 * (f[:-1] + f[1:])
     tracemalloc.start()
     try:
         out = _rk4_linear(-0.01 + 0.05j, f, fm, 0.1, 0.0)

@@ -29,7 +29,7 @@ def test_zero_drive_gives_zero_series():
     gen = effective_generator_timedep(corr, traj, p, [(1, 0)])
     assert np.all(corr.a_ll[(1, 0)] == 0.0)
     assert np.all(corr.b_lr[(1, 0)] == 0.0)
-    assert np.all(gen.values[(1, 0)] == 0.0)
+    assert np.all(gen[(1, 0)] == 0.0)
 
 
 def test_series_start_at_zero(flat_top_run):
@@ -64,8 +64,8 @@ def test_generator_plateau_matches_adiabatic_spectrum(step_drive_run):
     _, n_ss = steady_state(params, pulse.omega_c)
     i = int(round(10.0 / params.kappa_c * 1e3 / traj.dt))
     expected = effective_spectrum(params, 1, 0, n_ss)
-    assert abs(gen.values[(1, 0)][i] - expected) / abs(expected) < 1e-6
-    assert abs(gen.values[(1, 1)][i]) < 1e-9 * abs(expected)
+    assert abs(gen[(1, 0)][i] - expected) / abs(expected) < 1e-6
+    assert abs(gen[(1, 1)][i]) < 1e-9 * abs(expected)
 
 
 def test_grid_refinement(step_drive_run):
@@ -174,7 +174,7 @@ def test_crosstalk_generator_follows_photon_number():
     traj = solve_eta(CROSSTALK, SLOW_PULSE, 1300.0, 0.1)
     corr = correlations_timedomain(traj, CROSSTALK, [(1, 0)])
     gen = effective_generator_timedep(corr, traj, CROSSTALK, [(1, 0)])
-    e10 = gen.values[(1, 0)]
+    e10 = gen[(1, 0)]
     # dephasing never turns into gain in the settled adiabatic window (the
     # instantaneous second-order rate does swing through zero on the ramps,
     # at any finite ramp speed; only the settled plateau is adiabatic-valid)
@@ -245,7 +245,7 @@ def _transient_series(config):
     corr = correlations_timedomain(traj, p, [pair])
     gen = effective_generator_timedep(corr, traj, p, [pair])
     return [traj.eta, corr.a_ll[pair], corr.a_rr[pair], corr.b_lr[pair], corr.c_lr[pair],
-            gen.values[pair]]
+            gen[pair]]
 
 
 @pytest.mark.parametrize("name", ["transient_flattop", "transient_crosstalk"])
@@ -267,7 +267,7 @@ def _commands_at_step(p, pulse, t_end, dt, pair, idx):
     (1, 0) at the grid indices idx, both on the grid k dt, k = 0..round(t_end / dt)."""
     traj = solve_eta(p, pulse, t_end, dt)
     corr = correlations_timedomain(traj, p, [pair])
-    return (effective_generator_timedep(corr, traj, p, [pair]).values[pair],
+    return (effective_generator_timedep(corr, traj, p, [pair])[pair],
             coherence_at(p, pulse, t_end, dt, idx, 1, 0)[0])
 
 
